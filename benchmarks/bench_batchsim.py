@@ -132,12 +132,9 @@ def main():
         ),
         "combined": round(safe_rate(per_run_total, batch_total), 2),
     }
-    from repro.batchsim import resolve_backend
-
     document.update(
         {
             "cell": {"n": N, "k": K, "batch": BATCH},
-            "backend": resolve_backend(None),
             "runs_per_sec": {
                 "batched": round(safe_rate(2 * BATCH, batch_total), 1),
                 "per_run": round(safe_rate(2 * BATCH, per_run_total), 1),
@@ -151,8 +148,7 @@ def main():
         handle.write("\n")
     print(
         f"[bench batchsim] speedup: align {speedups['align']}x, "
-        f"clearing {speedups['clearing']}x, combined {speedups['combined']}x "
-        f"(backend: {document['backend']})",
+        f"clearing {speedups['clearing']}x, combined {speedups['combined']}x",
         file=sys.stderr,
     )
     if os.environ.get("BENCH_REQUIRE_SPEEDUP") == "1":

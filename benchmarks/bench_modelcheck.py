@@ -11,8 +11,8 @@ per engine backend — and the E6 adversary game solver, and records:
   the pure engine-mechanics ratio, *not* the cold-start ratio);
 * ``states_per_second`` — explored states over the median wall time of
   every gated row;
-* the speedups against the pre-rewrite committed baselines and the
-  packed-vs-legacy ratio, carried over from the packed-state rewrite.
+* the speedups against the pre-rewrite committed baselines, carried
+  over from the packed-state rewrite.
 
 The unsuffixed ``verify-searching-rc-7x14`` row keeps running on the
 default (``auto``) engine for baseline continuity.  Without NumPy the
@@ -123,27 +123,11 @@ def main():
     medians["verify-searching-rc-6x13"] = _median_seconds(_searching_6x13)
     medians["game-solver-n6-k3"] = _median_seconds(_game_solver_6x3)
 
-    # The legacy tuple-state explorer is still importable as a
-    # differential oracle; time it live for the engine-vs-engine ratio.
-    # (The game solver was rewritten in place, so its only comparison is
-    # the committed pre-rewrite baseline.)
-    legacy = {
-        "verify-searching-rc-6x13": _median_seconds(
-            lambda: check_cell("searching", 13, 6, engine="legacy")
-        ),
-        "verify-searching-rc-7x14": _median_seconds(
-            lambda: check_cell("searching", 14, 7, engine="legacy")
-        ),
-    }
     document.update(
         {
             "speedup_vs_pre_rewrite": {
                 name: round(safe_rate(PRE_REWRITE_BASELINE[name], medians[name]), 2)
                 for name in PRE_REWRITE_BASELINE
-            },
-            "packed_vs_legacy_engine": {
-                name: round(safe_rate(legacy_s, medians[name]), 2)
-                for name, legacy_s in legacy.items()
             },
             "speedup_vector_vs_packed": {
                 cell: round(
@@ -161,12 +145,10 @@ def main():
             "speedup_note": (
                 "speedup_vs_pre_rewrite compares against the committed "
                 "tuple-state-engine baselines measured on the 1-core "
-                "reference container; packed_vs_legacy_engine and "
-                "speedup_vector_vs_packed are measured live on this host "
-                "with warm persistent cell caches (engine mechanics only; "
-                "the legacy engine also benefits from the shared driver "
-                "rewrite, so that ratio understates the total). Without "
-                "NumPy the -vector rows degrade to the packed engine and "
+                "reference container; speedup_vector_vs_packed is "
+                "measured live on this host with warm persistent cell "
+                "caches (engine mechanics only). Without NumPy the -vector "
+                "rows degrade to the packed engine and "
                 "speedup_vector_vs_packed reads ~1."
             ),
         }

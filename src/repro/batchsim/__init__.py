@@ -5,9 +5,8 @@ scheduler policy on hundreds of seeded starting configurations.  Run one
 :class:`~repro.simulator.engine.Simulator` per sample and most of the
 work is Python-object overhead: snapshot construction, per-step trace
 objects, cold decision caches.  :class:`BatchEngine` instead advances a
-``(batch, n)`` occupancy matrix (NumPy when installed — the ``[fast]``
-extra — with a pure-stdlib ``array`` fallback) through Look-Compute-Move
-rounds, sharing one global-plan table
+``(batch, n)`` occupancy matrix (one stdlib ``array`` row per lane)
+through Look-Compute-Move rounds, sharing one global-plan table
 (:class:`~repro.simulator.batchplan.GlobalPlanTable`), one decision
 cache and one configuration pool across every lane.
 
@@ -17,7 +16,7 @@ configuration, scheduler and options
 (``BatchEngine.lane_trace(i).canonical_bytes() ==
 Simulator(...).run(...).canonical_bytes()``).  The differential test
 suite (``tests/batchsim/``) certifies this on sampled seeds under every
-scheduler and on both backends; the campaign executor relies on it to
+scheduler; the campaign executor relies on it to
 keep batched ``summary.json`` files byte-identical to per-run execution.
 
 Typical use::
@@ -29,12 +28,11 @@ Typical use::
     moves = [engine.lane(i).total_moves for i in range(engine.num_lanes)]
 """
 
-from .backends import available_backends, resolve_backend
+from .backends import resolve_backend
 from .engine import BatchEngine, BatchLane
 
 __all__ = [
     "BatchEngine",
     "BatchLane",
-    "available_backends",
     "resolve_backend",
 ]

@@ -1,61 +1,24 @@
-"""Occupancy-matrix storage backends for the batched engine.
+"""Occupancy-row storage for the batched engine.
 
 The batch state is a ``(batch, n)`` matrix of per-node robot counts —
 the same digit layout :class:`~repro.core.cyclic.PackedSequenceCodec`
-packs into integers.  Two interchangeable backends store it:
+packs into integers.  :class:`StdlibBackend` stores it as one
+``array.array('i')`` row per lane, pure stdlib.  ``row(i)`` returns a
+mutable sequence supporting scalar item access and ``.tobytes()`` (the
+lane's dict key), and ``pack_all(codec)`` packs the whole batch through
+:meth:`PackedSequenceCodec.pack_many`.
 
-* :class:`NumpyBackend` — a contiguous NumPy ``int32`` matrix.  NumPy is
-  an *optional* dependency (the ``[fast]`` packaging extra); importing
-  this module never requires it.
-* :class:`StdlibBackend` — one ``array.array('i')`` row per lane, pure
-  stdlib, always available.
-
-Both expose the same tiny row protocol the engine's hot loop needs:
-``row(i)`` returns a mutable sequence supporting scalar item access and
-``.tobytes()`` (the lane's dict key), and ``pack_all(codec)`` packs the
-whole batch through the codec's digit weights — one vectorised
-matrix-vector product on NumPy, :meth:`PackedSequenceCodec.pack_many`
-on the stdlib.
-
-Selection: explicit name > ``REPRO_BATCHSIM_BACKEND`` environment
-variable > NumPy when importable > stdlib.  Traces are byte-identical
-across backends (certified by the differential suite), so the choice is
-purely an execution-context knob — it never enters run-spec cache keys.
+The engine's speed comes from cross-lane plan sharing, not from the
+storage: a NumPy matrix backend was no faster on the measured workloads
+(see ``docs/performance.md``) and was removed.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "StdlibBackend",
-    "NumpyBackend",
-    "available_backends",
-    "resolve_backend",
-    "make_backend",
-]
-
-#: Environment variable overriding the default backend choice.
-BACKEND_ENV_VAR = "REPRO_BATCHSIM_BACKEND"
-
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def _numpy():
-    """The ``numpy`` module, or ``None`` when not installed (memoised)."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        try:
-            import numpy  # noqa: PLC0415 - optional dependency, gated import
-        except ImportError:
-            numpy = None
-        _NUMPY = numpy
-        _NUMPY_CHECKED = True
-    return _NUMPY
+__all__ = ["StdlibBackend", "resolve_backend"]
 
 
 class StdlibBackend:
@@ -84,82 +47,13 @@ class StdlibBackend:
         return codec.pack_many(self._rows)
 
 
-class NumpyBackend:
-    """NumPy batch state: a contiguous ``(batch, n)`` ``int32`` matrix."""
-
-    name = "numpy"
-
-    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        np = _numpy()
-        if np is None:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("numpy is not installed; use the stdlib backend")
-        self._matrix = np.array([list(row) for row in rows], dtype=np.int32)
-        if self._matrix.ndim != 2:
-            raise ValueError("batch rows must all have the same length")
-
-    @property
-    def num_lanes(self) -> int:
-        """Number of lanes (batch dimension)."""
-        return int(self._matrix.shape[0])
-
-    @property
-    def matrix(self):
-        """The underlying ``(batch, n)`` matrix (shared, mutable)."""
-        return self._matrix
-
-    def row(self, i: int):
-        """The mutable counts row of lane ``i`` (a NumPy view)."""
-        return self._matrix[i]
-
-    def counts(self, i: int) -> Tuple[int, ...]:
-        """Lane ``i``'s occupancy vector as a plain tuple."""
-        return tuple(int(c) for c in self._matrix[i])
-
-    def pack_all(self, codec) -> List[int]:
-        """Vectorised packing: digit matrix times the codec's place values.
-
-        Weights exceed 64 bits for large ``(n, k)`` (e.g. ``n=24, k=8``
-        needs ``96`` bits), so the product runs in object dtype —
-        arbitrary-precision Python ints inside a NumPy matmul.
-        """
-        np = _numpy()
-        weights = np.array(codec.place_values, dtype=object)
-        return list(self._matrix.astype(object) @ weights)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the backends importable in this environment."""
-    return ("numpy", "stdlib") if _numpy() is not None else ("stdlib",)
-
-
 def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name (``None``/"auto" applies the default policy).
+    """The storage name a run uses: always ``"stdlib"``.
 
     Raises:
-        ValueError: for an unknown name, or ``"numpy"`` when NumPy is
-            not installed.
+        ValueError: for any name other than ``None``, ``"auto"`` or
+            ``"stdlib"``.
     """
-    if name is None or name == "auto":
-        name = os.environ.get(BACKEND_ENV_VAR) or (
-            "numpy" if _numpy() is not None else "stdlib"
-        )
-    if name == "numpy":
-        if _numpy() is None:
-            raise ValueError(
-                "batchsim backend 'numpy' requested but numpy is not installed; "
-                "install the [fast] extra or use the 'stdlib' backend"
-            )
-        return "numpy"
-    if name == "stdlib":
-        return "stdlib"
-    raise ValueError(
-        f"unknown batchsim backend {name!r}; expected 'auto', 'numpy' or 'stdlib'"
-    )
-
-
-def make_backend(name: Optional[str], rows: Sequence[Sequence[int]]):
-    """Build the resolved backend over the given initial rows."""
-    resolved = resolve_backend(name)
-    if resolved == "numpy":
-        return NumpyBackend(rows)
-    return StdlibBackend(rows)
+    if name not in (None, "auto", StdlibBackend.name):
+        raise ValueError(f"unknown batchsim backend {name!r}; only 'stdlib' exists")
+    return StdlibBackend.name

@@ -3,8 +3,8 @@
 One :class:`BatchEngine` advances a batch of independent simulations
 ("lanes") of the *same* algorithm on the *same* ring size under the
 *same* scheduler policy.  The batch state is a ``(batch, n)`` occupancy
-matrix held by a pluggable backend (:mod:`repro.batchsim.backends`);
-everything expensive is shared across lanes:
+matrix of stdlib rows (:mod:`repro.batchsim.backends`); everything
+expensive is shared across lanes:
 
 * for pure global-rule algorithms, one
   :class:`~repro.simulator.batchplan.GlobalPlanTable` turns every Look
@@ -23,7 +23,7 @@ Byte-identity contract: for every lane ``i``,
 trace produced by ``Simulator(algorithm, initials[i],
 scheduler=scheduler_factory(i), options=options)`` executing the same
 run — the differential suite in ``tests/batchsim/`` enforces this under
-every scheduler on both backends.  The engine may *skip* presentation
+every scheduler.  The engine may *skip* presentation
 RNG draws on the fast path (traces record moves, not draws; pure
 global-rule decisions are presentation-independent), which is exactly
 why the certification is done on serialised traces rather than on RNG
@@ -54,7 +54,7 @@ from ..simulator.batchplan import INVALID_TARGET, GlobalPlanTable
 from ..simulator.engine import ConfigurationPool
 from ..simulator.options import EngineOptions
 from ..simulator.trace import MoveRecord, Trace, TraceEvent
-from .backends import make_backend
+from .backends import StdlibBackend
 
 __all__ = ["BatchEngine", "BatchLane", "BatchLaneView"]
 
@@ -215,9 +215,6 @@ class BatchEngine:
         monitors_factory: optional ``lane_index -> iterable of monitors``;
             monitored lanes materialise move records and configurations
             every step (exact but slower).
-        backend: ``"auto"`` (default), ``"numpy"`` or ``"stdlib"`` —
-            see :mod:`repro.batchsim.backends`.  Execution context only:
-            traces are byte-identical across backends.
         record_events: record per-step events enabling
             :meth:`lane_trace`.  Disable for throughput when only the
             aggregate counters (``total_moves``, ``step_count``,
@@ -232,7 +229,6 @@ class BatchEngine:
         scheduler_factory: Optional[Callable[[int], Scheduler]] = None,
         options: Optional[EngineOptions] = None,
         monitors_factory: Optional[Callable[[int], Iterable]] = None,
-        backend: Optional[str] = None,
         record_events: bool = True,
     ) -> None:
         if not initials:
@@ -267,7 +263,7 @@ class BatchEngine:
         #: counts-row bytes -> plain counts tuple (shared across lanes).
         self._tuples: Dict[bytes, Tuple[int, ...]] = {}
 
-        self._backend = make_backend(backend, [c.counts for c in initials])
+        self._backend = StdlibBackend([c.counts for c in initials])
         self._lanes: List[BatchLane] = []
         for index, configuration in enumerate(initials):
             if self._exclusive and not configuration.is_exclusive:
@@ -339,11 +335,6 @@ class BatchEngine:
         """Number of lanes in the batch."""
         return len(self._lanes)
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the occupancy-matrix backend in use."""
-        return self._backend.name
-
     def lane(self, index: int) -> BatchLane:
         """The per-lane state record (treat as read-only)."""
         return self._lanes[index]
@@ -355,8 +346,7 @@ class BatchEngine:
     def packed_states(self) -> List[int]:
         """Every lane's occupancy vector packed through the shared codec.
 
-        Uses :meth:`PackedSequenceCodec.place_values` digit weights —
-        one vectorised matrix product on the NumPy backend.
+        Uses :meth:`PackedSequenceCodec.pack_many` over the lane rows.
         """
         max_count = max(max(lane.counts_tuple) for lane in self._lanes)
         codec = packed_codec(self._n, max(1, max_count))

@@ -124,10 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler", choices=sorted(SCHEDULERS), default="sequential",
         help="scheduler shared by every run (default: sequential)",
     )
-    batch.add_argument(
-        "--backend", choices=["auto", "numpy", "stdlib"], default="auto",
-        help="occupancy-matrix backend (results are byte-identical; default: auto)",
-    )
     _add_timeout_argument(batch, "sweep (the whole batch runs under one deadline)")
     _add_cache_arguments(batch)
 
@@ -163,14 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(byte-identical verdicts; mutually exclusive with --jobs > 1)"
         ),
     )
-    verify.add_argument(
-        "--engine", choices=["auto", "packed", "legacy", "vector"], default="auto",
-        help=(
-            "frontier engine (byte-identical verdicts; 'auto' picks the "
-            "NumPy-vectorized engine when NumPy is importable, else the "
-            "packed one; env override: REPRO_MODELCHECK_ENGINE)"
-        ),
-    )
     _add_campaign_arguments(verify)
     _add_cache_arguments(verify)
 
@@ -194,10 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
             "frontier shards per model-checking cell "
             "(default: 1; mutually exclusive with --jobs > 1)"
         ),
-    )
-    serve.add_argument(
-        "--engine", choices=["auto", "packed", "legacy", "vector"], default="auto",
-        help="frontier engine for verify runs (byte-identical verdicts; default: auto)",
     )
     serve.add_argument(
         "--timeout",
@@ -470,7 +454,6 @@ def _run_batch(parser, args, out, cache=None) -> int:
         spec,
         cache=cache,
         refresh=getattr(args, "refresh", False),
-        backend=None if args.backend == "auto" else args.backend,
         timeout=args.timeout,
     )
     payload = result.payload
@@ -519,7 +502,6 @@ def _run_verify(parser, args, out, cache=None) -> int:
         spec,
         jobs=args.jobs,
         shards=args.shards,
-        engine=args.engine,
         store=args.store,
         progress=_progress_printer if args.progress else None,
         cache=cache,
@@ -603,7 +585,6 @@ def _dispatch(parser: argparse.ArgumentParser, args, out) -> int:
             workers=args.workers,
             jobs=args.jobs,
             shards=args.shards,
-            engine=args.engine,
             run_timeout=args.timeout,
             verbose=args.verbose,
             log_json=args.json_logs,

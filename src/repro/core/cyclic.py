@@ -313,9 +313,9 @@ class PackedSequenceCodec:
 
         This is the bridge between the packed-int representation and a
         ``(batch, n)`` digit matrix: a whole batch of sequences packs in
-        one matrix-vector product against these weights (the batched
-        engine's NumPy backend uses exactly that, with object dtype when
-        ``total_bits`` exceeds 64).
+        one matrix-vector product against these weights (the vectorized
+        model-check engine, :mod:`repro.modelcheck.vector`, packs its
+        int64 state batches exactly that way).
         """
         bits = self.digit_bits
         return tuple(1 << (bits * (self.n - 1 - i)) for i in range(self.n))

@@ -19,7 +19,7 @@ the soundness caveats.
 """
 
 from .checker import ModelChecker, ModelCheckResult, Verdict, Witness, WitnessStep, check_cell
-from .engines import ENGINE_ENV_VAR, ENGINES, resolve_engine
+from .engines import ENGINES, resolve_engine
 from .grid import build_verify_campaign, run_unit, run_verify_campaign
 from .tasks import TASKS, TaskSpec, make_task_spec
 
@@ -30,7 +30,6 @@ __all__ = [
     "Witness",
     "WitnessStep",
     "check_cell",
-    "ENGINE_ENV_VAR",
     "ENGINES",
     "resolve_engine",
     "build_verify_campaign",

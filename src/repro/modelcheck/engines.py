@@ -1,40 +1,28 @@
-"""Model-check engine selection: packed, legacy, or NumPy-vectorized.
+"""Model-check engine selection: packed or NumPy-vectorized.
 
-Mirrors the :mod:`repro.batchsim.backends` convention: the engine is
-**execution context**, like ``--jobs`` or ``--shards`` — it changes how
-fast a verdict is computed, never what the verdict is.  It therefore
-never appears in run specs, run ids, campaign identities or cache keys,
-and every engine produces byte-identical verdict documents (certified by
-the three-way differential suite in
-``tests/modelcheck/test_frontier_equivalence.py``).
+The engine changes how fast a verdict is computed, never what the
+verdict is: both engines produce byte-identical verdict documents
+(certified against the golden corpus in
+``tests/modelcheck/test_frontier_equivalence.py``).  The choice is made
+automatically from what the process can observe — ``"vector"`` when
+NumPy is importable, else ``"packed"`` — and never appears in run specs,
+run ids, campaign identities or cache keys.  A cell whose packed states
+exceed the vector engine's 62-bit budget falls back to the packed engine
+inside :meth:`repro.modelcheck.checker.ModelChecker.run`.
 
-Resolution order for :func:`resolve_engine`:
-
-1. an explicit engine name (``"packed"``, ``"legacy"``, ``"vector"``);
-2. the ``REPRO_MODELCHECK_ENGINE`` environment variable when the name is
-   ``None`` or ``"auto"``;
-3. ``"vector"`` when NumPy is importable, else ``"packed"``.
-
-One deliberate difference from the batchsim resolver: requesting
-``"vector"`` without NumPy **falls back** to ``"packed"`` instead of
-raising.  The vector engine is a drop-in accelerator for the packed
-engine (identical output), so degrading is always safe; the batchsim
-``"numpy"`` backend, by contrast, is an explicit per-call choice whose
-absence the caller must learn about.
+The explicit names exist for differential tests and benchmarks that
+compare the two engines; requesting ``"vector"`` without NumPy degrades
+to ``"packed"`` instead of raising, since the output is identical.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-__all__ = ["ENGINE_ENV_VAR", "ENGINES", "numpy_or_none", "resolve_engine"]
+__all__ = ["ENGINES", "numpy_or_none", "resolve_engine"]
 
-#: Environment override consulted when the engine is ``None``/``"auto"``.
-ENGINE_ENV_VAR = "REPRO_MODELCHECK_ENGINE"
-
-#: Engine names accepted by :func:`resolve_engine` and the CLI.
-ENGINES = ("auto", "packed", "legacy", "vector")
+#: Engine names accepted by :func:`resolve_engine`.
+ENGINES = ("auto", "packed", "vector")
 
 _NUMPY = None
 _NUMPY_CHECKED = False
@@ -57,28 +45,21 @@ def resolve_engine(name: Optional[str] = None) -> str:
     """Resolve an engine request to a concrete engine name.
 
     Args:
-        name: ``None``/``"auto"`` (environment, then best available),
-            or one of ``"packed"``, ``"legacy"``, ``"vector"``.
+        name: ``None``/``"auto"`` (the best available engine),
+            ``"packed"`` or ``"vector"``.
 
     Returns:
-        ``"packed"``, ``"legacy"`` or ``"vector"``.  A ``"vector"``
-        request (explicit or resolved) degrades to ``"packed"`` when
-        NumPy is absent; the verdict documents are identical either way.
+        ``"packed"`` or ``"vector"``.  A ``"vector"`` request (explicit
+        or resolved) degrades to ``"packed"`` when NumPy is absent; the
+        verdict documents are identical either way.
 
     Raises:
-        ValueError: for an unknown engine name (including one read from
-            :data:`ENGINE_ENV_VAR`).
+        ValueError: for an unknown engine name.
     """
-    if name is None:
-        name = "auto"
-    if name == "auto":
-        name = os.environ.get(ENGINE_ENV_VAR) or "auto"
-    if name == "auto":
-        name = "vector" if numpy_or_none() is not None else "packed"
-    if name not in ("packed", "legacy", "vector"):
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {ENGINES}"
-        )
+    if name is None or name == "auto":
+        name = "vector"
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
     if name == "vector" and numpy_or_none() is None:
         return "packed"
     return name

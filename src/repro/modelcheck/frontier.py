@@ -1,10 +1,9 @@
 """Packed-state frontier engine: the model checker's exploration core.
 
-The legacy explorer (retained in :mod:`repro.modelcheck.checker` for
-differential testing) keys its visited set by tuples of tuples and
+A straightforward explorer keys its visited set by tuples of tuples and
 re-derives dihedral canonical forms and clear-edge sets per visit, which
-makes exhaustive exploration allocation-bound.  This module replaces the
-hot path wholesale:
+makes exhaustive exploration allocation-bound.  This module avoids that
+throughout:
 
 * a system state ``(counts, phase, pending)`` is **one Python int** —
   the occupancy vector packed big-endian in ``k.bit_length()``-bit
@@ -73,10 +72,10 @@ Counts = Tuple[int, ...]
 
 #: Exceptions an algorithm may raise on a reachable state; raised while
 #: *expanding* a state they become ``ERROR`` verdicts (with a path
-#: witness) instead of crashes.  One deliberate mirror of the legacy
-#: engine: the goal-*stability* probe of a reach task lets them
-#: propagate (unreachable for the registered tasks, whose goal
-#: configurations the algorithms always accept).
+#: witness) instead of crashes.  One deliberate exception: the
+#: goal-*stability* probe of a reach task lets them propagate
+#: (unreachable for the registered tasks, whose goal configurations the
+#: algorithms always accept).
 _ALGORITHM_ERRORS = (
     AlgorithmPreconditionError,
     UnsupportedParametersError,
@@ -243,10 +242,10 @@ def _expand_batch(
 class FrontierExplorer:
     """Explore one cell's reachable graph over packed integer states.
 
-    Implements the exact verdict semantics of the legacy explorer (see
-    the :mod:`repro.modelcheck.checker` module docstring for the
-    fairness discussion); every note, statistic and witness is
-    byte-identical by construction.
+    Implements the verdict semantics described in the
+    :mod:`repro.modelcheck.checker` module docstring (including the
+    fairness discussion); every note, statistic and witness matches the
+    golden verdict corpus byte for byte.
 
     Args:
         spec: task adapter of the cell.
@@ -581,8 +580,7 @@ class FrontierExplorer:
     ) -> Optional[Tuple[int, List[Tuple[int, CompactTransition]], str]]:
         if not region:
             return None
-        # BFS discovery order, mirroring the legacy engine exactly (see
-        # ModelChecker._fair_trap): the chosen witness loop must be a
+        # BFS discovery order: the chosen witness loop must be a
         # function of the graph, not of hash order.
         restricted = {
             s: [t for (t, _) in out_edges[s] if t in region]

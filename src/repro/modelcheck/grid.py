@@ -54,19 +54,16 @@ def build_verify_campaign(
     )
 
 
-def run_unit(
-    unit: Dict[str, object], shards: int = 1, engine: Optional[str] = None
-) -> Dict[str, object]:
+def run_unit(unit: Dict[str, object], shards: int = 1) -> Dict[str, object]:
     """Campaign worker: model-check one cell.
 
     The payload row is ``(task, k, n, algorithm, adversary, verdict,
     states, transitions, witness?)``; the full verdict document (without
     timing, for byte-determinism) rides along under ``"result"``.
 
-    ``shards`` and ``engine`` are execution context, not cell identity:
-    a sharded exploration (or one run on a different frontier engine)
-    returns the byte-identical payload, so neither is part of the unit
-    dict (and therefore not part of the campaign or unit-cache
+    ``shards`` is execution context, not cell identity: a sharded
+    exploration returns the byte-identical payload, so it is not part of
+    the unit dict (and therefore not part of the campaign or unit-cache
     identity).
     """
     extra = unit.get("extra") or {}
@@ -81,7 +78,6 @@ def run_unit(
         adversary=adversary,
         max_states=max_states,
         shards=shards,
-        engine=engine or "auto",
     ).run()
     witness_note = result.witness.note if result.witness else ""
     return {
@@ -107,18 +103,16 @@ class _ConfiguredVerifyWorker:
     Each instance advertises ``run_unit``'s qualname (as an *instance*
     attribute, leaving the class's own pickling identity untouched) so
     the campaign layer's unit de-duplication cache keys stay identical
-    to the plain worker's — a sharded exploration of the same cell, or
-    one run on a different frontier engine, returns the byte-identical
-    payload, so all execution contexts must share cache entries.
+    to the plain worker's — a sharded exploration of the same cell
+    returns the byte-identical payload, so both must share cache entries.
     """
 
-    def __init__(self, shards: int = 1, engine: Optional[str] = None) -> None:
+    def __init__(self, shards: int = 1) -> None:
         self.shards = shards
-        self.engine = engine
         self.__qualname__ = run_unit.__qualname__
 
     def __call__(self, unit: Dict[str, object]) -> Dict[str, object]:
-        return run_unit(unit, shards=self.shards, engine=self.engine)
+        return run_unit(unit, shards=self.shards)
 
 
 def run_verify_campaign(
@@ -129,7 +123,6 @@ def run_verify_campaign(
     max_states: int = DEFAULT_MAX_STATES,
     jobs: int = 1,
     shards: int = 1,
-    engine: Optional[str] = None,
     store: Optional[Union[str, ResultStore]] = None,
     progress: Optional[ProgressCallback] = None,
     cache=None,
@@ -143,9 +136,7 @@ def run_verify_campaign(
     ``jobs`` parallelises *across* cells through the campaign pool;
     ``shards`` parallelises *within* each cell by partitioning the
     frontier across the shard pool (see
-    :mod:`repro.modelcheck.frontier`); ``engine`` selects the frontier
-    backend per :func:`repro.modelcheck.engines.resolve_engine`
-    (``None`` means ``"auto"``).  All three are execution context and
+    :mod:`repro.modelcheck.frontier`).  Both are execution context and
     leave every payload byte-identical to the serial run.  ``jobs`` and
     ``shards`` are mutually exclusive: one machine-wide worker budget
     should not be oversubscribed twice.
@@ -167,10 +158,7 @@ def run_verify_campaign(
         result_store: Optional[ResultStore] = ResultStore(store, fault_plan=fault_plan)
     else:
         result_store = store
-    if shards > 1 or engine not in (None, "auto"):
-        worker = _ConfiguredVerifyWorker(shards, engine)
-    else:
-        worker = run_unit
+    worker = _ConfiguredVerifyWorker(shards) if shards > 1 else run_unit
     return run_campaign(
         campaign,
         worker,

@@ -3,8 +3,7 @@
 :class:`VectorFrontierExplorer` is a drop-in accelerator for the packed
 frontier engine (:class:`repro.modelcheck.frontier.FrontierExplorer`):
 same states, same verdicts, same witnesses, byte-identical verdict
-documents — certified by the three-way packed/legacy/vector differential
-suite.  What changes is *how* each BFS wave is processed:
+documents — both certified against the same golden verdict corpus.  What changes is *how* each BFS wave is processed:
 
 * the queue is drained in **snapshot batches** (a snapshot processed in
   order, discoveries appended in global transition order, reproduces the
@@ -34,10 +33,9 @@ spec, a possible state-cap crossing, reach-task goal absorption — drop
 to the exact serial per-state bookkeeping, so early-exit verdicts,
 notes and statistics match the packed engine to the byte.
 
-The backend is execution context (see :mod:`repro.modelcheck.engines`):
-it is selected by ``ModelChecker(engine=...)`` or
-``REPRO_MODELCHECK_ENGINE`` and never appears in specs, run ids or cache
-keys.  Cells whose packed state exceeds 62 bits (int64 headroom) are
+The engine is chosen automatically whenever NumPy imports (see
+:mod:`repro.modelcheck.engines`) and never appears in specs, run ids or
+cache keys.  Cells whose packed state exceeds 62 bits (int64 headroom) are
 declined by :meth:`VectorFrontierExplorer.supports_cell` and explored by
 the packed engine instead.
 """

@@ -155,8 +155,6 @@ def _execute_simulate(
     store: Optional[Union[str, ResultStore]],
     progress: Optional[ProgressCallback],
     cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
     timeout: Optional[float],
     retry,
     fault_plan,
@@ -171,7 +169,7 @@ def _execute_simulate(
 # --------------------------------------------------------------------- #
 # batch sweep
 # --------------------------------------------------------------------- #
-def _batchsweep_job(spec: BatchSweepSpec, backend: Optional[str]) -> Dict[str, object]:
+def _batchsweep_job(spec: BatchSweepSpec) -> Dict[str, object]:
     """Module-level (hence picklable) body of one ``batch_sweep`` run.
 
     Like :func:`_simulate_job`: top-level by design, so the deadline
@@ -186,7 +184,6 @@ def _batchsweep_job(spec: BatchSweepSpec, backend: Optional[str]) -> Dict[str, o
         configurations,
         scheduler_factory=lambda index: make_scheduler(spec.scheduler, spec.seeds[index]),
         options=spec.engine,
-        backend=backend,
     )
     if spec.stop is not None:
         engine.run(
@@ -221,15 +218,13 @@ def _execute_batchsweep(
     store: Optional[Union[str, ResultStore]],
     progress: Optional[ProgressCallback],
     cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
     timeout: Optional[float],
     retry,
     fault_plan,
     metrics,
 ) -> Tuple[Dict[str, object], bool, bool]:
     payload = call_with_deadline(
-        _batchsweep_job, (spec, backend), timeout=timeout, what="batch sweep"
+        _batchsweep_job, (spec,), timeout=timeout, what="batch sweep"
     )
     return payload, False, False
 
@@ -245,8 +240,6 @@ def _execute_verify(
     store: Optional[Union[str, ResultStore]],
     progress: Optional[ProgressCallback],
     cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
     timeout: Optional[float],
     retry,
     fault_plan,
@@ -259,7 +252,6 @@ def _execute_verify(
         max_states=spec.max_states,
         jobs=jobs,
         shards=shards,
-        engine=engine,
         store=store,
         progress=progress,
         cache=cache,
@@ -321,8 +313,6 @@ def _execute_experiment(
     store: Optional[Union[str, ResultStore]],
     progress: Optional[ProgressCallback],
     cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
     timeout: Optional[float],
     retry,
     fault_plan,
@@ -401,8 +391,6 @@ def execute(
     progress: Optional[ProgressCallback] = None,
     cache: Optional[Union[str, ResultCache]] = None,
     refresh: bool = False,
-    backend: Optional[str] = None,
-    engine: Optional[str] = None,
     timeout: Optional[float] = None,
     retry=None,
     fault_plan=None,
@@ -427,17 +415,6 @@ def execute(
         cache: result cache (path or instance).  Serves whole-run hits
             and de-duplicates campaign units; ``None`` disables caching.
         refresh: execute even on a cache hit and overwrite the entry.
-        backend: batched-engine occupancy backend for ``batch_sweep``
-            runs (``"numpy"``, ``"stdlib"`` or ``None``/``"auto"``; see
-            :mod:`repro.batchsim.backends`).  Execution context like
-            ``jobs``: every backend produces byte-identical payloads, so
-            it never enters the spec or the cache key.
-        engine: model-check frontier engine for ``verify`` runs
-            (``"packed"``, ``"legacy"``, ``"vector"`` or
-            ``None``/``"auto"``; see :mod:`repro.modelcheck.engines`).
-            Execution context exactly like ``backend``: every engine
-            produces byte-identical verdict documents, so it never
-            enters the spec, the run id or any cache key.
         timeout: per-unit deadline in seconds for campaign-backed kinds
             (an overrunning worker is *killed*, recorded as
             ``"timeout"``, and retried once in isolation), and a
@@ -488,8 +465,6 @@ def execute(
         store=store,
         progress=progress,
         cache=unit_cache,
-        backend=backend,
-        engine=engine,
         timeout=timeout,
         retry=retry,
         fault_plan=fault_plan,

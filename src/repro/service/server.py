@@ -110,9 +110,6 @@ class RunService:
         shards: frontier shards per model-checking cell (within-cell
             parallelism; byte-identical results, so not part of any run
             id).
-        engine: model-check frontier engine for verify runs (see
-            :mod:`repro.modelcheck.engines`; byte-identical results, so
-            not part of any run id either).
         max_runs: bound on the in-memory run registry; when exceeded,
             the oldest *settled* (done/error/cancelled) entries are
             dropped.  With a cache attached, dropped ``done`` runs
@@ -146,7 +143,6 @@ class RunService:
         workers: int = 2,
         jobs: int = 1,
         shards: int = 1,
-        engine: Optional[str] = None,
         max_runs: int = 1024,
         run_timeout: Optional[float] = None,
         retry=None,
@@ -173,7 +169,6 @@ class RunService:
             self._cache = as_result_cache(cache)
         self._jobs = jobs
         self._shards = shards
-        self._engine = engine
         self._max_runs = max_runs
         self._run_timeout = run_timeout
         self._retry = retry
@@ -468,10 +463,10 @@ class RunService:
                 raise CancelConflict(
                     f"run is {status}: only queued runs can be cancelled"
                 )
+            self.metrics.inc("runs_total", status="cancelled")
             entry["status"] = "cancelled"
             view = self._view(run_id, entry)
             self._idle.notify_all()
-        self.metrics.inc("runs_total", status="cancelled")
         self.metrics.set_gauge("queue_depth", self._queue.depth)
         self.events.publish(
             run_id, "status", {"run_id": run_id, "status": "cancelled"}, terminal=True
@@ -531,22 +526,55 @@ class RunService:
         ][:excess]:
             del self._runs[run_id]
 
-    def _settle_error(self, run_id: str, exc: BaseException, retryable: bool) -> None:
+    def _settle(
+        self,
+        run_id: str,
+        fields: Dict[str, object],
+        event: Dict[str, object],
+        *,
+        duration: Optional[float] = None,
+        executed: bool = False,
+    ) -> None:
+        """Settle a run with terminal ``fields`` (``status`` included).
+
+        The order is the contract: journal the settle, update the
+        metrics, make the terminal status visible (waking
+        :meth:`wait_idle`), then publish the terminal ``event``.  Whoever
+        observes a settled status or a terminal event therefore also sees
+        the journal entry and every counter of that run.  ``duration``
+        is ``None`` for a job rejected before it occupied a worker.
+        """
+        status = str(fields["status"])
+        self._queue.settle(run_id, status)
+        self.metrics.inc("runs_total", status=status)
+        if executed:
+            self.metrics.inc("runs_executed_total")
+        if duration is not None:
+            self.metrics.add_gauge("runs_inflight", -1)
+            self.metrics.observe("run_duration_seconds", duration)
         with self._idle:
             entry = self._runs.get(run_id)
             if entry is not None:
-                entry.update(
-                    status="error",
-                    error={"type": type(exc).__name__, "message": str(exc)},
-                    retryable=retryable,
-                )
+                entry.update(fields)
             self._idle.notify_all()
-        self._queue.settle(run_id, "error")
-        self.metrics.inc("runs_total", status="error")
-        self.events.publish(
-            run_id, "status",
+        self.events.publish(run_id, "status", event, terminal=True)
+
+    def _settle_error(
+        self,
+        run_id: str,
+        exc: BaseException,
+        retryable: bool,
+        duration: Optional[float] = None,
+    ) -> None:
+        self._settle(
+            run_id,
+            {
+                "status": "error",
+                "error": {"type": type(exc).__name__, "message": str(exc)},
+                "retryable": retryable,
+            },
             {"run_id": run_id, "status": "error", "error": type(exc).__name__},
-            terminal=True,
+            duration=duration,
         )
 
     def _run(self, run_id: str, spec: RunSpec) -> None:
@@ -588,7 +616,6 @@ class RunService:
                 spec,
                 jobs=self._jobs,
                 shards=self._shards,
-                engine=self._engine,
                 cache=self._cache,
                 timeout=self._run_timeout,
                 retry=self._retry,
@@ -597,31 +624,23 @@ class RunService:
                 metrics=self.metrics,
             )
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            self.metrics.add_gauge("runs_inflight", -1)
-            self.metrics.observe("run_duration_seconds", perf_counter() - started)
-            self._settle_error(run_id, exc, retryable=bool(getattr(exc, "retryable", False)))
+            self._settle_error(
+                run_id, exc,
+                retryable=bool(getattr(exc, "retryable", False)),
+                duration=perf_counter() - started,
+            )
             return
-        duration = perf_counter() - started
-        with self._idle:
-            entry = self._runs.get(run_id)
-            if entry is not None:
-                entry.update(
-                    status="done",
-                    result=result.payload,
-                    cached=result.cached,
-                    retryable=not result.deterministic,
-                )
-            self._idle.notify_all()
-        self._queue.settle(run_id, "done")
-        self.metrics.add_gauge("runs_inflight", -1)
-        self.metrics.observe("run_duration_seconds", duration)
-        self.metrics.inc("runs_total", status="done")
-        if not result.cached:
-            self.metrics.inc("runs_executed_total")
-        self.events.publish(
-            run_id, "status",
+        self._settle(
+            run_id,
+            {
+                "status": "done",
+                "result": result.payload,
+                "cached": result.cached,
+                "retryable": not result.deterministic,
+            },
             {"run_id": run_id, "status": "done", "cached": result.cached},
-            terminal=True,
+            duration=perf_counter() - started,
+            executed=not result.cached,
         )
 
     def _view(self, run_id: str, entry: Dict[str, object]) -> Dict[str, object]:
@@ -908,7 +927,6 @@ def create_server(
     workers: int = 2,
     jobs: int = 1,
     shards: int = 1,
-    engine: Optional[str] = None,
     run_timeout: Optional[float] = None,
     verbose: bool = False,
     log_json: bool = False,
@@ -921,7 +939,7 @@ def create_server(
     if service is None:
         service = RunService(
             cache=cache, workers=workers, jobs=jobs, shards=shards,
-            engine=engine, run_timeout=run_timeout,
+            run_timeout=run_timeout,
         )
     handler = type(
         "BoundRunRequestHandler",
@@ -941,7 +959,6 @@ def serve(
     workers: int = 2,
     jobs: int = 1,
     shards: int = 1,
-    engine: Optional[str] = None,
     run_timeout: Optional[float] = None,
     drain_grace_s: float = 30.0,
     verbose: bool = False,
@@ -958,7 +975,7 @@ def serve(
     """
     service = RunService(
         cache=cache, workers=workers, jobs=jobs, shards=shards,
-        engine=engine, run_timeout=run_timeout,
+        run_timeout=run_timeout,
     )
     server = create_server(
         host, port, service=service, verbose=verbose, log_json=log_json
@@ -983,7 +1000,6 @@ def serve(
     journal = service._queue.journal_path
     print(f"repro serve: listening on http://{bound_host}:{bound_port} "
           f"(workers={workers}, jobs={jobs}, shards={shards}, "
-          f"engine={engine or 'auto'}, "
           f"timeout={run_timeout if run_timeout is not None else 'none'}, "
           f"cache={service.health()['cache'] or 'disabled'}, "
           f"queue={'persistent:' + journal if journal else 'memory'})")

@@ -2,16 +2,11 @@
 
 All three helpers take their engine knobs as one
 :class:`~repro.simulator.options.EngineOptions` bundle (``options=``).
-The historical per-knob keywords (``exclusive=...``,
-``collision_policy=...``, ``decision_cache_size=...``, ...) still work
-for one release but emit a :class:`DeprecationWarning`; they are folded
-into the bundle before the engine is built, so behaviour is identical.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from ..core.configuration import Configuration
 from ..model.algorithm import Algorithm
@@ -22,53 +17,6 @@ from .options import EngineOptions
 from .trace import Trace
 
 __all__ = ["simulate", "run_to_configuration", "run_gathering", "default_step_budget"]
-
-#: Legacy per-knob keywords accepted (deprecated) by the helpers below.
-_LEGACY_ENGINE_KEYWORDS = frozenset(EngineOptions.__dataclass_fields__)
-
-#: ``run_gathering`` historically fixed the task model (exclusivity off,
-#: multiplicity detection on) and never exposed these three keywords, so
-#: the shim must not quietly start accepting them.
-_GATHERING_LEGACY_KEYWORDS = _LEGACY_ENGINE_KEYWORDS - {
-    "exclusive",
-    "multiplicity_detection",
-    "collision_policy",
-}
-
-
-def _resolve_options(
-    caller: str,
-    options: Optional[EngineOptions],
-    legacy: Dict[str, object],
-    allowed: frozenset = _LEGACY_ENGINE_KEYWORDS,
-    **forced: object,
-) -> EngineOptions:
-    """Fold deprecated per-knob keywords into one options bundle.
-
-    Only ``allowed`` keywords — the ones the helper's pre-bundle
-    signature actually had — are accepted; anything else stays a
-    ``TypeError`` exactly as before.  ``forced`` fields (e.g.
-    ``run_gathering``'s ``exclusive=False``) are applied before the
-    legacy overrides.
-    """
-    unknown = set(legacy) - allowed
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword argument(s) {sorted(unknown)}"
-        )
-    if legacy:
-        warnings.warn(
-            f"passing {sorted(legacy)} to {caller}() as individual keywords is "
-            "deprecated; build an EngineOptions and pass it as options=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    resolved = options if options is not None else EngineOptions()
-    if forced:
-        resolved = resolved.with_overrides(**forced)
-    if legacy:
-        resolved = resolved.with_overrides(**legacy)
-    return resolved
 
 
 def default_step_budget(n: int, k: int, factor: int = 12, floor: int = 200) -> int:
@@ -91,17 +39,15 @@ def simulate(
     monitors: Iterable[Monitor] = (),
     options: Optional[EngineOptions] = None,
     stop=None,
-    **legacy: object,
 ) -> Tuple[Trace, Simulator]:
     """Build a simulator, run it for ``steps`` steps and return trace + engine."""
-    resolved = _resolve_options("simulate", options, legacy)
     engine = Simulator(
         algorithm,
         initial,
         ring_size=ring_size,
         scheduler=scheduler,
         monitors=monitors,
-        options=resolved,
+        options=options,
     )
     trace = engine.run(steps, stop=stop)
     return trace, engine
@@ -116,7 +62,6 @@ def run_to_configuration(
     max_steps: Optional[int] = None,
     monitors: Iterable[Monitor] = (),
     options: Optional[EngineOptions] = None,
-    **legacy: object,
 ) -> Tuple[Trace, Simulator]:
     """Run until the configuration satisfies ``goal`` (a predicate).
 
@@ -124,14 +69,13 @@ def run_to_configuration(
         SimulationLimitError: if the goal is not reached within the
             (automatically sized) step budget.
     """
-    resolved = _resolve_options("run_to_configuration", options, legacy)
     budget = max_steps if max_steps is not None else default_step_budget(initial.n, initial.k)
     engine = Simulator(
         algorithm,
         initial,
         scheduler=scheduler,
         monitors=monitors,
-        options=resolved,
+        options=options,
     )
     trace = engine.run_until(lambda sim: goal(sim.configuration), budget)
     return trace, engine
@@ -145,20 +89,15 @@ def run_gathering(
     max_steps: Optional[int] = None,
     monitors: Iterable[Monitor] = (),
     options: Optional[EngineOptions] = None,
-    **legacy: object,
 ) -> Tuple[Trace, Simulator]:
     """Run a gathering algorithm until all robots share one node.
 
     Convenience wrapper switching off exclusivity and switching on local
-    multiplicity detection, as required by the gathering task.
+    multiplicity detection, as required by the gathering task; the other
+    fields of ``options`` apply unchanged.
     """
-    resolved = _resolve_options(
-        "run_gathering",
-        options,
-        legacy,
-        allowed=_GATHERING_LEGACY_KEYWORDS,
-        exclusive=False,
-        multiplicity_detection=True,
+    resolved = (options if options is not None else EngineOptions()).with_overrides(
+        exclusive=False, multiplicity_detection=True
     )
     budget = max_steps if max_steps is not None else default_step_budget(initial.n, initial.k)
     engine = Simulator(

@@ -1,26 +1,16 @@
-"""Unit tests for the batchsim occupancy-matrix backends."""
+"""Unit tests for the batchsim occupancy-row storage."""
 
 import pytest
 
-from repro.batchsim.backends import (
-    BACKEND_ENV_VAR,
-    StdlibBackend,
-    available_backends,
-    make_backend,
-    resolve_backend,
-)
+from repro.batchsim.backends import StdlibBackend, resolve_backend
 from repro.core.cyclic import packed_codec
 
 ROWS = [(1, 0, 2, 0), (0, 1, 1, 1), (3, 0, 0, 0)]
 
 
-def backend_names():
-    return list(available_backends())
-
-
-@pytest.fixture(params=backend_names())
-def backend(request):
-    return make_backend(request.param, ROWS)
+@pytest.fixture
+def backend():
+    return StdlibBackend(ROWS)
 
 
 class TestRowProtocol:
@@ -51,53 +41,23 @@ class TestRowProtocol:
         codec = packed_codec(4, 3)
         assert backend.pack_all(codec) == codec.pack_many(ROWS)
 
-
-class TestBackendEquivalence:
-    @pytest.mark.skipif(
-        "numpy" not in backend_names(), reason="numpy not installed"
-    )
-    def test_bytes_identical_across_backends(self):
-        # Lane keys must agree between backends: both store int32 rows.
-        a = make_backend("stdlib", ROWS)
-        b = make_backend("numpy", ROWS)
-        for i in range(3):
-            assert a.row(i).tobytes() == b.row(i).tobytes()
-
-    @pytest.mark.skipif(
-        "numpy" not in backend_names(), reason="numpy not installed"
-    )
-    def test_pack_all_object_dtype_survives_int64_overflow(self):
+    def test_pack_all_beyond_int64(self):
         # n=24, k=8 digit layout needs 96 bits per packed state.
         n, k = 24, 8
         row = tuple([k] + [0] * (n - 1))
         codec = packed_codec(n, k)
-        packed = make_backend("numpy", [row]).pack_all(codec)
+        packed = StdlibBackend([row]).pack_all(codec)
         assert packed == codec.pack_many([row])
         assert packed[0] > 2**63
 
 
 class TestResolution:
-    def test_explicit_names(self):
-        assert resolve_backend("stdlib") == "stdlib"
-        with pytest.raises(ValueError, match="unknown batchsim backend"):
-            resolve_backend("cuda")
-
-    def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        expected = "numpy" if "numpy" in backend_names() else "stdlib"
-        assert resolve_backend(None) == expected
-        assert resolve_backend("auto") == expected
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "stdlib")
+    def test_stdlib_is_the_only_backend(self):
         assert resolve_backend(None) == "stdlib"
-        assert isinstance(make_backend(None, ROWS), StdlibBackend)
-        # explicit argument beats the environment
-        if "numpy" in backend_names():
-            assert resolve_backend("numpy") == "numpy"
+        assert resolve_backend("auto") == "stdlib"
+        assert resolve_backend("stdlib") == "stdlib"
 
-    def test_numpy_requested_but_missing(self, monkeypatch):
-        if "numpy" in backend_names():
-            pytest.skip("numpy installed; covered by CI stdlib-only leg")
-        with pytest.raises(ValueError, match="numpy is not installed"):
-            resolve_backend("numpy")
+    def test_unknown_names_rejected(self):
+        for name in ("cuda", "numpy"):
+            with pytest.raises(ValueError, match="unknown batchsim backend"):
+                resolve_backend(name)

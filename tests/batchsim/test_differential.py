@@ -5,9 +5,8 @@ options) workload through the incremental :class:`Simulator` and through
 :class:`BatchEngine` and compares ``Trace.canonical_bytes()`` — the byte
 representation hashed into run payloads and summaries — or, where events
 are not recorded, the aggregate counters.  The matrix covers every
-scheduler, fast-path (pure global rule) and slow-path algorithms, both
-storage backends, collision and precondition aborts, and the periodic
-orbit fast-forward.
+scheduler, fast-path (pure global rule) and slow-path algorithms,
+collision and precondition aborts, and the periodic orbit fast-forward.
 """
 
 import random
@@ -22,7 +21,6 @@ from repro.algorithms import (
     SweepAlgorithm,
 )
 from repro.batchsim import BatchEngine
-from repro.batchsim.backends import available_backends
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationLimitError
 from repro.scheduler import (
@@ -38,8 +36,6 @@ from repro.scheduler import (
 from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
 from repro.workloads.generators import random_rigid_configuration
-
-BACKENDS = list(available_backends())
 
 SCHEDULER_FACTORIES = {
     "round_robin": lambda i: SequentialScheduler(),
@@ -81,13 +77,12 @@ def per_run_outcome(algorithm_factory, configuration, scheduler, options, steps)
         return (type(error).__name__, str(error), simulator.trace.canonical_bytes())
 
 
-def batch_outcome(algorithm_factory, configuration, scheduler_factory, options, steps, backend):
+def batch_outcome(algorithm_factory, configuration, scheduler_factory, options, steps):
     engine = BatchEngine(
         algorithm_factory(),
         [configuration],
         scheduler_factory=scheduler_factory,
         options=options,
-        backend=backend,
     )
     try:
         engine.run(steps)
@@ -96,11 +91,10 @@ def batch_outcome(algorithm_factory, configuration, scheduler_factory, options, 
         return (type(error).__name__, str(error), engine.lane_trace(0).canonical_bytes())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULER_FACTORIES))
 @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
 class TestByteIdentity:
-    def test_traces_byte_identical(self, algorithm_name, scheduler_name, backend):
+    def test_traces_byte_identical(self, algorithm_name, scheduler_name):
         algorithm_factory, options = ALGORITHMS[algorithm_name]
         scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
         configurations = sample_configurations(12, 5, 4)
@@ -115,7 +109,6 @@ class TestByteIdentity:
             configurations,
             scheduler_factory=scheduler_factory,
             options=options,
-            backend=backend,
         )
         engine.run(60)
         batched = [
@@ -125,9 +118,8 @@ class TestByteIdentity:
         assert batched == reference
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestAbortParity:
-    def test_collision_abort_matches(self, backend):
+    def test_collision_abort_matches(self):
         """Sweep under FSYNC collides; type, message and trace must match."""
         configurations = sample_configurations(12, 5, 6)
         options = EngineOptions()
@@ -142,23 +134,21 @@ class TestAbortParity:
                 lambda i: SynchronousScheduler(),
                 options,
                 60,
-                backend,
             )
             assert got == reference
             outcomes.add(reference[0])
         assert "CollisionError" in outcomes, "workload never collided; test is vacuous"
 
-    def test_limit_error_on_unreachable_goal(self, backend):
+    def test_limit_error_on_unreachable_goal(self):
         configurations = sample_configurations(12, 5, 2)
-        engine = BatchEngine(IdleAlgorithm(), configurations, backend=backend)
+        engine = BatchEngine(IdleAlgorithm(), configurations)
         with pytest.raises(SimulationLimitError, match="goal not reached within 5 steps"):
             engine.run_until_configuration(lambda c: c.is_c_star(), max_steps=5)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("invariant", [False, True])
 class TestRunUntil:
-    def test_goal_reached_matches_per_run(self, backend, invariant):
+    def test_goal_reached_matches_per_run(self, invariant):
         configurations = sample_configurations(16, 5, 6, seed0=300)
         reference = []
         for configuration in configurations:
@@ -167,7 +157,7 @@ class TestRunUntil:
                 lambda e: e.configuration.is_c_star(), max_steps=4000
             )
             reference.append(simulator.trace.canonical_bytes())
-        engine = BatchEngine(AlignAlgorithm(), configurations, backend=backend)
+        engine = BatchEngine(AlignAlgorithm(), configurations)
         engine.run_until_configuration(
             lambda c: c.is_c_star(), max_steps=4000, invariant=invariant
         )
@@ -178,12 +168,12 @@ class TestRunUntil:
             engine.lane(i).stopped_reason for i in range(engine.num_lanes)
         } == {"goal-reached"}
 
-    def test_goal_already_satisfied(self, backend, invariant):
+    def test_goal_already_satisfied(self, invariant):
         star = Configuration.from_occupied(9, [0, 1, 2, 3, 5])
         assert star.is_c_star()
         simulator = Simulator(AlignAlgorithm(), star)
         simulator.run_until(lambda e: e.configuration.is_c_star(), max_steps=10)
-        engine = BatchEngine(AlignAlgorithm(), [star], backend=backend)
+        engine = BatchEngine(AlignAlgorithm(), [star])
         engine.run_until_configuration(
             lambda c: c.is_c_star(), max_steps=10, invariant=invariant
         )
@@ -194,9 +184,8 @@ class TestRunUntil:
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestScriptedScheduler:
-    def test_look_move_cycle_script(self, backend):
+    def test_look_move_cycle_script(self):
         script = [
             Activation(kind=ActivationKind.LOOK, robots=(0, 2)),
             Activation(kind=ActivationKind.MOVE, robots=(0,)),
@@ -215,7 +204,6 @@ class TestScriptedScheduler:
             AlignAlgorithm(),
             configurations,
             scheduler_factory=lambda i: ScriptedScheduler(script),
-            backend=backend,
         )
         engine.run(12)
         assert [
@@ -223,7 +211,6 @@ class TestScriptedScheduler:
         ] == reference
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestOrbitFastForward:
     """Perpetual runs with record_events=False skip full periods.
 
@@ -232,7 +219,7 @@ class TestOrbitFastForward:
     positions, stopped reason — must equal the per-run engine's.
     """
 
-    def test_perpetual_aggregates_match(self, backend):
+    def test_perpetual_aggregates_match(self):
         n, k = 13, 5
         steps = 30 * n * k
         configurations = sample_configurations(n, k, 4)
@@ -253,7 +240,6 @@ class TestOrbitFastForward:
             RingClearingAlgorithm(),
             configurations,
             record_events=False,
-            backend=backend,
         )
         engine.run(steps)
         batched = [
@@ -268,25 +254,25 @@ class TestOrbitFastForward:
         ]
         assert batched == reference
 
-    def test_skip_actually_engaged(self, backend):
+    def test_skip_actually_engaged(self):
         """Guard against silently losing the optimisation."""
         n, k = 13, 5
         configuration = sample_configurations(n, k, 1)[0]
         engine = BatchEngine(
-            RingClearingAlgorithm(), [configuration], record_events=False, backend=backend
+            RingClearingAlgorithm(), [configuration], record_events=False
         )
         engine.run(30 * n * k)
         # Round-boundary memory must be bounded by the orbit, far below
         # the number of rounds executed.
         assert 0 < len(engine.lane(0).orbit) < (30 * n * k) // k
 
-    def test_recorded_runs_never_skip(self, backend):
+    def test_recorded_runs_never_skip(self):
         n, k = 13, 5
         steps = 10 * n * k
         configuration = sample_configurations(n, k, 1)[0]
         simulator = Simulator(RingClearingAlgorithm(), configuration)
         simulator.run(steps)
-        engine = BatchEngine(RingClearingAlgorithm(), [configuration], backend=backend)
+        engine = BatchEngine(RingClearingAlgorithm(), [configuration])
         engine.run(steps)
         assert not engine.lane(0).orbit
         assert (
@@ -294,7 +280,7 @@ class TestOrbitFastForward:
             == simulator.trace.canonical_bytes()
         )
 
-    def test_two_phase_run_matches(self, backend):
+    def test_two_phase_run_matches(self):
         """run() twice (budget extension) stays aligned with per-run."""
         n, k = 13, 5
         configuration = sample_configurations(n, k, 1)[0]
@@ -302,7 +288,7 @@ class TestOrbitFastForward:
         simulator.run(4 * n * k)
         simulator.run(26 * n * k)
         engine = BatchEngine(
-            RingClearingAlgorithm(), [configuration], record_events=False, backend=backend
+            RingClearingAlgorithm(), [configuration], record_events=False
         )
         engine.run(4 * n * k)
         engine.run(26 * n * k)

@@ -1,22 +1,32 @@
-"""Equivalence suite: packed == legacy == vector engines == sharded.
+"""Equivalence suite: packed == vector == sharded == the golden corpus.
 
 The frontier engines are pure performance variants; these tests pin
-that claim down byte-for-byte:
+that claim down byte-for-byte against ``tests/golden/modelcheck_verdicts.json``,
+a frozen corpus of verdict documents (``to_jsonable(include_timing=False)``,
+witnesses included) for:
 
-* for every cell of the E8 quick suite (every applicable task), the
-  packed engine and the legacy tuple-state explorer produce
-  byte-identical verdict JSON and witness traces;
-* for every cell of the E8 quick suite under *both* adversaries, the
-  NumPy-vectorized engine produces byte-identical verdict JSON (the
-  three-way gate: vector == packed, packed == legacy), including the
-  state-cap and algorithm-error paths;
-* a sharded exploration (``shards=4``) produces byte-identical results
-  and byte-identical verification-campaign summaries, on the packed
-  and the vector engine alike.
+* every check of the E8 quick suite under both adversaries;
+* the state-cap cell (searching, n=11, k=5, ``max_states=5``);
+* the algorithm-error cell (gathering, n=6, k=4).
+
+The packed engine, the NumPy-vectorized engine and a 4-shard exploration
+must each reproduce the corpus byte for byte.
+
+The corpus was written by the original tuple-state explorer, which
+shares no exploration code with the packed-int frontier engines, at
+commit 5d11c6a (the last commit that had it)::
+
+    mkdir old && git archive 5d11c6a src | tar -x -C old
+    PYTHONPATH=old/src python tests/modelcheck/test_frontier_equivalence.py legacy
+
+Running this module with ``packed`` or ``vector`` instead rewrites the
+corpus from a current engine; ``git diff`` then shows any drift.
 """
 
 import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -25,9 +35,16 @@ from repro.algorithms.ring_clearing import ring_clearing_supported
 from repro.cli import main
 from repro.experiments.e8_verification import GAME_CELLS, MAX_STATES
 from repro.modelcheck import ModelChecker, check_cell, run_verify_campaign
+from repro.modelcheck.results import DEFAULT_MAX_STATES, ModelCheckResult, Verdict
 from repro.modelcheck.tasks import make_task_spec
-from repro.modelcheck.results import ModelCheckResult, Verdict
+from repro.simulator.branching import NodeActivation
 from repro.workloads.suites import get_suite
+
+CORPUS_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "golden",
+    "modelcheck_verdicts.json",
+)
 
 
 def _applicable_tasks(k, n):
@@ -55,97 +72,90 @@ E8_QUICK_CHECKS = [
     for task in _applicable_tasks(k, n)
 ]
 
+#: ``name -> (task, k, n, adversary, max_states)`` of every corpus cell.
+CORPUS_CELLS = {
+    f"{task}-k{k}-n{n}-{adversary}": (task, k, n, adversary, MAX_STATES)
+    for adversary in ("ssync", "sequential")
+    for task, k, n in E8_QUICK_CHECKS
+}
+CORPUS_CELLS["state-cap:searching-k5-n11-ssync"] = ("searching", 5, 11, "ssync", 5)
+CORPUS_CELLS["error:gathering-k4-n6-ssync"] = (
+    "gathering", 4, 6, "ssync", DEFAULT_MAX_STATES,
+)
 
-class TestPackedEqualsLegacy:
-    @pytest.mark.parametrize("task,k,n", E8_QUICK_CHECKS)
-    def test_verdict_json_byte_identical_on_e8_quick_suite(self, task, k, n):
-        packed = check_cell(task, n, k, max_states=MAX_STATES, engine="packed")
-        legacy = check_cell(task, n, k, max_states=MAX_STATES, engine="legacy")
-        assert _canonical_json(packed) == _canonical_json(legacy)
 
-    @pytest.mark.parametrize("task,k,n", E8_QUICK_CHECKS)
-    def test_witness_traces_byte_identical_and_replayable(self, task, k, n):
-        packed_checker = ModelChecker(
-            task, n, k, max_states=MAX_STATES, engine="packed"
-        )
-        packed = packed_checker.run()
-        legacy = check_cell(task, n, k, max_states=MAX_STATES, engine="legacy")
-        if packed.witness is None:
-            assert legacy.witness is None
+def _check(name, **context):
+    task, k, n, adversary, max_states = CORPUS_CELLS[name]
+    return check_cell(task, n, k, adversary=adversary, max_states=max_states, **context)
+
+
+def corpus_text(**context):
+    """The corpus document, one cell per line, computed under ``context``
+    (``engine=`` / ``shards=`` keywords of :func:`check_cell`)."""
+    lines = [
+        f"{json.dumps(name)}: {_canonical_json(_check(name, **context))}"
+        for name in CORPUS_CELLS
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _golden():
+    with open(CORPUS_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+GOLDEN = _golden() if os.path.exists(CORPUS_PATH) else {}
+
+
+class TestEnginesEqualCorpus:
+    def test_corpus_covers_every_cell(self):
+        assert sorted(GOLDEN) == sorted(CORPUS_CELLS)
+        assert len(CORPUS_CELLS) == 2 * len(E8_QUICK_CHECKS) + 2
+        assert GOLDEN["state-cap:searching-k5-n11-ssync"]["verdict"] == Verdict.UNKNOWN.value
+        assert GOLDEN["error:gathering-k4-n6-ssync"]["verdict"] == Verdict.ERROR.value
+
+    @pytest.mark.parametrize("engine", ["packed", "vector"])
+    @pytest.mark.parametrize("name", sorted(CORPUS_CELLS))
+    def test_verdict_json_byte_identical(self, name, engine):
+        """Without NumPy the vector engine degrades to packed and the
+        vector rows compare packed again (the masked-NumPy CI job covers
+        that path deliberately)."""
+        expected = json.dumps(GOLDEN[name], sort_keys=True)
+        assert _canonical_json(_check(name, engine=engine)) == expected
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_CELLS))
+    def test_golden_witness_replays(self, name):
+        """Each corpus witness profile is achievable: replaying the
+        profiles through the branching driver reproduces the recorded
+        occupancy vectors."""
+        witness = GOLDEN[name]["witness"]
+        if witness is None:
             return
-        assert json.dumps(packed.witness.as_jsonable(), sort_keys=True) == json.dumps(
-            legacy.witness.as_jsonable(), sort_keys=True
-        )
-        # The packed engine's witnesses replay through the driver exactly
-        # like legacy ones: each profile is achievable and reproduces the
-        # recorded occupancy vectors.
-        trajectory = packed_checker.driver.replay(
-            packed.witness.initial_counts,
-            [step.profile for step in packed.witness.steps],
-        )
-        assert trajectory[1:] == [step.counts_after for step in packed.witness.steps]
+        task, k, n, adversary, _ = CORPUS_CELLS[name]
+        driver = ModelChecker(task, n, k, adversary=adversary).driver
+        profiles = [
+            tuple(NodeActivation(**activation) for activation in step["profile"])
+            for step in witness["steps"]
+        ]
+        trajectory = driver.replay(tuple(witness["initial"]), profiles)
+        assert [list(counts) for counts in trajectory[1:]] == [
+            step["after"] for step in witness["steps"]
+        ]
 
-    def test_sequential_adversary_byte_identical(self):
-        for task, k, n in [("gathering", 2, 6), ("searching", 3, 6), ("gathering", 3, 7)]:
-            packed = check_cell(task, n, k, adversary="sequential", engine="packed")
-            legacy = check_cell(task, n, k, adversary="sequential", engine="legacy")
-            assert _canonical_json(packed) == _canonical_json(legacy)
-
-    def test_state_cap_byte_identical(self):
-        packed = check_cell("searching", 11, 5, max_states=5, engine="packed")
-        legacy = check_cell("searching", 11, 5, max_states=5, engine="legacy")
-        assert packed.verdict is Verdict.UNKNOWN
-        assert _canonical_json(packed) == _canonical_json(legacy)
-
-    def test_error_verdict_byte_identical(self):
-        packed = check_cell("gathering", 6, 4, engine="packed")
-        legacy = check_cell("gathering", 6, 4, engine="legacy")
-        assert packed.verdict is Verdict.ERROR
-        assert _canonical_json(packed) == _canonical_json(legacy)
+    @pytest.mark.parametrize(
+        "context",
+        [{"engine": "packed"}, {"engine": "vector"}, {"shards": 4}],
+        ids=["packed", "vector", "shards4"],
+    )
+    def test_corpus_file_byte_identical(self, context):
+        with open(CORPUS_PATH, encoding="utf-8") as handle:
+            assert corpus_text(**context) == handle.read()
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             ModelChecker("gathering", 6, 3, engine="quantum")
-
-
-class TestVectorEqualsPacked:
-    """The vectorized engine half of the three-way gate.
-
-    Combined with ``TestPackedEqualsLegacy`` (packed == legacy) this
-    certifies vector == packed == legacy over the whole E8 quick suite.
-    Without NumPy the vector engine degrades to packed and these tests
-    compare packed against itself — still true, just vacuous (the
-    masked-NumPy CI job covers that path deliberately).
-    """
-
-    @pytest.mark.parametrize("adversary", ["ssync", "sequential"])
-    @pytest.mark.parametrize("task,k,n", E8_QUICK_CHECKS)
-    def test_verdict_json_byte_identical_both_adversaries(self, task, k, n, adversary):
-        vector = check_cell(
-            task, n, k, max_states=MAX_STATES, adversary=adversary, engine="vector"
-        )
-        packed = check_cell(
-            task, n, k, max_states=MAX_STATES, adversary=adversary, engine="packed"
-        )
-        assert _canonical_json(vector) == _canonical_json(packed)
-
-    def test_state_cap_byte_identical(self):
-        vector = check_cell("searching", 11, 5, max_states=5, engine="vector")
-        packed = check_cell("searching", 11, 5, max_states=5, engine="packed")
-        assert vector.verdict is Verdict.UNKNOWN
-        assert _canonical_json(vector) == _canonical_json(packed)
-
-    def test_error_verdict_byte_identical(self):
-        vector = check_cell("gathering", 6, 4, engine="vector")
-        packed = check_cell("gathering", 6, 4, engine="packed")
-        assert vector.verdict is Verdict.ERROR
-        assert _canonical_json(vector) == _canonical_json(packed)
-
-    def test_sharded_vector_byte_identical(self):
-        for task, k, n in [("searching", 6, 13), ("searching", 3, 6)]:
-            serial = check_cell(task, n, k, shards=1, engine="packed")
-            sharded_vector = check_cell(task, n, k, shards=4, engine="vector")
-            assert _canonical_json(serial) == _canonical_json(sharded_vector)
+        with pytest.raises(ValueError):
+            ModelChecker("gathering", 6, 3, engine="legacy")
 
 
 class TestShardedEqualsSerial:
@@ -154,6 +164,12 @@ class TestShardedEqualsSerial:
             serial = check_cell(task, n, k, shards=1)
             sharded = check_cell(task, n, k, shards=4)
             assert _canonical_json(serial) == _canonical_json(sharded)
+
+    def test_sharded_vector_byte_identical(self):
+        for task, k, n in [("searching", 6, 13), ("searching", 3, 6)]:
+            serial = check_cell(task, n, k, shards=1, engine="packed")
+            sharded_vector = check_cell(task, n, k, shards=4, engine="vector")
+            assert _canonical_json(serial) == _canonical_json(sharded_vector)
 
     def test_campaign_summaries_byte_identical(self):
         cells = ((2, 6), (3, 6), (3, 7))
@@ -209,3 +225,12 @@ class TestZeroDurationGuards:
         result = check_cell("searching", 6, 3)
         document = json.dumps(result.to_jsonable())
         assert "Infinity" not in document and "NaN" not in document
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: python {sys.argv[0]} ENGINE")
+    text = corpus_text(engine=sys.argv[1])
+    with open(CORPUS_PATH, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"wrote {len(CORPUS_CELLS)} cells to {CORPUS_PATH}")

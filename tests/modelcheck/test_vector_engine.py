@@ -108,23 +108,20 @@ class TestAdvanceClearMany:
 class TestEngineResolution:
     def test_explicit_names_resolve_to_themselves(self):
         assert engines.resolve_engine("packed") == "packed"
-        assert engines.resolve_engine("legacy") == "legacy"
         assert engines.resolve_engine("vector") == "vector"
 
     def test_auto_prefers_vector_with_numpy(self):
         assert engines.resolve_engine("auto") == "vector"
         assert engines.resolve_engine(None) == "vector"
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(engines.ENGINE_ENV_VAR, "packed")
-        assert engines.resolve_engine("auto") == "packed"
-        # An explicit argument beats the environment.
-        assert engines.resolve_engine("vector") == "vector"
+    def test_unknown_and_removed_names_rejected(self):
+        for name in ("quantum", "legacy"):
+            with pytest.raises(ValueError):
+                engines.resolve_engine(name)
 
-    def test_unknown_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(engines.ENGINE_ENV_VAR, "quantum")
-        with pytest.raises(ValueError):
-            engines.resolve_engine("auto")
+    def test_environment_is_not_consulted(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MODELCHECK_ENGINE", "packed")
+        assert engines.resolve_engine("auto") == "vector"
 
     def test_oversized_cell_falls_back_to_packed(self):
         # searching 6x16 needs 16 counts digits * 3 bits + 16 clear bits

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.batchsim import available_backends
 from repro.runs import (
     BatchSweepSpec,
     EngineOptions,
@@ -12,8 +11,6 @@ from repro.runs import (
     execute,
     spec_from_jsonable,
 )
-
-BACKENDS = list(available_backends())
 
 
 class TestSpec:
@@ -60,13 +57,12 @@ class TestSpec:
         assert cache_key(a) != cache_key(b)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestExecuteParity:
-    def test_runs_equal_member_payloads(self, backend):
+    def test_runs_equal_member_payloads(self):
         spec = BatchSweepSpec(
             algorithm="align", n=12, k=5, steps=400, seeds=(0, 1, 2, 3), stop="c_star"
         )
-        result = execute(spec, backend=backend)
+        result = execute(spec)
         payload = result.payload
         assert payload["num_runs"] == 4
         assert payload["seeds"] == [0, 1, 2, 3]
@@ -74,7 +70,7 @@ class TestExecuteParity:
             assert payload["runs"][index] == execute(spec.member(seed)).payload
         assert payload["passed"]
 
-    def test_collision_recording_parity(self, backend):
+    def test_collision_recording_parity(self):
         spec = BatchSweepSpec(
             algorithm="sweep",
             n=10,
@@ -84,7 +80,7 @@ class TestExecuteParity:
             scheduler="synchronous",
             engine=EngineOptions(collision_policy="record"),
         )
-        result = execute(spec, backend=backend)
+        result = execute(spec)
         for index, seed in enumerate(spec.seeds):
             assert result.payload["runs"][index] == execute(spec.member(seed)).payload
         assert result.payload["passed"] == (
@@ -93,17 +89,15 @@ class TestExecuteParity:
 
 
 class TestCaching:
-    def test_cache_roundtrip_and_backend_independence(self, tmp_path):
+    def test_cache_roundtrip(self, tmp_path):
         spec = BatchSweepSpec(algorithm="align", n=9, k=4, steps=60, seeds=(1, 2))
         cache = str(tmp_path / "cache")
-        first = execute(spec, cache=cache, backend="stdlib")
+        first = execute(spec, cache=cache)
         assert not first.cached
-        # A hit under a different backend serves the same bytes: the
-        # backend is execution context and never enters the key.
         second = execute(spec, cache=cache)
         assert second.cached
         assert second.payload == first.payload
         assert second.run_id == first.run_id
-        refreshed = execute(spec, cache=cache, refresh=True, backend="stdlib")
+        refreshed = execute(spec, cache=cache, refresh=True)
         assert not refreshed.cached
         assert refreshed.payload == first.payload

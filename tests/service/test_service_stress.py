@@ -9,13 +9,17 @@ distinct specs, so eviction sweeps run concurrently with gets/puts.
 Asserted after the dust settles: no duplicated execution, no lost runs,
 payloads byte-identical to direct ``runs.execute``, and the cache's
 incremental ``_approx_count`` agreeing with a full filesystem rescan
-(``__len__``) — the drift the PR's cache fixes close.
+(``__len__``).
+
+The counters are read as soon as every run is visibly settled, which is
+only sound because a run is journaled and counted *before* its terminal
+status becomes visible; ``test_settle_order`` pins that order down.
 """
 
 import json
 import threading
-import time
 
+from repro.runs import cache_key
 from repro.runs import execute as runs_execute
 from repro.runs.spec import spec_from_jsonable
 from repro.service import RunService
@@ -33,16 +37,6 @@ BASE_SPEC = {
 DISTINCT_SEEDS = tuple(range(10))
 CLIENT_THREADS = 8
 SUBMITS_PER_CLIENT = 10
-
-
-def _wait_settled(service, run_id, timeout=60.0):
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        view = service.status(run_id)
-        if view is not None and view["status"] in ("done", "error", "cancelled"):
-            return view
-        time.sleep(0.01)
-    raise AssertionError(f"run {run_id} did not settle within {timeout}s")
 
 
 def test_parallel_identical_and_distinct_submits(tmp_path):
@@ -84,9 +78,10 @@ def test_parallel_identical_and_distinct_submits(tmp_path):
     assert len(submitted_ids) == CLIENT_THREADS * SUBMITS_PER_CLIENT
 
     # No lost runs: every submitted id settles as done.
+    assert service.wait_idle(timeout=60)
     for run_id in set(submitted_ids):
-        view = _wait_settled(service, run_id)
-        assert view["status"] == "done", view
+        view = service.status(run_id)
+        assert view is not None and view["status"] == "done", view
 
     # No duplicate execution: each distinct spec executed exactly once,
     # no matter how many threads raced to submit it.
@@ -116,3 +111,41 @@ def test_parallel_identical_and_distinct_submits(tmp_path):
     assert len(cache) <= 6
 
     service.shutdown()
+
+
+def test_settle_order():
+    """A settle is journaled, then counted, then made visible, then
+    announced: whoever sees ``done`` also sees the journal entry and
+    ``runs_executed_total``, and the terminal event follows the status."""
+    service = RunService(workers=1)
+    spec = dict(BASE_SPEC, seed=99)
+    run_id = cache_key(spec_from_jsonable(spec))
+    observed = []
+
+    def record(obj, attr, label, when):
+        original = getattr(obj, attr)
+
+        def wrapper(*args, **kwargs):
+            if when(*args, **kwargs):
+                observed.append((label, service._runs[run_id]["status"]))
+            return original(*args, **kwargs)
+
+        setattr(obj, attr, wrapper)
+
+    record(service._queue, "settle", "journal", lambda rid, status: True)
+    record(
+        service.metrics, "inc", "executed",
+        lambda name, *args, **labels: name == "runs_executed_total",
+    )
+    record(
+        service.events, "publish", "event",
+        lambda rid, event, data, terminal=False: terminal,
+    )
+    service.submit(spec)
+    assert service.wait_idle(timeout=60)
+    service.shutdown()
+    assert observed == [
+        ("journal", "running"),
+        ("executed", "running"),
+        ("event", "done"),
+    ]

@@ -21,6 +21,7 @@ from repro.scheduler import (
     SynchronousScheduler,
 )
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 from repro.simulator.runner import run_gathering, run_to_configuration, simulate
 
 
@@ -179,8 +180,7 @@ class TestRunHelpers:
             AlwaysMoveFirstView(),
             cfg,
             steps=1,
-            collision_policy="record",
-            chirality=True,
+            options=EngineOptions(collision_policy="record", chirality=True),
         )
         assert engine.exclusive
         assert trace.had_collision  # recorded instead of raising
@@ -188,7 +188,9 @@ class TestRunHelpers:
     def test_simulate_forwarded_collision_policy_is_validated(self):
         cfg = Configuration.from_occupied(5, [0, 1, 3])
         with pytest.raises(ValueError):
-            simulate(AlwaysMoveFirstView(), cfg, collision_policy="ignore")
+            simulate(
+                AlwaysMoveFirstView(), cfg, options=EngineOptions(collision_policy="ignore")
+            )
 
     def test_run_to_configuration_forwards_collision_policy_and_chirality(self):
         # With chirality, SweepAlgorithm deterministically walks robots
@@ -199,8 +201,7 @@ class TestRunHelpers:
             cfg,
             lambda c: c.num_occupied == 2,
             max_steps=1,
-            collision_policy="record",
-            chirality=True,
+            options=EngineOptions(collision_policy="record", chirality=True),
         )
         assert trace.had_collision
         assert engine.configuration.num_occupied == 2
@@ -217,7 +218,9 @@ class TestRunHelpers:
 
         cfg = Configuration.from_occupied(9, [0, 1, 2, 4])
         with pytest.raises(SimulationLimitError):  # idle robots never gather
-            run_gathering(Capture(), cfg, max_steps=40, chirality=True)
+            run_gathering(
+                Capture(), cfg, max_steps=40, options=EngineOptions(chirality=True)
+            )
         # With chirality the clockwise view is always presented first, so
         # each robot reports a stable first view across activations.
         assert len(set(captured)) <= 4
@@ -316,9 +319,13 @@ class TestEngineSizeKnobs:
 
     def test_runner_forwards_bounds(self):
         cfg = Configuration.from_occupied(9, [0, 1, 3, 6])
-        baseline, _ = simulate(AlignAlgorithm(), cfg, steps=40, presentation_seed=4)
+        baseline, _ = simulate(
+            AlignAlgorithm(), cfg, steps=40, options=EngineOptions(presentation_seed=4)
+        )
         bounded, _ = simulate(
-            AlignAlgorithm(), cfg, steps=40, presentation_seed=4,
-            decision_cache_size=1, config_pool_size=1,
+            AlignAlgorithm(), cfg, steps=40,
+            options=EngineOptions(
+                presentation_seed=4, decision_cache_size=1, config_pool_size=1
+            ),
         )
         assert baseline.canonical_bytes() == bounded.canonical_bytes()

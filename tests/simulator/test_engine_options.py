@@ -1,4 +1,4 @@
-"""Tests for EngineOptions and the runner's legacy-keyword shim."""
+"""Tests for EngineOptions and the runner helpers' ``options=`` keyword."""
 
 import pytest
 
@@ -69,28 +69,7 @@ class TestEngineIntegration:
         assert baseline.trace.canonical_bytes() == bundled.trace.canonical_bytes()
 
 
-class TestRunnerDeprecationShim:
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="presentation_seed"):
-            trace, engine = simulate(
-                AlignAlgorithm(), _start(), steps=20, presentation_seed=5
-            )
-        assert engine.options.presentation_seed == 5
-        assert trace.num_steps == 20
-
-    def test_legacy_and_options_traces_are_byte_identical(self):
-        with pytest.warns(DeprecationWarning):
-            legacy, _ = simulate(
-                AlignAlgorithm(), _start(), steps=40, presentation_seed=4, chirality=True
-            )
-        modern, _ = simulate(
-            AlignAlgorithm(),
-            _start(),
-            steps=40,
-            options=EngineOptions(presentation_seed=4, chirality=True),
-        )
-        assert legacy.canonical_bytes() == modern.canonical_bytes()
-
+class TestRunnerKeywords:
     def test_options_path_does_not_warn(self, recwarn):
         simulate(AlignAlgorithm(), _start(), steps=5, options=EngineOptions())
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
@@ -105,6 +84,16 @@ class TestRunnerDeprecationShim:
         assert engine.options.exclusive is False
         assert engine.options.multiplicity_detection is True
 
+    def test_run_gathering_forces_model_over_options(self):
+        cfg = _start(11, 4, seed=1)
+        options = EngineOptions(
+            exclusive=True, multiplicity_detection=False, presentation_seed=3
+        )
+        _, engine = run_gathering(GatheringAlgorithm(), cfg, max_steps=2000, options=options)
+        assert engine.options.exclusive is False
+        assert engine.options.multiplicity_detection is True
+        assert engine.options.presentation_seed == 3
+
     def test_run_gathering_never_accepted_model_keywords(self):
         # These were TypeErrors before the options refactor and must stay so:
         # accepting exclusive=True here would break the gathering model.
@@ -115,8 +104,3 @@ class TestRunnerDeprecationShim:
             run_gathering(GatheringAlgorithm(), cfg, multiplicity_detection=False)
         with pytest.raises(TypeError, match="unexpected keyword"):
             run_gathering(GatheringAlgorithm(), cfg, collision_policy="record")
-
-    def test_invalid_legacy_value_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                simulate(AlignAlgorithm(), _start(), collision_policy="ignore")

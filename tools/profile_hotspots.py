@@ -14,7 +14,6 @@ cell planning cost that dominates a cold profile.
 Examples::
 
     PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13
-    PYTHONPATH=src python tools/profile_hotspots.py searching --k 7 --n 14 --engine legacy
     PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13 --engine vector --frontier
     PYTHONPATH=src python tools/profile_hotspots.py --game --k 3 --n 6 --top 15
 """
@@ -50,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--adversary", choices=["ssync", "sequential"], default="ssync"
     )
     parser.add_argument(
-        "--engine", choices=["auto", "packed", "legacy", "vector"], default="packed",
+        "--engine", choices=["auto", "packed", "vector"], default="packed",
         help="exploration engine to profile (default: packed)",
     )
     parser.add_argument(
