@@ -17,12 +17,12 @@ import time
 
 import pytest
 
-from repro.campaign import build_campaign, run_campaign
+from repro.campaign import ExecutionContext, build_campaign, run_campaign
 from repro.experiments.e7_scaling import run_unit
 
 
 def _run_quick_campaign(jobs):
-    report = run_campaign(build_campaign("e7", "quick"), run_unit, jobs=jobs)
+    report = run_campaign(build_campaign("e7", "quick"), run_unit, ExecutionContext(jobs=jobs))
     assert not report.failures
     return report
 

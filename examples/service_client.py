@@ -63,10 +63,11 @@ def main(base: str = None) -> None:
     started_server = None
     if base is None:
         # No server given: start one in-process on an ephemeral port.
+        from repro.runs import ExecutionContext
         from repro.service import create_server
 
         cache_dir = tempfile.mkdtemp(prefix="repro-cache-")
-        started_server = create_server(port=0, cache=cache_dir, workers=2)
+        started_server = create_server(port=0, ctx=ExecutionContext(cache=cache_dir), workers=2)
         threading.Thread(target=started_server.serve_forever, daemon=True).start()
         base = f"http://127.0.0.1:{started_server.server_address[1]}"
         print(f"started in-process server at {base} (cache: {cache_dir})")

@@ -9,17 +9,21 @@ and executes it serially or on a process pool with identical results
 a resumable JSONL result store (see :mod:`repro.campaign.store`, which
 documents the on-disk format).
 
-Typical use from an experiment module::
+Every execution knob (worker processes, result store, unit cache,
+deadlines, retries, fault plan, metrics, progress) travels as one frozen
+:class:`~repro.campaign.context.ExecutionContext`.  Typical use from an
+experiment module::
 
-    from ..campaign import run_experiment_campaign
+    from ..campaign import DEFAULT_CONTEXT, run_experiment_campaign
 
     def run_unit(unit):          # module-level => picklable
         ...
         return {"row": [...], "passed": True}
 
-    report = run_experiment_campaign("e3", "quick", run_unit, jobs=4)
-    for record in report.records:
-        ...
+    def run(variant="quick", ctx=DEFAULT_CONTEXT):
+        report = run_experiment_campaign("e3", variant, run_unit, ctx)
+        for record in report.records:
+            ...
 
 and from the command line::
 
@@ -28,12 +32,12 @@ and from the command line::
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
+from .context import DEFAULT_CONTEXT, ExecutionContext, ProgressCallback
 from .executor import (
     BatchWorker,
     CampaignReport,
-    ProgressCallback,
     Worker,
     execute_batch,
     run_campaign,
@@ -45,6 +49,9 @@ __all__ = [
     "BatchWorker",
     "Campaign",
     "CampaignReport",
+    "DEFAULT_CONTEXT",
+    "ExecutionContext",
+    "ProgressCallback",
     "ResultStore",
     "UnitSpec",
     "build_campaign",
@@ -60,46 +67,14 @@ def run_experiment_campaign(
     experiment: str,
     variant: str,
     worker: Worker,
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
     *,
-    jobs: int = 1,
-    store: Optional[Union[str, ResultStore]] = None,
-    progress: Optional[ProgressCallback] = None,
-    cache=None,
     batch_worker: Optional[BatchWorker] = None,
-    timeout: Optional[float] = None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
 ) -> CampaignReport:
-    """Build the campaign for an experiment suite and execute it.
+    """Build the campaign for an experiment suite and execute it under ``ctx``.
 
-    ``store`` may be a :class:`ResultStore` or a root directory path; in
-    either case the run becomes resumable and writes ``summary.json``.
-    ``cache`` is an optional unit de-duplication cache (see
-    :func:`~repro.campaign.executor.run_campaign`).  ``timeout`` is a
-    per-unit deadline in seconds, ``retry`` a
-    :class:`~repro.faults.RetryPolicy`, and ``fault_plan`` a
-    :class:`~repro.faults.FaultPlan` (chaos-testing context); all three
-    are forwarded to :func:`~repro.campaign.executor.run_campaign`, and
-    a path-given store inherits the fault plan's write-path injection
-    sites.  ``metrics`` is an optional duck-typed metrics sink counting
-    settled units (see :func:`~repro.campaign.executor.run_campaign`).
+    See :func:`~repro.campaign.executor.run_campaign` for how the
+    context and ``batch_worker`` are honoured.
     """
     campaign = build_campaign(experiment, variant)
-    if isinstance(store, str):
-        result_store: Optional[ResultStore] = ResultStore(store, fault_plan=fault_plan)
-    else:
-        result_store = store
-    return run_campaign(
-        campaign,
-        worker,
-        jobs=jobs,
-        store=result_store,
-        progress=progress,
-        cache=cache,
-        batch_worker=batch_worker,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
+    return run_campaign(campaign, worker, ctx, batch_worker=batch_worker)

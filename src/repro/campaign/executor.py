@@ -16,8 +16,9 @@ guaranteed:
 * **Resumability** — with a result store attached, units whose latest
   stored record is a success are not re-executed.
 
-On top of those, three resilience controls (all execution context —
-none of them changes what a successful record contains):
+On top of those, three resilience controls, all fields of the
+:class:`~repro.campaign.context.ExecutionContext` (none of them changes
+what a successful record contains):
 
 * **Per-unit deadlines** (``timeout``) — a watchdog over the process
   pool kills a unit that overruns its deadline (the worker process is
@@ -46,12 +47,13 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.deadline import terminate_pool
 from ..faults.plan import FaultyWorker
+from .context import DEFAULT_CONTEXT, ExecutionContext
 from .spec import Campaign, UnitSpec
 from .store import ResultStore
 
@@ -66,9 +68,6 @@ Worker = Callable[[Dict[str, object]], Dict[str, object]]
 #: only faster (e.g. by running all units' simulations through one
 #: :class:`repro.batchsim.BatchEngine`).
 BatchWorker = Callable[[Sequence[Dict[str, object]]], List[Dict[str, object]]]
-
-#: Progress callback: (completed, total, latest record).
-ProgressCallback = Callable[[int, int, Dict[str, object]], None]
 
 #: Record fields added by execution on top of the unit spec fields.
 _RESULT_FIELDS = ("status", "payload", "error", "duration_s")
@@ -267,57 +266,43 @@ def make_pool(jobs: int) -> ProcessPoolExecutor:
     )
 
 
-#: Backwards-compatible private alias (pre-frontier-engine name).
-_make_pool = make_pool
-
-
 class _Collector:
     """Routes finished records to the report, store, cache and callback."""
 
     def __init__(
-        self,
-        report: CampaignReport,
-        store: Optional[ResultStore],
-        progress: Optional[ProgressCallback],
-        total: int,
-        cache=None,
-        worker_name: Optional[str] = None,
-        metrics=None,
+        self, report: CampaignReport, ctx: ExecutionContext, worker_name: str
     ) -> None:
         self._report = report
-        self._store = store
-        self._progress = progress
-        self._total = total
-        self._cache = cache
+        self._ctx = ctx
         self._worker_name = worker_name
-        self._metrics = metrics
         self._done = len(report.records)
 
     def add(self, record: Dict[str, object]) -> None:
+        ctx = self._ctx
         self._report.records.append(record)
-        if self._store is not None:
-            self._store.append(self._report.campaign.name, record)
-        if self._cache is not None and record.get("status") == "ok":
-            key = self._cache.unit_key(self._worker_name, _unit_fields(record))
-            self._cache.put(key, {"status": "ok", "payload": record.get("payload")})
-        if self._metrics is not None:
-            self._metrics.inc(
+        if ctx.store is not None:
+            ctx.store.append(self._report.campaign.name, record)
+        if ctx.cache is not None and record.get("status") == "ok":
+            key = ctx.cache.unit_key(self._worker_name, _unit_fields(record))
+            ctx.cache.put(key, {"status": "ok", "payload": record.get("payload")})
+        if ctx.metrics is not None:
+            ctx.metrics.inc(
                 "campaign_units_total", status=str(record.get("status", "?"))
             )
         self._done += 1
-        if self._progress is not None:
-            self._progress(self._done, self._total, record)
+        if ctx.progress is not None:
+            ctx.progress(self._done, self._report.campaign.num_units, record)
 
 
 def _run_parallel(
     worker: Worker,
     pending: List[UnitSpec],
-    jobs: int,
-    chunk_size: Optional[int],
+    ctx: ExecutionContext,
     collector: _Collector,
-    batch_worker: Optional[BatchWorker] = None,
-    retry=None,
+    batch_worker: Optional[BatchWorker],
+    chunk_size: Optional[int],
 ) -> None:
+    jobs, retry = ctx.jobs, ctx.retry
     if chunk_size is None:
         # Aim for ~4 chunks per worker to balance scheduling slack
         # against per-chunk pickling overhead.
@@ -332,7 +317,7 @@ def _run_parallel(
         reverse=True,
     )
     chunks = _chunked(pending, chunk_size)
-    pool = _make_pool(jobs)
+    pool = make_pool(jobs)
     try:
         futures = {
             pool.submit(
@@ -370,7 +355,7 @@ def _run_parallel(
                         if not harvested:
                             survivors.append(other_chunk)
                     pool.shutdown(wait=False)
-                    pool = _make_pool(jobs)
+                    pool = make_pool(jobs)
                     for unit in chunk:
                         isolated = pool.submit(execute_unit, worker, unit.as_dict(), retry)
                         try:
@@ -383,7 +368,7 @@ def _run_parallel(
                                 )
                             )
                             pool.shutdown(wait=False)
-                            pool = _make_pool(jobs)
+                            pool = make_pool(jobs)
                     for chunk_ in survivors:
                         futures[
                             pool.submit(
@@ -407,8 +392,7 @@ _WATCHDOG_POLL_S = 0.05
 def _retry_in_isolation_with_deadline(
     worker: Worker,
     unit: UnitSpec,
-    timeout: float,
-    retry,
+    ctx: ExecutionContext,
     collector: _Collector,
     *,
     first_attempt_timed_out: bool,
@@ -420,9 +404,10 @@ def _retry_in_isolation_with_deadline(
     ``"timeout"``; if the worker dies again, ``"crashed"`` — exactly the
     crash-isolation contract, extended with a clock.
     """
+    timeout = ctx.timeout
     pool = make_pool(1)
     try:
-        future = pool.submit(execute_unit, worker, unit.as_dict(), retry)
+        future = pool.submit(execute_unit, worker, unit.as_dict(), ctx.retry)
         try:
             collector.add(future.result(timeout=timeout))
         except FuturesTimeoutError:
@@ -447,12 +432,9 @@ def _retry_in_isolation_with_deadline(
 def _run_parallel_deadline(
     worker: Worker,
     pending: List[UnitSpec],
-    jobs: int,
+    ctx: ExecutionContext,
     collector: _Collector,
-    timeout: float,
-    retry=None,
-    store: Optional[ResultStore] = None,
-    campaign_name: Optional[str] = None,
+    campaign_name: str,
 ) -> None:
     """Pool execution with a per-unit deadline watchdog.
 
@@ -467,6 +449,7 @@ def _run_parallel_deadline(
     innocent in-flight units are requeued, and the overdue unit is
     retried once in isolation under a fresh deadline.
     """
+    jobs, timeout, retry = ctx.jobs, ctx.timeout, ctx.retry
     queue = deque(
         sorted(
             pending,
@@ -531,19 +514,17 @@ def _run_parallel_deadline(
                 pool.shutdown(wait=False)
                 pool = make_pool(jobs)
             for unit in timed_out:
-                if store is not None and campaign_name is not None:
+                if ctx.store is not None:
                     # Interim record: the shard timeline shows the kill;
                     # the isolation retry's final record supersedes it
                     # (both in the aggregate and on resume).
-                    store.append(campaign_name, _timeout_record(unit.as_dict(), timeout))
+                    ctx.store.append(campaign_name, _timeout_record(unit.as_dict(), timeout))
                 _retry_in_isolation_with_deadline(
-                    worker, unit, timeout, retry, collector,
-                    first_attempt_timed_out=True,
+                    worker, unit, ctx, collector, first_attempt_timed_out=True
                 )
             for unit in crashed:
                 _retry_in_isolation_with_deadline(
-                    worker, unit, timeout, retry, collector,
-                    first_attempt_timed_out=False,
+                    worker, unit, ctx, collector, first_attempt_timed_out=False
                 )
     finally:
         pool.shutdown(wait=False)
@@ -552,33 +533,21 @@ def _run_parallel_deadline(
 def run_campaign(
     campaign: Campaign,
     worker: Worker,
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
     *,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    progress: Optional[ProgressCallback] = None,
-    chunk_size: Optional[int] = None,
-    cache=None,
     batch_worker: Optional[BatchWorker] = None,
-    timeout: Optional[float] = None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
+    chunk_size: Optional[int] = None,
 ) -> CampaignReport:
-    """Execute every unit of ``campaign`` through ``worker``.
+    """Execute every unit of ``campaign`` through ``worker`` under ``ctx``.
 
     Args:
         campaign: the work grid.
         worker: module-level callable (picklable) run once per unit.
-        jobs: number of worker processes; ``1`` runs in-process.
-        store: optional result store enabling resume and persistence.
-        progress: optional callback invoked after every finished unit.
-        chunk_size: units per process-pool task; defaults to roughly
-            four chunks per worker.
-        cache: optional content-addressed unit cache (duck-typed, e.g.
-            :class:`repro.runs.cache.ResultCache`): units whose
-            ``(worker, semantic spec)`` key is already stored are served
-            from it instead of executed — de-duplicating identical units
-            across campaigns — and fresh successes are stored back.
+        ctx: the execution context (see
+            :class:`~repro.campaign.context.ExecutionContext`).  This
+            layer honours ``jobs``, ``store``, ``progress``, ``cache``,
+            ``timeout``, ``retry``, ``fault_plan`` and ``metrics``;
+            ``shards`` and ``refresh`` are applied by the callers above.
         batch_worker: optional module-level callable claiming a whole
             chunk of units at once (see :data:`BatchWorker`).  Must
             produce exactly the payloads ``worker`` would, so the
@@ -586,45 +555,21 @@ def run_campaign(
             without it; any batch failure falls back to per-unit
             execution (see :func:`execute_batch`).  Unit de-duplication
             still keys on ``worker``'s identity.
-        timeout: per-unit deadline in seconds.  Forces pool execution
-            (even at ``jobs=1``, so the watchdog can *kill* an overrun)
-            and disables batch claiming (a whole-batch kill could not be
-            attributed to one unit).  An overrun unit is terminated,
-            retried once in isolation, and recorded as ``"timeout"``
-            only if it overruns again.
-        retry: optional :class:`~repro.faults.RetryPolicy` (duck-typed):
-            transiently failing units are re-attempted in the worker
-            with deterministic backoff before an error is recorded.
-        fault_plan: optional :class:`~repro.faults.FaultPlan`: wraps the
-            worker with per-unit injection sites (chaos testing).  Pure
-            execution context — unit cache keys stay those of the
-            unwrapped worker, and batch claiming is disabled so every
-            unit passes its injection site.
-        metrics: optional duck-typed metrics sink — any object with an
-            ``inc(name, **labels)`` method (e.g. the HTTP service's
-            :class:`~repro.service.metrics.MetricsRegistry`).  Every
-            settled unit bumps ``campaign_units_total`` labelled by how
-            it settled (``ok``/``error``/``crashed``/``timeout`` for
-            executed units, ``resumed``/``cached`` for units served
-            without executing).  Pure observability: never affects
-            records, summaries or cache keys.
+        chunk_size: units per process-pool task; defaults to roughly
+            four chunks per worker.
 
     Returns:
         The report with records sorted by grid index.  When a store is
         attached the aggregate ``summary.json`` has been written.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be > 0 (or None to disable)")
     report = CampaignReport(campaign=campaign)
     worker_name = _worker_name(worker)
-    if fault_plan is not None:
-        worker = FaultyWorker(worker, fault_plan)
+    if ctx.fault_plan is not None:
+        worker = FaultyWorker(worker, ctx.fault_plan)
         batch_worker = None
-    if timeout is not None:
+    if ctx.timeout is not None:
         batch_worker = None
-    if cache is not None and ("<lambda>" in worker_name or "<locals>" in worker_name):
+    if ctx.cache is not None and ("<lambda>" in worker_name or "<locals>" in worker_name):
         # Dynamically defined workers share a qualname (every lambda at
         # one scope is "<lambda>"), so the cache could serve one
         # worker's payloads as another's.  Their identity is ambiguous —
@@ -636,7 +581,8 @@ def run_campaign(
             RuntimeWarning,
             stacklevel=2,
         )
-        cache = None
+        ctx = replace(ctx, cache=None)
+    store, cache, metrics = ctx.store, ctx.cache, ctx.metrics
 
     pending: List[UnitSpec] = []
     if store is not None:
@@ -676,28 +622,22 @@ def run_campaign(
                 still_pending.append(unit)
         pending = still_pending
 
-    collector = _Collector(
-        report, store, progress, total=campaign.num_units,
-        cache=cache, worker_name=worker_name, metrics=metrics,
-    )
-    if timeout is not None and pending:
+    collector = _Collector(report, ctx, worker_name)
+    if ctx.timeout is not None and pending:
         # Deadlines require killability, so even jobs=1 runs through a
         # (single-worker) pool the watchdog can terminate.
-        _run_parallel_deadline(
-            worker, pending, jobs, collector, timeout, retry,
-            store=store, campaign_name=campaign.name,
-        )
-    elif jobs == 1 or len(pending) <= 1:
+        _run_parallel_deadline(worker, pending, ctx, collector, campaign.name)
+    elif ctx.jobs == 1 or len(pending) <= 1:
         if batch_worker is not None and len(pending) > 1:
             for record in execute_batch(
-                worker, batch_worker, [unit.as_dict() for unit in pending], retry
+                worker, batch_worker, [unit.as_dict() for unit in pending], ctx.retry
             ):
                 collector.add(record)
         else:
             for unit in pending:
-                collector.add(execute_unit(worker, unit.as_dict(), retry))
+                collector.add(execute_unit(worker, unit.as_dict(), ctx.retry))
     else:
-        _run_parallel(worker, pending, jobs, chunk_size, collector, batch_worker, retry)
+        _run_parallel(worker, pending, ctx, collector, batch_worker, chunk_size)
 
     report.records.sort(key=lambda record: record.get("index", 0))
     if store is not None:

@@ -28,10 +28,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import List, Optional, Tuple
 
 from .analysis.enumeration import census
 from .analysis.feasibility import feasibility_table
+from .campaign import ExecutionContext
 from .experiments import EXPERIMENTS
 from .faults.errors import DeadlineExceeded
 from .experiments.report import render_table
@@ -345,35 +347,36 @@ def _progress_printer(done: int, total: int, record) -> None:
     )
 
 
-def _run_experiment(
-    name: str, full: bool, out, jobs: int = 1, store=None, progress: bool = False,
-    cache=None, refresh: bool = False, timeout=None,
-) -> int:
+def _build_context(parser: argparse.ArgumentParser, args) -> ExecutionContext:
+    """The invocation's execution context: every context field the
+    subcommand has a flag for, with the resolved (and validated) cache
+    directory and ``--progress`` turned into the stderr printer."""
+    cache = _resolve_cache(parser, args)
+    _validate_campaign_arguments(parser, args, cache)
+    knobs = {
+        field.name: getattr(args, field.name)
+        for field in fields(ExecutionContext)
+        if hasattr(args, field.name)
+    }
+    knobs["cache"] = cache
+    knobs["progress"] = _progress_printer if knobs.get("progress") else None
+    try:
+        return ExecutionContext(**knobs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run_experiment(name: str, full: bool, out, ctx: ExecutionContext) -> int:
     spec = ExperimentSpec(name=name, variant="full" if full else "quick")
-    result = execute(
-        spec,
-        jobs=jobs,
-        store=store,
-        progress=_progress_printer if progress else None,
-        cache=cache,
-        refresh=refresh,
-        timeout=timeout,
-    )
+    result = execute(spec, ctx)
     print(result.payload["rendered"], file=out)
     return 0 if result.payload["passed"] else 1
 
 
-def _run_all(
-    out, jobs: int = 1, store=None, progress: bool = False, cache=None,
-    refresh: bool = False, timeout=None,
-) -> int:
+def _run_all(out, ctx: ExecutionContext) -> int:
     status = 0
     for name in sorted(EXPERIMENTS):
-        if _run_experiment(
-            name, False, out,
-            jobs=jobs, store=store, progress=progress, cache=cache, refresh=refresh,
-            timeout=timeout,
-        ):
+        if _run_experiment(name, False, out, ctx):
             status = 1
         print("", file=out)
     return status
@@ -397,8 +400,7 @@ def _run_feasibility(max_n: int, task: str, out) -> int:
     return 0
 
 
-def _run_demo(parser, args, out, cache=None) -> int:
-    refresh = getattr(args, "refresh", False)
+def _run_demo(parser, args, out, ctx: ExecutionContext) -> int:
     profile = _DEMO_ALGORITHMS[args.algorithm]
     gathering = profile["gathering"]
     try:
@@ -419,7 +421,7 @@ def _run_demo(parser, args, out, cache=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    result = execute(spec, cache=cache, refresh=refresh)
+    result = execute(spec, ctx)
     payload = result.payload
     print(f"initial: {payload['initial_art']}", file=out)
     for frame in payload["frames"]:
@@ -431,7 +433,7 @@ def _run_demo(parser, args, out, cache=None) -> int:
     return 0
 
 
-def _run_batch(parser, args, out, cache=None) -> int:
+def _run_batch(parser, args, out, ctx: ExecutionContext) -> int:
     profile = _DEMO_ALGORITHMS[args.algorithm]
     gathering = profile["gathering"]
     try:
@@ -450,12 +452,7 @@ def _run_batch(parser, args, out, cache=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    result = execute(
-        spec,
-        cache=cache,
-        refresh=getattr(args, "refresh", False),
-        timeout=args.timeout,
-    )
+    result = execute(spec, ctx)
     payload = result.payload
     rows = []
     for seed, run in zip(payload["seeds"], payload["runs"]):
@@ -480,7 +477,7 @@ def _run_batch(parser, args, out, cache=None) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _run_verify(parser, args, out, cache=None) -> int:
+def _run_verify(parser, args, out, ctx: ExecutionContext) -> int:
     ks, ns = args.k, args.n
     cells = [(k, n) for n in ns for k in ks if 1 <= k <= n and n >= 3]
     skipped = [(k, n) for n in ns for k in ks if not (1 <= k <= n and n >= 3)]
@@ -496,18 +493,7 @@ def _run_verify(parser, args, out, cache=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    if args.jobs > 1 and args.shards > 1:
-        parser.error("--jobs and --shards cannot both exceed 1")
-    result = execute(
-        spec,
-        jobs=args.jobs,
-        shards=args.shards,
-        store=args.store,
-        progress=_progress_printer if args.progress else None,
-        cache=cache,
-        refresh=getattr(args, "refresh", False),
-        timeout=args.timeout,
-    )
+    result = execute(spec, ctx)
     payload = result.payload
     header = (
         "task", "k", "n", "algorithm", "adversary", "verdict",
@@ -554,38 +540,25 @@ def _dispatch(parser: argparse.ArgumentParser, args, out) -> int:
         return _run_census(args.n, args.k, out)
     if args.command == "feasibility":
         return _run_feasibility(args.max_n, args.task, out)
-    cache = _resolve_cache(parser, args)
-    _validate_campaign_arguments(parser, args, cache)
+    ctx = _build_context(parser, args)
     if args.command == "experiment":
-        return _run_experiment(
-            args.name, args.full, out,
-            jobs=args.jobs, store=args.store, progress=args.progress, cache=cache,
-            refresh=args.refresh, timeout=args.timeout,
-        )
+        return _run_experiment(args.name, args.full, out, ctx)
     if args.command == "all":
-        return _run_all(
-            out, jobs=args.jobs, store=args.store, progress=args.progress, cache=cache,
-            refresh=args.refresh, timeout=args.timeout,
-        )
+        return _run_all(out, ctx)
     if args.command == "demo":
-        return _run_demo(parser, args, out, cache=cache)
+        return _run_demo(parser, args, out, ctx)
     if args.command == "batch":
-        return _run_batch(parser, args, out, cache=cache)
+        return _run_batch(parser, args, out, ctx)
     if args.command == "verify":
-        return _run_verify(parser, args, out, cache=cache)
+        return _run_verify(parser, args, out, ctx)
     if args.command == "serve":
         from .service import serve
 
-        if args.jobs > 1 and args.shards > 1:
-            parser.error("--jobs and --shards cannot both exceed 1")
         return serve(
             args.host,
             args.port,
-            cache=cache,
+            ctx=ctx,
             workers=args.workers,
-            jobs=args.jobs,
-            shards=args.shards,
-            run_timeout=args.timeout,
             verbose=args.verbose,
             log_json=args.json_logs,
         )

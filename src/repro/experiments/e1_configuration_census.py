@@ -11,7 +11,7 @@ the figures, and reports the symmetry breakdown the proofs rely on
 from __future__ import annotations
 
 from ..analysis.enumeration import PAPER_FIGURE_COUNTS, census
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from .report import ExperimentResult
 
 __all__ = ["run", "run_unit"]
@@ -39,28 +39,14 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E1 and return its result table."""
     result = ExperimentResult(
         experiment="E1",
         title="Configuration census per (k, n) — reproduces Figures 4-9",
         header=("k", "n", "paper figure", "paper count", "measured", "rigid", "symmetric", "periodic", "match"),
     )
-    report = run_experiment_campaign(
-        "e1", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e1", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "paper counts: Figure 4 (4,7)=4, Figure 5 (4,8)=8, Figure 6 (5,8)=5, "

@@ -21,7 +21,7 @@ import random
 
 from ..algorithms.align import SPECIAL_SYMMETRIC_VIEW, AlignAlgorithm
 from ..analysis.metrics import summarize
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.engine import Simulator
 from ..workloads.generators import random_rigid_configuration, rigid_configurations
 from .report import ExperimentResult
@@ -75,28 +75,14 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E2 and return its result table."""
     result = ExperimentResult(
         experiment="E2",
         title="Align convergence to C* (Theorem 1)",
         header=("k", "n", "starts", "reached C*", "invariant ok", "moves min", "moves mean", "moves max"),
     )
-    report = run_experiment_campaign(
-        "e2", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e2", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note("expected shape: 100% of starts reach C*; moves grow like O(n * k)")
     return result

@@ -21,7 +21,7 @@ from itertools import islice
 
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.metrics import clearing_metrics, summarize
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.engine import Simulator
 from ..tasks import ExplorationMonitor, SearchingMonitor
 from ..workloads.generators import iter_rigid_configurations, random_rigid_configuration
@@ -80,17 +80,7 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E3 and return its result table."""
     result = ExperimentResult(
         experiment="E3",
@@ -106,11 +96,7 @@ def run(
             "min edge clearings",
         ),
     )
-    report = run_experiment_campaign(
-        "e3", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e3", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "expected shape: every start satisfies both tasks; the cost of the first full clearing "

@@ -14,7 +14,7 @@ from ..algorithms.nminusthree import (
     final_configurations,
     nminusthree_supported,
 )
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.engine import Simulator
 from ..tasks import ExplorationMonitor, SearchingMonitor
 from ..workloads.generators import rigid_configurations
@@ -61,17 +61,7 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E4 and return its result table."""
     result = ExperimentResult(
         experiment="E4",
@@ -86,11 +76,7 @@ def run(
             "all-clear events",
         ),
     )
-    report = run_experiment_campaign(
-        "e4", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e4", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note("expected shape: all starts pass; the dedicated algorithm covers k = n - 3, which Ring Clearing does not")
     return result

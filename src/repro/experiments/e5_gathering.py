@@ -15,7 +15,7 @@ import random
 from ..algorithms.baselines import GreedyGatherBaseline
 from ..algorithms.gathering import GatheringAlgorithm, gathering_supported
 from ..analysis.metrics import summarize
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.engine import Simulator
 from ..simulator.runner import run_gathering
 from ..workloads.generators import random_rigid_configuration, rigid_configurations
@@ -79,17 +79,7 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E5 and return its result table."""
     result = ExperimentResult(
         experiment="E5",
@@ -105,11 +95,7 @@ def run(
             "moves max",
         ),
     )
-    report = run_experiment_campaign(
-        "e5", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e5", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "expected shape: the paper's algorithm gathers from every rigid start; "

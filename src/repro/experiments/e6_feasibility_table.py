@@ -18,7 +18,7 @@ from ..algorithms.nminusthree import NminusThreeAlgorithm, nminusthree_supported
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.feasibility import Feasibility, searching_feasibility
 from ..analysis.game import GameVerdict, searching_game_verdict
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.engine import Simulator
 from ..tasks import SearchingMonitor
 from ..workloads.generators import iter_rigid_configurations
@@ -64,17 +64,7 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E6 and return its result table."""
     result = ExperimentResult(
         experiment="E6",
@@ -83,11 +73,7 @@ def run(
     )
     # 1. Game-solver cross-checks on the smallest infeasible cells
     #    (the grid part, run through the campaign layer).
-    report = run_experiment_campaign(
-        "e6", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e6", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     # 2. Simulation cross-checks on feasible cells.
     for k, n in FEASIBLE_SAMPLE:

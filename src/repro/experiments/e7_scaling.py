@@ -19,7 +19,7 @@ from ..algorithms.nminusthree import NminusThreeAlgorithm, nminusthree_supported
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.metrics import clearing_metrics, summarize
 from ..batchsim import BatchEngine
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.engine import Simulator
 from ..simulator.runner import run_gathering
 from ..tasks import SearchingMonitor
@@ -179,17 +179,7 @@ def run_units_batched(units):
     return payloads
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E7 and return its result table."""
     result = ExperimentResult(
         experiment="E7",
@@ -205,10 +195,7 @@ def run(
         ),
     )
     report = run_experiment_campaign(
-        "e7", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        batch_worker=run_units_batched,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
+        "e7", variant, run_unit, ctx, batch_worker=run_units_batched
     )
     result.apply_campaign_report(report)
     result.add_note(

@@ -31,7 +31,7 @@ from ..analysis.feasibility import (
     searching_feasibility,
 )
 from ..analysis.game import GameVerdict, searching_game_verdict
-from ..campaign import run_experiment_campaign
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..modelcheck import check_cell
 from .report import ExperimentResult
 
@@ -104,17 +104,7 @@ def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
     return {"rows": rows, "passed": passed, "counterexample": witness}
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E8 and return its result table."""
     result = ExperimentResult(
         experiment="E8",
@@ -124,11 +114,7 @@ def run(
             "states", "agrees",
         ),
     )
-    report = run_experiment_campaign(
-        "e8", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e8", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     counterexamples = [
         record["payload"].get("counterexample")

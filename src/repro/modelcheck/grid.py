@@ -10,13 +10,13 @@ byte-identical ``summary.json`` aggregates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 from ..campaign import (
+    DEFAULT_CONTEXT,
     Campaign,
     CampaignReport,
-    ProgressCallback,
-    ResultStore,
+    ExecutionContext,
     build_cells_campaign,
     run_campaign,
 )
@@ -118,56 +118,21 @@ class _ConfiguredVerifyWorker:
 def run_verify_campaign(
     task: str,
     cells: Sequence[Tuple[int, int]],
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
     *,
     adversary: str = "ssync",
     max_states: int = DEFAULT_MAX_STATES,
-    jobs: int = 1,
-    shards: int = 1,
-    store: Optional[Union[str, ResultStore]] = None,
-    progress: Optional[ProgressCallback] = None,
-    cache=None,
-    timeout: Optional[float] = None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
 ) -> CampaignReport:
     """Build and execute a verification grid (the ``repro verify`` core).
 
-    ``jobs`` parallelises *across* cells through the campaign pool;
-    ``shards`` parallelises *within* each cell by partitioning the
+    ``ctx.jobs`` parallelises *across* cells through the campaign pool;
+    ``ctx.shards`` parallelises *within* each cell by partitioning the
     frontier across the shard pool (see
-    :mod:`repro.modelcheck.frontier`).  Both are execution context and
-    leave every payload byte-identical to the serial run.  ``jobs`` and
-    ``shards`` are mutually exclusive: one machine-wide worker budget
-    should not be oversubscribed twice.
-
-    ``timeout`` (per-cell deadline in seconds), ``retry`` (a
-    :class:`~repro.faults.RetryPolicy`) and ``fault_plan`` (a
-    :class:`~repro.faults.FaultPlan`, chaos-testing context) are
-    forwarded to :func:`~repro.campaign.run_campaign`; none of them is
-    part of the grid's identity.  ``metrics`` is an optional duck-typed
-    metrics sink counting settled units (also forwarded).
+    :mod:`repro.modelcheck.frontier`).  Like every other
+    :class:`~repro.campaign.context.ExecutionContext` field, neither is
+    part of the grid's identity, and every payload stays byte-identical
+    to the serial run.
     """
-    if jobs > 1 and shards > 1:
-        raise ValueError(
-            "jobs and shards cannot both exceed 1; parallelise across cells "
-            "(--jobs) or within cells (--shards), not both"
-        )
     campaign = build_verify_campaign(task, cells, adversary=adversary, max_states=max_states)
-    if isinstance(store, str):
-        result_store: Optional[ResultStore] = ResultStore(store, fault_plan=fault_plan)
-    else:
-        result_store = store
-    worker = _ConfiguredVerifyWorker(shards) if shards > 1 else run_unit
-    return run_campaign(
-        campaign,
-        worker,
-        jobs=jobs,
-        store=result_store,
-        progress=progress,
-        cache=cache,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
+    worker = _ConfiguredVerifyWorker(ctx.shards) if ctx.shards > 1 else run_unit
+    return run_campaign(campaign, worker, ctx)

@@ -14,7 +14,8 @@ package gives them one front door:
   :class:`~repro.runs.spec.ExperimentSpec`), each embedding the shared
   :class:`~repro.simulator.options.EngineOptions` bundle;
 * :mod:`repro.runs.execute` — the single
-  :func:`~repro.runs.execute.execute` dispatcher;
+  :func:`~repro.runs.execute.execute` dispatcher, taking the run's
+  :class:`~repro.campaign.context.ExecutionContext` (re-exported here);
 * :mod:`repro.runs.cache` — the content-addressed
   :class:`~repro.runs.cache.ResultCache` serving repeated runs from disk
   and de-duplicating identical campaign units.
@@ -32,8 +33,9 @@ the HTTP service (``repro serve``, :mod:`repro.service`) are thin shells
 over exactly these calls.
 """
 
+from ..campaign.context import ExecutionContext
 from ..simulator.options import EngineOptions
-from .cache import CACHE_SCHEMA_VERSION, ResultCache, as_result_cache, cache_key
+from .cache import CACHE_SCHEMA_VERSION, ResultCache, cache_key
 from .execute import RunResult, execute
 from .spec import (
     ALGORITHMS,
@@ -57,13 +59,13 @@ __all__ = [
     "BatchSweepSpec",
     "CACHE_SCHEMA_VERSION",
     "EngineOptions",
+    "ExecutionContext",
     "ExperimentSpec",
     "ResultCache",
     "RunResult",
     "RunSpec",
     "SimulateSpec",
     "VerifySpec",
-    "as_result_cache",
     "cache_key",
     "canonical_spec_json",
     "execute",

@@ -28,12 +28,12 @@ import json
 import os
 import tempfile
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .. import __version__
 from .spec import RunSpec, canonical_spec_json
 
-__all__ = ["ResultCache", "CACHE_SCHEMA_VERSION", "cache_key", "as_result_cache"]
+__all__ = ["ResultCache", "CACHE_SCHEMA_VERSION", "cache_key"]
 
 #: Bumped whenever the cached document layout changes incompatibly.
 CACHE_SCHEMA_VERSION = 1
@@ -81,8 +81,8 @@ class ResultCache:
         # cache does not rescan the whole store on every insert; it is
         # re-synchronised with the filesystem whenever eviction runs.
         # Guarded by a (reentrant) lock: every mutation — the newness
-        # check in put(), the corrupt-entry decrement in get(), the
-        # eviction resync — happens under it, so concurrent writers
+        # check and replace in put(), the corrupt-entry removal in get(),
+        # the eviction resync — happens under it, so concurrent writers
         # cannot drift the count (e.g. two threads both counting the
         # same new key).
         self._count_lock = threading.RLock()
@@ -126,32 +126,52 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The stored document for ``key``, or ``None`` on a miss.
 
-        A hit refreshes the entry's recency (LRU).  A corrupt entry
-        (torn write, manual tampering) is treated as a miss and removed.
+        A hit refreshes the entry's recency (LRU).  A missing entry is a
+        plain miss; a corrupt one (torn write, manual tampering) is a miss
+        and is removed (see :meth:`_discard_corrupt`).
         """
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
+        except FileNotFoundError:
+            # Never unlink on a plain miss: a concurrent put() may have
+            # created a fresh, valid entry since the failed open.
+            return None
         except (OSError, json.JSONDecodeError):
-            if os.path.exists(path):
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-                else:
-                    # The entry is gone: the approximate count must
-                    # follow, or a bounded cache slowly believes it is
-                    # fuller than it is and evicts live entries early.
-                    with self._count_lock:
-                        if self._approx_count is not None and self._approx_count > 0:
-                            self._approx_count -= 1
+            self._discard_corrupt(path)
             return None
         try:
             os.utime(path)
         except OSError:  # pragma: no cover - recency refresh is best-effort
             pass
         return document
+
+    def _discard_corrupt(self, path: str) -> None:
+        """Remove an entry that failed to load, keeping the count exact.
+
+        Runs under the count lock, which every put() holds around its
+        newness check and ``os.replace``, and re-reads the entry first:
+        one that a concurrent put() replaced meanwhile is valid again and
+        stays, and a removal always moves the count with it — otherwise a
+        bounded cache would believe it is fuller than it is and evict
+        live entries early.
+        """
+        with self._count_lock:
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    json.load(handle)
+                return
+            except FileNotFoundError:
+                return
+            except (OSError, json.JSONDecodeError):
+                pass
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - best-effort cleanup
+                return
+            if self._approx_count is not None and self._approx_count > 0:
+                self._approx_count -= 1
 
     def _kill_point(self, stage: str, key: str) -> None:
         """Named kill-point of the write path (no-op without a plan)."""
@@ -278,11 +298,3 @@ class ResultCache:
             self._approx_count = 0
         return len(entries)
 
-
-def as_result_cache(
-    cache: Optional[Union[str, ResultCache]]
-) -> Optional[ResultCache]:
-    """Coerce a cache argument (path or instance or ``None``)."""
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(str(cache))

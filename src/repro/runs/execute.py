@@ -9,28 +9,31 @@ repeated run with an identical spec is served from disk without a single
 engine step, and campaign workers de-duplicate identical units across
 campaigns through the same store.
 
-Execution *context* (``jobs``, ``store``, ``progress``) deliberately
-lives outside the spec: it changes how fast a run completes and what
-side artifacts it writes, never what the result means — so it must not
-perturb the cache key.
+How a run executes — worker processes, frontier shards, result store,
+progress callback, cache, refresh, deadline, retry policy, fault plan
+and metrics sink — travels as one frozen
+:class:`~repro.campaign.context.ExecutionContext`, deliberately outside
+the spec: it changes how fast a run completes and what side artifacts
+it writes, never what the result means — so it never perturbs a run id
+or a cache key.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..batchsim import BatchEngine
-from ..campaign import ProgressCallback, ResultStore
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext
 from ..core.configuration import Configuration
 from ..experiments import EXPERIMENTS
 from ..faults.deadline import call_with_deadline
 from ..modelcheck.grid import run_verify_campaign
 from ..simulator.engine import Simulator
 from ..workloads.generators import random_rigid_configuration
-from .cache import ResultCache, as_result_cache, cache_key
+from .cache import ResultCache, cache_key
 from .spec import (
     STOP_CONDITIONS,
     BatchSweepSpec,
@@ -148,20 +151,10 @@ def _simulate_job(spec: SimulateSpec) -> Dict[str, object]:
 
 
 def _execute_simulate(
-    spec: SimulateSpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: SimulateSpec, ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
     payload = call_with_deadline(
-        _simulate_job, (spec,), timeout=timeout, what="simulate run"
+        _simulate_job, (spec,), timeout=ctx.timeout, what="simulate run"
     )
     return payload, False, False
 
@@ -211,20 +204,10 @@ def _batchsweep_job(spec: BatchSweepSpec) -> Dict[str, object]:
 
 
 def _execute_batchsweep(
-    spec: BatchSweepSpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: BatchSweepSpec, ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
     payload = call_with_deadline(
-        _batchsweep_job, (spec,), timeout=timeout, what="batch sweep"
+        _batchsweep_job, (spec,), timeout=ctx.timeout, what="batch sweep"
     )
     return payload, False, False
 
@@ -233,32 +216,14 @@ def _execute_batchsweep(
 # verify
 # --------------------------------------------------------------------- #
 def _execute_verify(
-    spec: VerifySpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: VerifySpec, ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
     report = run_verify_campaign(
         spec.task,
         list(spec.cells),
+        ctx,
         adversary=spec.adversary,
         max_states=spec.max_states,
-        jobs=jobs,
-        shards=shards,
-        store=store,
-        progress=progress,
-        cache=cache,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
     )
     rows: List[List[object]] = []
     documents: List[Dict[str, object]] = []
@@ -306,29 +271,9 @@ def _execute_verify(
 # experiment
 # --------------------------------------------------------------------- #
 def _execute_experiment(
-    spec: ExperimentSpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: ExperimentSpec, ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
-    result = EXPERIMENTS[spec.name](
-        spec.variant,
-        jobs=jobs,
-        store=store,
-        progress=progress,
-        cache=cache,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
+    result = EXPERIMENTS[spec.name](spec.variant, ctx)
     payload = {
         "experiment": result.experiment,
         "title": result.title,
@@ -353,7 +298,7 @@ def _execute_experiment(
 #: allow a retry); ``history_dependent`` — the payload is correct but
 #: reflects how it was served (resume/cache notes), so it must not be
 #: stored as the spec's canonical result.
-_EXECUTORS: Dict[type, Callable[..., Tuple[Dict[str, object], bool, bool]]] = {
+_EXECUTORS: Dict[type, Callable[[RunSpec, ExecutionContext], Tuple[Dict[str, object], bool, bool]]] = {
     SimulateSpec: _execute_simulate,
     BatchSweepSpec: _execute_batchsweep,
     VerifySpec: _execute_verify,
@@ -383,56 +328,18 @@ class _WriteOnlyCache:
 
 
 def execute(
-    spec: RunSpec,
-    *,
-    jobs: int = 1,
-    shards: int = 1,
-    store: Optional[Union[str, ResultStore]] = None,
-    progress: Optional[ProgressCallback] = None,
-    cache: Optional[Union[str, ResultCache]] = None,
-    refresh: bool = False,
-    timeout: Optional[float] = None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
+    spec: RunSpec, ctx: Optional[ExecutionContext] = None, **knobs: object
 ) -> RunResult:
     """Execute one run spec and return its result.
 
     Args:
         spec: what to run.
-        jobs: worker processes for campaign-backed kinds (parallelism
-            *across* units).
-        shards: frontier partitions per model-checking cell (parallelism
-            *within* a verify unit; see :mod:`repro.modelcheck.frontier`).
-            Like ``jobs``, this is execution context: the payload is
-            byte-identical at any shard count, so it never enters the
-            spec — run ids and cache keys stay purely content-addressed.
-        store: campaign result-store directory (resume + JSONL shards);
-            when given, the whole-run cache lookup is skipped so the
-            store's side artifacts are actually written (unit-level
-            de-duplication still applies).
-        progress: campaign progress callback.
-        cache: result cache (path or instance).  Serves whole-run hits
-            and de-duplicates campaign units; ``None`` disables caching.
-        refresh: execute even on a cache hit and overwrite the entry.
-        timeout: per-unit deadline in seconds for campaign-backed kinds
-            (an overrunning worker is *killed*, recorded as
-            ``"timeout"``, and retried once in isolation), and a
-            whole-run deadline for ``simulate`` / ``batch_sweep`` (which
-            then execute in a killable worker process and raise
-            :class:`~repro.faults.DeadlineExceeded` on overrun).
-        retry: optional :class:`~repro.faults.RetryPolicy` governing
-            in-place re-attempts of transiently failing campaign units.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` arming
-            deterministic fault injection (chaos-testing context only).
-            Like ``jobs``, all three are execution context: they never
-            enter the spec, the run id or any cache key.
-        metrics: optional duck-typed metrics sink (any object with an
-            ``inc(name, **labels)`` method, e.g.
-            :class:`repro.service.metrics.MetricsRegistry`).  Campaign-
-            backed kinds count settled units on it
-            (``campaign_units_total``).  Pure observability: it never
-            affects payloads, run ids or cache keys.
+        ctx: how to run it (see
+            :class:`~repro.campaign.context.ExecutionContext`); ``None``
+            means :data:`~repro.campaign.context.DEFAULT_CONTEXT`.
+        **knobs: :class:`~repro.campaign.context.ExecutionContext` field
+            overrides applied on top of ``ctx`` (e.g. ``cache=DIR``,
+            ``jobs=4``); an unknown name raises :class:`TypeError`.
 
     Returns:
         A :class:`RunResult`; ``cached`` is ``True`` iff the payload was
@@ -441,12 +348,10 @@ def execute(
     executor = _EXECUTORS.get(type(spec))
     if executor is None:
         raise TypeError(f"cannot execute spec of type {type(spec).__name__}")
-    if isinstance(cache, str) and fault_plan is not None:
-        result_cache: Optional[ResultCache] = ResultCache(cache, fault_plan=fault_plan)
-    else:
-        result_cache = as_result_cache(cache)
+    ctx = replace(ctx or DEFAULT_CONTEXT, **knobs)
+    result_cache = ctx.cache
     run_id = cache_key(spec)
-    if result_cache is not None and store is None and not refresh:
+    if result_cache is not None and ctx.store is None and not ctx.refresh:
         document = result_cache.get(run_id)
         if document is not None and "payload" in document:
             return RunResult(
@@ -455,26 +360,14 @@ def execute(
                 payload=document["payload"],  # type: ignore[arg-type]
                 cached=True,
             )
-    unit_cache = (
-        _WriteOnlyCache(result_cache) if refresh and result_cache is not None else result_cache
-    )
-    payload, transient, history_dependent = executor(
-        spec,
-        jobs=jobs,
-        shards=shards,
-        store=store,
-        progress=progress,
-        cache=unit_cache,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
+    if ctx.refresh and result_cache is not None:
+        ctx = replace(ctx, cache=_WriteOnlyCache(result_cache))
+    payload, transient, history_dependent = executor(spec, ctx)
     # Whole-run entries are written only for runs whose payload is the
     # spec's canonical result: no transient worker failures (those must
     # be re-attempted, not replayed), no history-dependent serving notes,
     # and no store attached (the lookup above is skipped symmetrically).
-    if result_cache is not None and store is None and not transient and not history_dependent:
+    if result_cache is not None and ctx.store is None and not transient and not history_dependent:
         result_cache.put(
             run_id, {"spec": spec.to_jsonable(), "payload": payload}
         )

@@ -42,13 +42,15 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .. import __version__
-from ..runs.cache import ResultCache, as_result_cache, cache_key
+from ..campaign import DEFAULT_CONTEXT, ExecutionContext
+from ..runs.cache import cache_key
 from ..runs.execute import execute
 from ..runs.spec import RunSpec, spec_from_jsonable
 from .events import EventBroker, format_sse
@@ -102,14 +104,18 @@ class RunService:
     """Run registry + persistent job queue behind the HTTP handler.
 
     Args:
-        cache: result cache (path or instance) shared with :func:`execute`;
-            ``None`` keeps results in memory only.
+        ctx: the execution context every run executes under (see
+            :class:`~repro.campaign.context.ExecutionContext`).  Its
+            ``cache`` is shared with :func:`execute` (``None`` keeps
+            results in memory only) and its ``timeout`` is a per-run
+            deadline: a hung run is killed and surfaced as a retryable
+            ``DeadlineExceeded`` error instead of occupying a worker slot
+            forever.  A ``fault_plan`` also arms the service's own
+            ``service.run:<id>`` injection site.  Each run gets its own
+            progress callback (feeding the SSE stream), and the
+            service's :attr:`metrics` registry counts campaign units.
         workers: number of worker threads draining the job queue (the
             maximal number of concurrently executing runs).
-        jobs: worker *processes* each campaign-backed run may use.
-        shards: frontier shards per model-checking cell (within-cell
-            parallelism; byte-identical results, so not part of any run
-            id).
         max_runs: bound on the in-memory run registry; when exceeded,
             the oldest *settled* (done/error/cancelled) entries are
             dropped.  With a cache attached, dropped ``done`` runs
@@ -118,16 +124,6 @@ class RunService:
             runs are queued or running, new submissions raise
             :class:`ServiceBusy` (HTTP 429) instead of growing the
             queue without limit.
-        run_timeout: optional per-run deadline in seconds, forwarded to
-            :func:`~repro.runs.execute.execute` — a hung run is killed
-            and surfaced as a retryable ``DeadlineExceeded`` error
-            instead of occupying a worker slot forever.
-        retry: optional :class:`~repro.faults.RetryPolicy` forwarded to
-            :func:`~repro.runs.execute.execute` for transient unit
-            failures.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` arming the
-            ``service.run:<id>`` injection site and the downstream
-            execution stack (chaos-testing context only).
         retry_after_s: advisory back-off, in seconds, sent to clients in
             the ``Retry-After`` header of 429/503 responses.
         queue_journal: path of the queue's JSONL journal.  Defaults to
@@ -139,14 +135,9 @@ class RunService:
 
     def __init__(
         self,
-        cache: Optional[Union[str, ResultCache]] = None,
+        ctx: ExecutionContext = DEFAULT_CONTEXT,
         workers: int = 2,
-        jobs: int = 1,
-        shards: int = 1,
         max_runs: int = 1024,
-        run_timeout: Optional[float] = None,
-        retry=None,
-        fault_plan=None,
         retry_after_s: float = 5.0,
         queue_journal: Optional[str] = None,
         persist_queue: bool = True,
@@ -155,32 +146,19 @@ class RunService:
             raise ValueError("workers must be >= 1")
         if max_runs < 1:
             raise ValueError("max_runs must be >= 1")
-        if jobs > 1 and shards > 1:
-            raise ValueError("jobs and shards cannot both exceed 1")
-        if run_timeout is not None and run_timeout <= 0:
-            raise ValueError("run_timeout must be > 0 (or None to disable)")
         if retry_after_s <= 0:
             raise ValueError("retry_after_s must be > 0")
-        if isinstance(cache, str) and fault_plan is not None:
-            self._cache: Optional[ResultCache] = ResultCache(
-                cache, fault_plan=fault_plan
-            )
-        else:
-            self._cache = as_result_cache(cache)
-        self._jobs = jobs
-        self._shards = shards
+        self.metrics = MetricsRegistry()
+        self._declare_metrics()
+        self._ctx = replace(ctx, metrics=self.metrics)
+        self._cache = self._ctx.cache
         self._max_runs = max_runs
-        self._run_timeout = run_timeout
-        self._retry = retry
-        self._fault_plan = fault_plan
         self.retry_after_s = retry_after_s
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._draining = False
         self._runs: Dict[str, Dict[str, object]] = {}
 
-        self.metrics = MetricsRegistry()
-        self._declare_metrics()
         self.events = EventBroker(max_channels=max(max_runs, 16))
         if queue_journal is None and persist_queue and self._cache is not None:
             queue_journal = os.path.join(self._cache.root, "queue", "journal.jsonl")
@@ -604,25 +582,15 @@ class RunService:
             )
 
         try:
-            if self._fault_plan is not None:
+            if self._ctx.fault_plan is not None:
                 # Named injection site of the service's own run loop
                 # (worker-thread context: crash/hang faults would take
                 # the whole server down, so only the recoverable kinds
                 # are supported here).
-                self._fault_plan.fire(
+                self._ctx.fault_plan.fire(
                     f"service.run:{run_id[:12]}", supported=("transient", "slow_io")
                 )
-            result = execute(
-                spec,
-                jobs=self._jobs,
-                shards=self._shards,
-                cache=self._cache,
-                timeout=self._run_timeout,
-                retry=self._retry,
-                fault_plan=self._fault_plan,
-                progress=_progress,
-                metrics=self.metrics,
-            )
+            result = execute(spec, replace(self._ctx, progress=_progress))
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
             self._settle_error(
                 run_id, exc,
@@ -923,24 +891,19 @@ def create_server(
     port: int = 8421,
     *,
     service: Optional[RunService] = None,
-    cache: Optional[Union[str, ResultCache]] = None,
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
     workers: int = 2,
-    jobs: int = 1,
-    shards: int = 1,
-    run_timeout: Optional[float] = None,
     verbose: bool = False,
     log_json: bool = False,
 ) -> ThreadingHTTPServer:
     """Build a ready-to-run server (callers own ``serve_forever``).
 
-    ``port=0`` binds an ephemeral port (useful for tests); read the
-    bound address back from ``server.server_address``.
+    Without a ``service``, a :class:`RunService` is built from ``ctx``
+    and ``workers``.  ``port=0`` binds an ephemeral port (useful for
+    tests); read the bound address back from ``server.server_address``.
     """
     if service is None:
-        service = RunService(
-            cache=cache, workers=workers, jobs=jobs, shards=shards,
-            run_timeout=run_timeout,
-        )
+        service = RunService(ctx, workers=workers)
     handler = type(
         "BoundRunRequestHandler",
         (RunRequestHandler,),
@@ -955,11 +918,8 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8421,
     *,
-    cache: Optional[Union[str, ResultCache]] = None,
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
     workers: int = 2,
-    jobs: int = 1,
-    shards: int = 1,
-    run_timeout: Optional[float] = None,
     drain_grace_s: float = 30.0,
     verbose: bool = False,
     log_json: bool = False,
@@ -969,14 +929,11 @@ def serve(
     ``SIGTERM`` (the normal orchestrator stop signal) triggers a
     graceful drain: new submissions get 503 + ``Retry-After`` while
     in-flight runs are given ``drain_grace_s`` seconds to settle, then
-    the listener stops and the process exits.  ``run_timeout`` bounds
-    each run's execution (see :class:`RunService`).  ``log_json`` emits
-    one structured JSON log line per request to stderr.
+    the listener stops and the process exits.  Every run executes
+    under ``ctx`` (see :class:`RunService`).  ``log_json`` emits one
+    structured JSON log line per request to stderr.
     """
-    service = RunService(
-        cache=cache, workers=workers, jobs=jobs, shards=shards,
-        run_timeout=run_timeout,
-    )
+    service = RunService(ctx, workers=workers)
     server = create_server(
         host, port, service=service, verbose=verbose, log_json=log_json
     )
@@ -999,8 +956,8 @@ def serve(
     bound_host, bound_port = server.server_address[:2]
     journal = service._queue.journal_path
     print(f"repro serve: listening on http://{bound_host}:{bound_port} "
-          f"(workers={workers}, jobs={jobs}, shards={shards}, "
-          f"timeout={run_timeout if run_timeout is not None else 'none'}, "
+          f"(workers={workers}, jobs={ctx.jobs}, shards={ctx.shards}, "
+          f"timeout={ctx.timeout if ctx.timeout is not None else 'none'}, "
           f"cache={service.health()['cache'] or 'disabled'}, "
           f"queue={'persistent:' + journal if journal else 'memory'})")
     try:

@@ -1,6 +1,6 @@
 """Tests for whole-batch unit claiming in the campaign executor."""
 
-from repro.campaign import build_campaign, execute_batch, run_campaign
+from repro.campaign import ExecutionContext, build_campaign, execute_batch, run_campaign
 from repro.experiments.e7_scaling import run_unit, run_units_batched
 
 
@@ -47,7 +47,7 @@ class TestBatchClaiming:
         campaign = build_campaign("e7", "quick")
         plain = run_campaign(campaign, product_worker)
         batched = run_campaign(
-            campaign, product_worker, jobs=2, batch_worker=batched_product_worker
+            campaign, product_worker, ExecutionContext(jobs=2), batch_worker=batched_product_worker,
         )
         assert batched.summary_bytes() == plain.summary_bytes()
 

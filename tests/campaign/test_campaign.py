@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.campaign import (
+    ExecutionContext,
     ResultStore,
     build_campaign,
     build_cells_campaign,
@@ -91,17 +92,19 @@ class TestSpec:
 class TestDeterminism:
     def test_serial_and_parallel_aggregates_are_byte_identical(self, tmp_path):
         serial = run_experiment_campaign(
-            "e1", "quick", e1_run_unit, jobs=1, store=str(tmp_path / "serial")
+            "e1", "quick", e1_run_unit, ExecutionContext(jobs=1, store=str(tmp_path / "serial")),
         )
         parallel = run_experiment_campaign(
-            "e1", "quick", e1_run_unit, jobs=3, store=str(tmp_path / "parallel")
+            "e1", "quick", e1_run_unit, ExecutionContext(jobs=3, store=str(tmp_path / "parallel")),
         )
         assert serial.summary_bytes() == parallel.summary_bytes()
         with open(serial.summary_path, "rb") as f1, open(parallel.summary_path, "rb") as f2:
             assert f1.read() == f2.read()
 
     def test_records_come_back_in_grid_order(self):
-        report = run_campaign(build_campaign("e1", "quick"), product_worker, jobs=2)
+        report = run_campaign(
+            build_campaign("e1", "quick"), product_worker, ExecutionContext(jobs=2),
+        )
         assert [r["index"] for r in report.records] == list(range(6))
         assert not report.failures
 
@@ -110,14 +113,15 @@ class TestResume:
     def test_resume_skips_completed_units(self, tmp_path):
         store = ResultStore(str(tmp_path))
         first = run_experiment_campaign(
-            "e7", "quick", flaky_worker, jobs=1, store=store
+            "e7", "quick", flaky_worker, ExecutionContext(jobs=1, store=store),
         )
         failed = {r["unit_id"] for r in first.failures}
         assert failed  # k == 5 units errored
         # Second run with a distinguishable worker: only the failed units
         # are re-executed, completed ones come back verbatim from disk.
         second = run_experiment_campaign(
-            "e7", "quick", tagged_worker, jobs=1, store=ResultStore(str(tmp_path))
+            "e7", "quick", tagged_worker,
+            ExecutionContext(jobs=1, store=ResultStore(str(tmp_path))),
         )
         assert set(second.resumed) == {
             r["unit_id"] for r in first.records if r["status"] == "ok"
@@ -130,19 +134,19 @@ class TestResume:
     def test_resume_tolerates_torn_shard_line(self, tmp_path):
         store = ResultStore(str(tmp_path))
         campaign = build_campaign("e1", "quick")
-        run_campaign(campaign, product_worker, store=store)
+        run_campaign(campaign, product_worker, ExecutionContext(store=store))
         shard = os.path.join(store.campaign_dir(campaign.name), "shard-0000.jsonl")
         with open(shard, "a", encoding="utf-8") as handle:
             handle.write('{"unit_id": "k004-n0')  # interrupted mid-write
         fresh = ResultStore(str(tmp_path))
         assert len(fresh.completed_unit_ids(campaign.name)) == campaign.num_units
-        resumed = run_campaign(campaign, tagged_worker, store=fresh)
+        resumed = run_campaign(campaign, tagged_worker, ExecutionContext(store=fresh))
         assert len(resumed.resumed) == campaign.num_units
 
     def test_shards_rotate(self, tmp_path):
         store = ResultStore(str(tmp_path), shard_size=2)
         campaign = build_campaign("e1", "quick")
-        run_campaign(campaign, product_worker, store=store)
+        run_campaign(campaign, product_worker, ExecutionContext(store=store))
         shards = [
             name
             for name in os.listdir(store.campaign_dir(campaign.name))
@@ -153,7 +157,7 @@ class TestResume:
     def test_summary_document_strips_durations(self, tmp_path):
         store = ResultStore(str(tmp_path))
         campaign = build_campaign("e1", "quick")
-        report = run_campaign(campaign, product_worker, store=store)
+        report = run_campaign(campaign, product_worker, ExecutionContext(store=store))
         with open(report.summary_path, "r", encoding="utf-8") as handle:
             summary = json.load(handle)
         assert summary["num_completed"] == campaign.num_units
@@ -164,7 +168,7 @@ class TestResume:
 
 class TestFailureReporting:
     def test_worker_exception_is_recorded_not_raised(self):
-        report = run_campaign(build_campaign("e7", "quick"), flaky_worker, jobs=1)
+        report = run_campaign(build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=1))
         failed = [r for r in report.records if r["status"] == "error"]
         assert failed and all(r["k"] == 5 for r in failed)
         assert "boom" in failed[0]["error"]["message"]
@@ -173,11 +177,11 @@ class TestFailureReporting:
         assert len(ok) + len(failed) == report.campaign.num_units
 
     def test_worker_exception_in_parallel_mode(self):
-        report = run_campaign(build_campaign("e7", "quick"), flaky_worker, jobs=2)
+        report = run_campaign(build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=2))
         assert {r["unit_id"] for r in report.failures} == {
             r["unit_id"]
             for r in run_campaign(
-                build_campaign("e7", "quick"), flaky_worker, jobs=1
+                build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=1),
             ).failures
         }
 
@@ -185,7 +189,7 @@ class TestFailureReporting:
         # os._exit kills the worker process outright; the executor must
         # rebuild the pool, isolate the poisoned unit and keep the rest.
         report = run_campaign(
-            build_campaign("e7", "quick"), crashing_worker, jobs=2, chunk_size=2
+            build_campaign("e7", "quick"), crashing_worker, ExecutionContext(jobs=2), chunk_size=2,
         )
         assert len(report.records) == report.campaign.num_units
         crashed = [r for r in report.records if r["status"] == "crashed"]
@@ -195,4 +199,4 @@ class TestFailureReporting:
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            run_campaign(build_campaign("e1", "quick"), product_worker, jobs=0)
+            run_campaign(build_campaign("e1", "quick"), product_worker, ExecutionContext(jobs=0))

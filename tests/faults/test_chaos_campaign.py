@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.campaign import ResultStore, build_cells_campaign, run_campaign
+from repro.campaign import ExecutionContext, ResultStore, build_cells_campaign, run_campaign
 from repro.faults import FaultPlan, KillPoint, RetryPolicy, demo_worker
 
 #: Seed of the fault plan's decision stream; CI sweeps this via the
@@ -33,12 +33,12 @@ def _campaign(tag):
     )
 
 
-def _run_summary(tmp_path, tag, name, **kwargs):
-    """Run the campaign into a fresh store; return the summary bytes."""
-    store = ResultStore(str(tmp_path / name), fault_plan=kwargs.get("fault_plan"))
-    campaign = _campaign(tag)
-    run_campaign(campaign, demo_worker, store=store, **kwargs)
-    with open(store.summary_path(campaign.name), "rb") as handle:
+def _run_summary(tmp_path, tag, name, **knobs):
+    """Run the campaign into a fresh store under ``ExecutionContext(**knobs)``;
+    return the summary bytes."""
+    ctx = ExecutionContext(store=str(tmp_path / name), **knobs)
+    report = run_campaign(_campaign(tag), demo_worker, ctx)
+    with open(report.summary_path, "rb") as handle:
         return handle.read()
 
 
@@ -103,14 +103,14 @@ def test_torn_write_then_resume_byte_identical(tmp_path):
     campaign = _campaign("torn")
     store = ResultStore(str(tmp_path / "faulted"), fault_plan=plan)
     with pytest.raises(KillPoint):
-        run_campaign(campaign, demo_worker, store=store)
+        run_campaign(campaign, demo_worker, ExecutionContext(store=store))
     # The dying write left a torn trailing line behind.
     shard = os.path.join(store.campaign_dir(campaign.name), "shard-0000.jsonl")
     with open(shard, "r", encoding="utf-8") as handle:
         assert not handle.read().endswith("\n")
     # Restart: a fresh, fault-free store resumes and completes the run.
     resumed = ResultStore(str(tmp_path / "faulted"))
-    run_campaign(campaign, demo_worker, store=resumed)
+    run_campaign(campaign, demo_worker, ExecutionContext(store=resumed))
     with open(resumed.summary_path(campaign.name), "rb") as handle:
         assert handle.read() == clean
 

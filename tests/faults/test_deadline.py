@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.campaign import build_cells_campaign, run_campaign
+from repro.campaign import ExecutionContext, build_cells_campaign, run_campaign
 from repro.faults import DeadlineExceeded, call_with_deadline
 
 
@@ -60,7 +60,7 @@ def test_campaign_hung_unit_reaped_and_recorded_as_timeout():
         cells=[(4, 8), (4, 9), (5, 9)],
     )
     start = time.monotonic()
-    report = run_campaign(campaign, _sleepy_worker, jobs=2, timeout=1.5)
+    report = run_campaign(campaign, _sleepy_worker, ExecutionContext(jobs=2, timeout=1.5))
     wall = time.monotonic() - start
     assert wall < 60.0  # two attempts (pool + isolation), never unbounded
     by_unit = {r["unit_id"]: r for r in report.records}
@@ -85,7 +85,7 @@ def test_serial_campaign_timeout_also_enforced():
         cells=[(4, 8), (4, 9)],
     )
     start = time.monotonic()
-    report = run_campaign(campaign, _sleepy_worker, jobs=1, timeout=1.5)
+    report = run_campaign(campaign, _sleepy_worker, ExecutionContext(jobs=1, timeout=1.5))
     wall = time.monotonic() - start
     assert wall < 60.0
     statuses = sorted(r["status"] for r in report.records)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.campaign import build_cells_campaign, run_campaign
+from repro.campaign import ExecutionContext, build_cells_campaign, run_campaign
 from repro.campaign.executor import execute_unit
 from repro.faults import (
     DEFAULT_TRANSIENT_TYPES,
@@ -117,7 +117,7 @@ def test_retry_does_not_change_summary_records():
         cells=[(4, 8), (4, 9)],
     )
     _CALLS["n"] = 0
-    with_retry = run_campaign(campaign, _flaky_then_ok, retry=_FAST)
+    with_retry = run_campaign(campaign, _flaky_then_ok, ExecutionContext(retry=_FAST))
     records = [
         {k: v for k, v in r.items() if k != "duration_s"} for r in with_retry.records
     ]

@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro.campaign import ExecutionContext
 from repro.faults import FaultPlan, RetryPolicy
 from repro.service import RunService, ServiceBusy, ServiceDraining, create_server
 
@@ -57,7 +58,7 @@ def _post_raw(base, document):
 
 class TestDrain:
     def test_drain_rejects_new_submissions_with_503(self, tmp_path):
-        service = RunService(cache=str(tmp_path / "cache"), retry_after_s=7.0)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), retry_after_s=7.0)
         srv, base = _serve(service)
         try:
             service.drain()
@@ -76,7 +77,7 @@ class TestDrain:
             srv.server_close()
 
     def test_drain_finishes_in_flight_runs(self, tmp_path):
-        service = RunService(cache=str(tmp_path / "cache"), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1)
         srv, base = _serve(service)
         try:
             with _post_raw(base, TINY_SPEC) as response:
@@ -91,14 +92,14 @@ class TestDrain:
             srv.server_close()
 
     def test_drain_is_idempotent_and_direct_submit_raises(self, tmp_path):
-        service = RunService(cache=str(tmp_path / "cache"))
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")))
         service.drain()
         service.drain()
         with pytest.raises(ServiceDraining):
             service.submit(TINY_SPEC)
 
     def test_wait_idle_times_out_with_unsettled_work(self, tmp_path):
-        service = RunService(cache=str(tmp_path / "cache"), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1)
         service.submit(SLOW_SPEC)
         assert service.wait_idle(timeout=0.05) is False
         service.drain()
@@ -108,13 +109,13 @@ class TestDrain:
 
 class TestHealthStates:
     def test_ok_then_draining(self, tmp_path):
-        service = RunService(cache=str(tmp_path / "cache"))
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")))
         assert service.health()["status"] == "ok"
         service.drain()
         assert service.health()["status"] == "draining"
 
     def test_saturated_when_backlog_full(self, tmp_path):
-        service = RunService(cache=str(tmp_path / "cache"), workers=1, max_runs=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1, max_runs=1)
         service.submit(SLOW_SPEC)
         assert service.health()["status"] == "saturated"
         with pytest.raises(ServiceBusy):
@@ -125,7 +126,10 @@ class TestHealthStates:
 
     def test_429_carries_retry_after(self, tmp_path):
         service = RunService(
-            cache=str(tmp_path / "cache"), workers=1, max_runs=1, retry_after_s=2.5
+            ExecutionContext(cache=str(tmp_path / "cache")),
+            workers=1,
+            max_runs=1,
+            retry_after_s=2.5,
         )
         srv, base = _serve(service)
         try:
@@ -148,7 +152,7 @@ class TestHealthStates:
 
 class TestRunDeadline:
     def test_hung_run_is_killed_and_reported_retryable(self, tmp_path):
-        service = RunService(cache=str(tmp_path / "cache"), run_timeout=1.0)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache"), timeout=1.0))
         view, created = service.submit(SLOW_SPEC)
         assert created
         start = time.monotonic()
@@ -166,8 +170,8 @@ class TestRunDeadline:
         service.shutdown()
 
     def test_rejects_bad_configuration(self, tmp_path):
-        with pytest.raises(ValueError, match="run_timeout"):
-            RunService(run_timeout=0.0)
+        with pytest.raises(ValueError, match="timeout"):
+            RunService(ExecutionContext(timeout=0.0))
         with pytest.raises(ValueError, match="retry_after_s"):
             RunService(retry_after_s=0.0)
 
@@ -176,9 +180,11 @@ class TestServiceFaultInjection:
     def test_injected_transient_is_surfaced_and_retryable(self, tmp_path):
         plan = FaultPlan(sites={"service.run:*": "transient"})
         service = RunService(
-            cache=str(tmp_path / "cache"),
-            fault_plan=plan,
-            retry=RetryPolicy(base_delay_s=0.0),
+            ExecutionContext(
+                cache=str(tmp_path / "cache"),
+                fault_plan=plan,
+                retry=RetryPolicy(base_delay_s=0.0),
+            ),
         )
         view, _ = service.submit(TINY_SPEC)
         service.wait_idle(timeout=60.0)
@@ -193,7 +199,7 @@ class TestServiceFaultInjection:
         service.shutdown()
 
     def test_faulted_result_equals_clean_result(self, tmp_path):
-        clean = RunService(cache=str(tmp_path / "c1"))
+        clean = RunService(ExecutionContext(cache=str(tmp_path / "c1")))
         view, _ = clean.submit(TINY_SPEC)
         clean.wait_idle(timeout=60.0)
         clean_result = clean.status(view["run_id"])["result"]
@@ -201,9 +207,11 @@ class TestServiceFaultInjection:
 
         plan = FaultPlan(sites={"service.run:*": "transient"})
         faulted = RunService(
-            cache=str(tmp_path / "c2"),
-            fault_plan=plan,
-            retry=RetryPolicy(base_delay_s=0.0),
+            ExecutionContext(
+                cache=str(tmp_path / "c2"),
+                fault_plan=plan,
+                retry=RetryPolicy(base_delay_s=0.0),
+            ),
         )
         faulted.submit(TINY_SPEC)
         faulted.wait_idle(timeout=60.0)

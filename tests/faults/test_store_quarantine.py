@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.campaign import ResultStore, build_cells_campaign, run_campaign
+from repro.campaign import ExecutionContext, ResultStore, build_cells_campaign, run_campaign
 from repro.faults import demo_worker
 
 
@@ -99,12 +99,12 @@ def test_resume_rebuilds_quarantined_unit_byte_identically(tmp_path):
         cells=[(3, 8), (4, 8), (5, 8)],
     )
     clean_store = ResultStore(str(tmp_path / "clean"))
-    run_campaign(campaign, demo_worker, store=clean_store)
+    run_campaign(campaign, demo_worker, ExecutionContext(store=clean_store))
     with open(clean_store.summary_path(campaign.name), "rb") as handle:
         clean = handle.read()
 
     rotten_store = ResultStore(str(tmp_path / "rot"))
-    run_campaign(campaign, demo_worker, store=rotten_store)
+    run_campaign(campaign, demo_worker, ExecutionContext(store=rotten_store))
     shard = rotten_store._shard_path(campaign.name, 0)
     with open(shard, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
@@ -115,7 +115,7 @@ def test_resume_rebuilds_quarantined_unit_byte_identically(tmp_path):
     # Resume with a fresh store object, as a restarted process would.
     resumed = ResultStore(str(tmp_path / "rot"))
     with pytest.warns(RuntimeWarning, match="quarantined"):
-        report = run_campaign(campaign, demo_worker, store=resumed)
+        report = run_campaign(campaign, demo_worker, ExecutionContext(store=resumed))
     assert victim in {r["unit_id"] for r in report.records}
     with open(resumed.summary_path(campaign.name), "rb") as handle:
         # iter_records warns again on the still-rotten line during the

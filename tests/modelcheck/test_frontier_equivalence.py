@@ -32,6 +32,7 @@ import pytest
 
 from repro.algorithms.nminusthree import nminusthree_supported
 from repro.algorithms.ring_clearing import ring_clearing_supported
+from repro.campaign import ExecutionContext
 from repro.cli import main
 from repro.experiments.e8_verification import GAME_CELLS, MAX_STATES
 from repro.modelcheck import ModelChecker, check_cell, run_verify_campaign
@@ -174,12 +175,12 @@ class TestShardedEqualsSerial:
     def test_campaign_summaries_byte_identical(self):
         cells = ((2, 6), (3, 6), (3, 7))
         serial = run_verify_campaign("gathering", cells)
-        sharded = run_verify_campaign("gathering", cells, shards=4)
+        sharded = run_verify_campaign("gathering", cells, ExecutionContext(shards=4))
         assert serial.summary_bytes() == sharded.summary_bytes()
 
     def test_jobs_and_shards_are_mutually_exclusive(self):
         with pytest.raises(ValueError):
-            run_verify_campaign("gathering", ((3, 6),), jobs=2, shards=2)
+            run_verify_campaign("gathering", ((3, 6),), ExecutionContext(jobs=2, shards=2))
 
     def test_cli_rejects_jobs_with_shards(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.feasibility import Feasibility, gathering_feasibility
+from repro.campaign import ExecutionContext
 from repro.cli import main, parse_int_grid
 from repro.core.cyclic import canonical_dihedral
 from repro.core.errors import UnsupportedParametersError
@@ -173,24 +174,28 @@ class TestVerifyCampaign:
         assert verdicts == {(2, 6): "livelock", (3, 6): "solved", (3, 7): "solved"}
 
     def test_serial_and_parallel_summaries_byte_identical(self):
-        serial = run_verify_campaign("gathering", self.CELLS, jobs=1)
-        parallel = run_verify_campaign("gathering", self.CELLS, jobs=4)
+        serial = run_verify_campaign("gathering", self.CELLS, ExecutionContext(jobs=1))
+        parallel = run_verify_campaign("gathering", self.CELLS, ExecutionContext(jobs=4))
         assert serial.summary_bytes() == parallel.summary_bytes()
 
     def test_store_resume(self, tmp_path):
         store = str(tmp_path / "verify")
-        first = run_verify_campaign("gathering", self.CELLS, store=store)
+        first = run_verify_campaign("gathering", self.CELLS, ExecutionContext(store=store))
         assert not first.resumed
-        second = run_verify_campaign("gathering", self.CELLS, store=store)
+        second = run_verify_campaign("gathering", self.CELLS, ExecutionContext(store=store))
         assert len(second.resumed) == len(self.CELLS)
         assert first.summary_bytes() == second.summary_bytes()
 
     def test_raised_max_states_is_a_new_campaign(self, tmp_path):
         """A stale UNKNOWN must not be resumed when the cap is raised."""
         store = str(tmp_path / "verify")
-        capped = run_verify_campaign("gathering", ((3, 8),), max_states=2, store=store)
+        capped = run_verify_campaign(
+            "gathering", ((3, 8),), ExecutionContext(store=store), max_states=2,
+        )
         assert capped.records[0]["payload"]["result"]["verdict"] == "unknown"
-        raised = run_verify_campaign("gathering", ((3, 8),), max_states=10_000, store=store)
+        raised = run_verify_campaign(
+            "gathering", ((3, 8),), ExecutionContext(store=store), max_states=10_000,
+        )
         assert not raised.resumed
         assert raised.records[0]["payload"]["result"]["verdict"] == "solved"
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.campaign import build_cells_campaign, run_campaign
+from repro.campaign import ExecutionContext, build_cells_campaign, run_campaign
 from repro.modelcheck.grid import run_unit as verify_worker
 from repro.runs import ResultCache, SimulateSpec, cache_key
 
@@ -132,9 +132,9 @@ class TestCampaignDeduplication:
 
     def test_identical_units_served_from_cache_across_runs(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        fresh = run_campaign(self._campaign(), verify_worker, cache=cache)
+        fresh = run_campaign(self._campaign(), verify_worker, ExecutionContext(cache=cache))
         assert fresh.cached == []
-        again = run_campaign(self._campaign(), verify_worker, cache=cache)
+        again = run_campaign(self._campaign(), verify_worker, ExecutionContext(cache=cache))
         assert again.cached == ["u000-k003-n006"]
         # De-duplication must not change the deterministic aggregate.
         assert fresh.summary_bytes() == again.summary_bytes()
@@ -145,12 +145,14 @@ class TestCampaignDeduplication:
         from repro.campaign import ResultStore
 
         fresh = run_campaign(
-            self._campaign(), verify_worker,
-            store=ResultStore(str(tmp_path / "store-fresh")), cache=cache,
+            self._campaign(),
+            verify_worker,
+            ExecutionContext(store=ResultStore(str(tmp_path / "store-fresh")), cache=cache),
         )
         cached = run_campaign(
-            self._campaign(), verify_worker,
-            store=ResultStore(str(tmp_path / "store-cached")), cache=cache,
+            self._campaign(),
+            verify_worker,
+            ExecutionContext(store=ResultStore(str(tmp_path / "store-cached")), cache=cache),
         )
         assert cached.cached and not cached.resumed
         with open(fresh.summary_path, "rb") as h1, open(cached.summary_path, "rb") as h2:
@@ -161,10 +163,10 @@ class TestCampaignDeduplication:
         campaign = build_cells_campaign(
             experiment="x", variant="y", description="d", cells=[(1, 3)]
         )
-        report = run_campaign(campaign, _boom_worker, cache=cache)
+        report = run_campaign(campaign, _boom_worker, ExecutionContext(cache=cache))
         assert report.records[0]["status"] == "error"
         assert len(cache) == 0
-        report2 = run_campaign(campaign, _boom_worker, cache=cache)
+        report2 = run_campaign(campaign, _boom_worker, ExecutionContext(cache=cache))
         assert report2.cached == []
 
     def test_dynamically_defined_workers_do_not_use_the_cache(self, tmp_path):
@@ -176,12 +178,16 @@ class TestCampaignDeduplication:
             experiment="x", variant="y", description="d", cells=[(1, 3)]
         )
         with pytest.warns(RuntimeWarning, match="no stable identity"):
-            report = run_campaign(campaign, lambda unit: {"which": "A"}, cache=cache)
+            report = run_campaign(
+                campaign, lambda unit: {"which": "A"}, ExecutionContext(cache=cache),
+            )
         assert report.records[0]["payload"] == {"which": "A"}
         assert len(cache) == 0  # nothing cached under the ambiguous name
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("ignore", RuntimeWarning)
-            report_b = run_campaign(campaign, lambda unit: {"which": "B"}, cache=cache)
+            report_b = run_campaign(
+                campaign, lambda unit: {"which": "B"}, ExecutionContext(cache=cache),
+            )
         assert report_b.records[0]["payload"] == {"which": "B"}
         assert report_b.cached == []
 
@@ -240,6 +246,49 @@ class TestApproxCountDrift:
         assert not any(thread.is_alive() for thread in threads)
         assert len(cache) == 2
         assert cache._approx_count == 2  # old code: 3
+
+
+    @pytest.mark.parametrize("second_put", [False, True])
+    def test_plain_miss_racing_puts_keeps_the_fresh_entry(
+        self, tmp_path, monkeypatch, second_put
+    ):
+        """A get() miss must never delete what a concurrent put() wrote.
+
+        Forced interleaving, one thread, no sleeps: get()'s open() fails
+        with FileNotFoundError, then a put() creates the entry (counted)
+        before get() reacts.  The old get() saw the file exist and
+        unlinked the fresh entry outside the lock.  With ``second_put``,
+        a second put() of the same key — which judged it "not new" under
+        the lock — lands its ``os.replace`` right after that unlink,
+        restoring the file uncounted while get() still decremented: the
+        count ended one below ``len(cache)``.
+        """
+        import repro.runs.cache as cache_module
+
+        cache = ResultCache(str(tmp_path), max_entries=10)
+        cache.put("a" * 64, {"payload": 0})  # prime the incremental count
+        key = "b" * 64
+        path = cache._path(key)
+        real_open, real_unlink = open, os.unlink
+
+        def racing_open(file, *args, **kwargs):
+            if file == path and not os.path.exists(path):
+                cache.put(key, {"payload": 1})
+                raise FileNotFoundError(file)
+            return real_open(file, *args, **kwargs)
+
+        def racing_unlink(target, *args, **kwargs):
+            real_unlink(target, *args, **kwargs)
+            if second_put and target == path:
+                with real_open(path, "w", encoding="utf-8") as handle:
+                    json.dump({"payload": 1}, handle)
+
+        monkeypatch.setattr(cache_module, "open", racing_open, raising=False)
+        monkeypatch.setattr(cache_module.os, "unlink", racing_unlink)
+        assert cache.get(key) is None  # the miss itself is correct
+        monkeypatch.undo()
+        assert cache.get(key) == {"payload": 1}
+        assert len(cache) == cache._approx_count == 2
 
 
 class TestNanosecondEviction:

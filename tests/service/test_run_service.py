@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.runs import SimulateSpec, cache_key
+from repro.runs import ExecutionContext, SimulateSpec, cache_key
 from repro.service import RunService, create_server
 
 TINY_SPEC = {
@@ -24,7 +24,7 @@ TINY_SPEC = {
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = create_server(port=0, cache=str(tmp_path / "cache"), workers=2)
+    srv = create_server(port=0, ctx=ExecutionContext(cache=str(tmp_path / "cache")), workers=2)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
@@ -155,15 +155,15 @@ class TestServiceRobustness:
     def test_errored_run_is_rescheduled_on_resubmit(self, tmp_path, monkeypatch):
         import repro.service.server as server_module
 
-        service = RunService(cache=str(tmp_path), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path)), workers=1)
         calls = {"n": 0}
         real_execute = server_module.execute
 
-        def flaky_execute(spec, **kwargs):
+        def flaky_execute(spec, ctx):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise OSError("transient failure")
-            return real_execute(spec, **kwargs)
+            return real_execute(spec, ctx)
 
         monkeypatch.setattr(server_module, "execute", flaky_execute)
         view, created = service.submit(TINY_SPEC)
@@ -212,11 +212,11 @@ class TestServiceRobustness:
         import repro.service.server as server_module
         from repro.runs import RunResult, SimulateSpec
 
-        service = RunService(cache=str(tmp_path), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path)), workers=1)
         calls = {"n": 0}
         real_execute = server_module.execute
 
-        def flaky_execute(spec, **kwargs):
+        def flaky_execute(spec, ctx):
             calls["n"] += 1
             if calls["n"] == 1:
                 # A campaign whose worker died: execute() returns
@@ -225,7 +225,7 @@ class TestServiceRobustness:
                     run_id="x" * 64, spec=spec, payload={"passed": False},
                     deterministic=False,
                 )
-            return real_execute(spec, **kwargs)
+            return real_execute(spec, ctx)
 
         monkeypatch.setattr(server_module, "execute", flaky_execute)
         view, created = service.submit(TINY_SPEC)
@@ -252,7 +252,7 @@ class TestServiceRobustness:
     def test_full_backlog_rejects_submissions(self, tmp_path):
         from repro.service.server import ServiceBusy
 
-        service = RunService(cache=str(tmp_path), workers=1, max_runs=2)
+        service = RunService(ExecutionContext(cache=str(tmp_path)), workers=1, max_runs=2)
         with service._lock:
             service._runs["a" * 64] = {"status": "queued", "result": None, "error": None}
             service._runs["b" * 64] = {"status": "running", "result": None, "error": None}
@@ -261,7 +261,7 @@ class TestServiceRobustness:
         service.shutdown()
 
     def test_registry_is_bounded_but_running_entries_survive(self, tmp_path):
-        service = RunService(cache=str(tmp_path), workers=1, max_runs=2)
+        service = RunService(ExecutionContext(cache=str(tmp_path)), workers=1, max_runs=2)
         with service._lock:
             service._runs["a" * 64] = {"status": "done", "result": {}, "error": None}
             service._runs["b" * 64] = {"status": "running", "result": None, "error": None}
@@ -275,7 +275,7 @@ class TestServiceRobustness:
     def test_cache_hit_submissions_respect_the_registry_bound(self, tmp_path):
         """The cache-hit branch of submit() must prune like the others."""
         cache = str(tmp_path / "shared")
-        warm = RunService(cache=cache, workers=2)
+        warm = RunService(ExecutionContext(cache=cache), workers=2)
         specs = [dict(TINY_SPEC, seed=seed) for seed in range(4)]
         ids = []
         for spec in specs:
@@ -289,7 +289,7 @@ class TestServiceRobustness:
                 time.sleep(0.02)
         warm.shutdown()
 
-        bounded = RunService(cache=cache, workers=1, max_runs=2)
+        bounded = RunService(ExecutionContext(cache=cache), workers=1, max_runs=2)
         for spec in specs:
             view, created = bounded.submit(spec)
             assert not created and view["status"] == "done"
@@ -301,7 +301,7 @@ class TestServiceRobustness:
 class TestServiceAcrossProcessesViaSharedCache:
     def test_fresh_service_answers_from_shared_cache(self, tmp_path):
         cache = str(tmp_path / "shared")
-        first = RunService(cache=cache, workers=1)
+        first = RunService(ExecutionContext(cache=cache), workers=1)
         view, created = first.submit(TINY_SPEC)
         assert created
         deadline = time.time() + 30
@@ -314,7 +314,7 @@ class TestServiceAcrossProcessesViaSharedCache:
         first.shutdown()
 
         # A brand-new service over the same cache knows the run already.
-        second = RunService(cache=cache, workers=1)
+        second = RunService(ExecutionContext(cache=cache), workers=1)
         resubmit, created = second.submit(TINY_SPEC)
         assert not created
         assert resubmit["status"] == "done"

@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 import repro.service.server as server_module
+from repro.runs import ExecutionContext
 from repro.runs import execute as runs_execute
 from repro.runs.cache import ResultCache
 from repro.runs.spec import spec_from_jsonable
@@ -46,7 +47,7 @@ VERIFY_SPEC = {
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = create_server(port=0, cache=str(tmp_path / "cache"), workers=2)
+    srv = create_server(port=0, ctx=ExecutionContext(cache=str(tmp_path / "cache")), workers=2)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
@@ -106,13 +107,13 @@ class _GatedExecute:
         self._block_first = block_first
         self._lock = threading.Lock()
 
-    def __call__(self, spec, **kwargs):
+    def __call__(self, spec, ctx):
         with self._lock:
             self.calls += 1
             blocked = self.calls <= self._block_first
         if blocked:
             assert self.gate.wait(timeout=60), "test gate never released"
-        return runs_execute(spec, **kwargs)
+        return runs_execute(spec, ctx)
 
 
 class TestQueryStringRouting:
@@ -214,12 +215,12 @@ class TestEventStream:
         # Complete the run in one service, stream it from a fresh one:
         # the new process never published anything for this run.
         cache = str(tmp_path / "shared")
-        first = RunService(cache=cache, workers=1)
+        first = RunService(ExecutionContext(cache=cache), workers=1)
         view, _ = first.submit(TINY_SPEC)
         _wait_service_done(first, view["run_id"])
         first.shutdown()
 
-        srv = create_server(port=0, cache=cache, workers=1)
+        srv = create_server(port=0, ctx=ExecutionContext(cache=cache), workers=1)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
@@ -238,7 +239,7 @@ class TestCancellation:
     def test_cancel_queued_run_via_http(self, tmp_path):
         gate = threading.Event()
         gated = _GatedExecute(gate)
-        service = RunService(cache=str(tmp_path / "cache"), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1)
         srv = create_server(port=0, service=service)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
@@ -273,7 +274,7 @@ class TestCancellation:
     def test_cancel_running_run_conflicts(self, tmp_path):
         gate = threading.Event()
         gated = _GatedExecute(gate)
-        service = RunService(cache=str(tmp_path / "cache"), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1)
         original = server_module.execute
         server_module.execute = gated
         try:
@@ -293,7 +294,7 @@ class TestCancellation:
     def test_cancelled_run_can_be_resubmitted(self, tmp_path):
         gate = threading.Event()
         gated = _GatedExecute(gate)
-        service = RunService(cache=str(tmp_path / "cache"), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1)
         original = server_module.execute
         server_module.execute = gated
         try:
@@ -316,7 +317,7 @@ class TestPriorities:
     def test_higher_priority_jumps_the_queue(self, tmp_path):
         gate = threading.Event()
         gated = _GatedExecute(gate)
-        service = RunService(cache=str(tmp_path / "cache"), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1)
         original = server_module.execute
         server_module.execute = gated
         try:
@@ -357,7 +358,7 @@ class TestPriorities:
     def test_priority_never_perturbs_run_id_or_payload(self, tmp_path):
         spec = spec_from_jsonable(TINY_SPEC)
         direct = runs_execute(spec)
-        service = RunService(cache=str(tmp_path / "cache"), workers=1)
+        service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=1)
         try:
             view, _ = service.submit(TINY_SPEC, priority=42)
             assert view["run_id"] == direct.run_id
@@ -375,14 +376,14 @@ class TestCrashResume:
         original = server_module.execute
         server_module.execute = gated
         try:
-            crashed = RunService(cache=cache, workers=1)
+            crashed = RunService(ExecutionContext(cache=cache), workers=1)
             view, _ = crashed.submit(TINY_SPEC)
             deadline = time.time() + 10
             while time.time() < deadline and gated.calls == 0:
                 time.sleep(0.01)
             # "Crash": abandon the service mid-run, journal unsettled.
 
-            revived = RunService(cache=cache, workers=1)
+            revived = RunService(ExecutionContext(cache=cache), workers=1)
             recovered = _wait_service_done(revived, view["run_id"])
             assert recovered["status"] == "done"
             assert recovered["result"]["reached_c_star"]
@@ -400,7 +401,7 @@ class TestCrashResume:
         walkaway.submit(direct.run_id, TINY_SPEC)
         # No settle: the "crash" hit between cache write and journaling.
 
-        service = RunService(cache=cache_dir, workers=1)
+        service = RunService(ExecutionContext(cache=cache_dir), workers=1)
         try:
             view = service.status(direct.run_id)
             assert view["status"] == "done"
@@ -413,7 +414,7 @@ class TestCrashResume:
 
     def test_journal_lives_under_the_cache_root(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        service = RunService(cache=cache_dir, workers=1)
+        service = RunService(ExecutionContext(cache=cache_dir), workers=1)
         try:
             view, _ = service.submit(TINY_SPEC)
             _wait_service_done(service, view["run_id"])
@@ -425,7 +426,7 @@ class TestCrashResume:
         assert [event["event"] for event in events] == ["submit", "settle"]
 
     def test_memory_only_service_has_no_journal(self):
-        service = RunService(cache=None, workers=1)
+        service = RunService(ExecutionContext(cache=None), workers=1)
         try:
             assert service.health()["queue"]["journal"] is None
         finally:
@@ -435,7 +436,7 @@ class TestCrashResume:
 class TestStructuredLogs:
     def test_json_log_line_per_request(self, tmp_path, capsys):
         srv = create_server(
-            port=0, cache=str(tmp_path / "cache"), workers=1, log_json=True
+            port=0, ctx=ExecutionContext(cache=str(tmp_path / "cache")), workers=1, log_json=True,
         )
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()

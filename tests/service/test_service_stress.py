@@ -19,7 +19,7 @@ status becomes visible; ``test_settle_order`` pins that order down.
 import json
 import threading
 
-from repro.runs import cache_key
+from repro.runs import ExecutionContext, cache_key
 from repro.runs import execute as runs_execute
 from repro.runs.spec import spec_from_jsonable
 from repro.service import RunService
@@ -40,11 +40,7 @@ SUBMITS_PER_CLIENT = 10
 
 
 def test_parallel_identical_and_distinct_submits(tmp_path):
-    service = RunService(
-        cache=str(tmp_path / "cache"),
-        workers=4,
-        max_runs=1024,
-    )
+    service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=4, max_runs=1024)
     # Bound the cache *below* the distinct-spec count so eviction runs
     # concurrently with the submit/get/put traffic.
     service._cache.max_entries = 6

@@ -33,7 +33,12 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.campaign import ResultStore, build_cells_campaign, run_campaign  # noqa: E402
+from repro.campaign import (  # noqa: E402
+    ExecutionContext,
+    ResultStore,
+    build_cells_campaign,
+    run_campaign,
+)
 from repro.faults import FaultPlan, RetryPolicy, demo_worker  # noqa: E402
 
 #: The demo grid: big enough that moderate fault rates hit several units.
@@ -67,7 +72,7 @@ def main(argv=None) -> int:
 
     campaign = build_demo_campaign()
     clean_store = ResultStore(os.path.join(args.out, "clean"))
-    run_campaign(campaign, demo_worker, jobs=args.jobs, store=clean_store)
+    run_campaign(campaign, demo_worker, ExecutionContext(jobs=args.jobs, store=clean_store))
     with open(clean_store.summary_path(campaign.name), "rb") as handle:
         clean = handle.read()
 
@@ -83,11 +88,13 @@ def main(argv=None) -> int:
     run_campaign(
         campaign,
         demo_worker,
-        jobs=args.jobs,
-        store=faulted_store,
-        timeout=5.0,
-        retry=RetryPolicy(base_delay_s=0.0, seed=args.seed),
-        fault_plan=plan,
+        ExecutionContext(
+            jobs=args.jobs,
+            store=faulted_store,
+            timeout=5.0,
+            retry=RetryPolicy(base_delay_s=0.0, seed=args.seed),
+            fault_plan=plan,
+        ),
     )
     wall = time.monotonic() - started
     with open(faulted_store.summary_path(campaign.name), "rb") as handle:

@@ -50,6 +50,7 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.runs import ExecutionContext  # noqa: E402
 from repro.runs import execute as runs_execute  # noqa: E402
 from repro.runs.spec import spec_from_jsonable  # noqa: E402
 from repro.service import create_server, parse_prometheus_text  # noqa: E402
@@ -133,7 +134,9 @@ def build_workload(requests, cached_ratio):
 def run_load(clients, requests, cached_ratio, metrics_out=None):
     """Drive the workload; returns the measurement/validation document."""
     tempdir = tempfile.mkdtemp(prefix="repro-load-")
-    server = create_server("127.0.0.1", 0, cache=os.path.join(tempdir, "cache"), workers=4)
+    server = create_server(
+        "127.0.0.1", 0, ctx=ExecutionContext(cache=os.path.join(tempdir, "cache")), workers=4,
+    )
     port = server.server_address[1]
     service = server.RequestHandlerClass.service
     server_thread = threading.Thread(target=server.serve_forever, daemon=True)
