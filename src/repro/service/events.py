@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import threading
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["EventBroker", "EventChannel", "format_sse"]
@@ -146,7 +147,10 @@ class EventBroker:
         excess = len(self._channels) - self._max_channels
         if excess <= 0:
             return
-        for run_id in [
-            rid for rid, ch in self._channels.items() if ch.closed
-        ][:excess]:
+        # Stop at the first ``excess`` closed channels instead of listing
+        # the whole (always full) registry.  ``_closed`` is read without
+        # the channel lock: it only ever flips to True, so a stale read
+        # merely defers that channel's pruning to a later call.
+        closed = (rid for rid, ch in self._channels.items() if ch._closed)
+        for run_id in list(islice(closed, excess)):
             del self._channels[run_id]

@@ -31,7 +31,7 @@ import heapq
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["Job", "JobQueue", "DEFAULT_PRIORITY"]
@@ -57,12 +57,17 @@ class Job:
 @dataclass
 class _Entry:
     job: Job
-    state: str = "queued"  # queued | running | settled | cancelled
-    extra: dict = field(default_factory=dict)
+    state: str = "queued"  # queued | running
 
 
 class JobQueue:
     """Priority queue with optional JSONL journal persistence.
+
+    Only *unsettled* (queued or running) jobs are held in memory: a
+    settled or cancelled job is forgotten at once, so memory and the
+    :attr:`depth`/:meth:`position` scans stay proportional to the
+    backlog, not to every run ever submitted.  The journal is the one
+    durable record of the history.
 
     Args:
         journal_path: append-only journal file; ``None`` keeps the queue
@@ -152,7 +157,7 @@ class JobQueue:
             if self._closed:
                 raise RuntimeError("queue is closed")
             entry = self._entries.get(run_id)
-            if entry is not None and entry.state in ("queued", "running"):
+            if entry is not None:
                 return entry.job
             self._seq += 1
             job = Job(
@@ -194,20 +199,20 @@ class JobQueue:
 
     def _pop_ready_locked(self) -> Optional[Job]:
         while self._heap:
-            _, _, run_id = heapq.heappop(self._heap)
+            _, seq, run_id = heapq.heappop(self._heap)
             entry = self._entries.get(run_id)
-            # Cancelled (or superseded) heap residue is skipped lazily.
-            if entry is not None and entry.state == "queued":
+            # Cancelled heap residue (entry gone) and superseded residue
+            # (the id was cancelled, then re-submitted under a new seq)
+            # are skipped lazily.
+            if entry is not None and entry.state == "queued" and entry.job.seq == seq:
                 entry.state = "running"
                 return entry.job
         return None
 
     def settle(self, run_id: str, status: str) -> None:
-        """Mark a popped job finished (``done``/``error``) and journal it."""
+        """Finish a popped job (``done``/``error``): journal it, forget it."""
         with self._lock:
-            entry = self._entries.get(run_id)
-            if entry is not None:
-                entry.state = "settled"
+            self._entries.pop(run_id, None)
             self._journal({"event": "settle", "run_id": run_id, "status": status})
 
     def cancel(self, run_id: str) -> bool:
@@ -222,7 +227,7 @@ class JobQueue:
             entry = self._entries.get(run_id)
             if entry is None or entry.state != "queued":
                 return False
-            entry.state = "cancelled"
+            del self._entries[run_id]
             self._journal({"event": "cancel", "run_id": run_id})
             return True
 

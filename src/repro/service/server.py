@@ -44,6 +44,7 @@ import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 from urllib.parse import urlsplit
@@ -297,6 +298,10 @@ class RunService:
         """
         spec = spec_from_jsonable(document)
         run_id = cache_key(spec)
+        # One canonical document serves the registry entry and the queued
+        # job; neither mutates it (the journal serialises it, the worker
+        # rebuilds the spec from a copy).
+        spec_document = spec.to_jsonable()
 
         def _reusable_entry() -> Optional[Dict[str, object]]:
             # An errored, transiently-failed (worker death, disk full)
@@ -347,7 +352,7 @@ class RunService:
             if stored is not None:
                 entry = {
                     "status": "done",
-                    "spec": spec.to_jsonable(),
+                    "spec": spec_document,
                     "result": stored["payload"],
                     "error": None,
                     "cached": True,
@@ -361,7 +366,7 @@ class RunService:
                     )
                 entry = {
                     "status": "queued",
-                    "spec": spec.to_jsonable(),
+                    "spec": spec_document,
                     "result": None,
                     "error": None,
                     "cached": False,
@@ -385,7 +390,7 @@ class RunService:
             run_id, "status",
             {"run_id": run_id, "status": "queued", "priority": priority},
         )
-        self._queue.submit(run_id, spec.to_jsonable(), priority=priority)
+        self._queue.submit(run_id, spec_document, priority=priority)
         self.metrics.set_gauge("queue_depth", self._queue.depth)
         return self._view(run_id, entry), True
 
@@ -499,9 +504,10 @@ class RunService:
         excess = len(self._runs) - self._max_runs
         if excess <= 0:
             return
-        for run_id in [
-            rid for rid, e in self._runs.items() if e["status"] in _SETTLED
-        ][:excess]:
+        # Early-exit scan: once the registry is full every new entry
+        # evicts about one, so stop at the first ``excess`` victims.
+        settled = (rid for rid, e in self._runs.items() if e["status"] in _SETTLED)
+        for run_id in list(islice(settled, excess)):
             del self._runs[run_id]
 
     def _settle(
@@ -641,6 +647,11 @@ class RunRequestHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection.  Headers and body (and
+    #: each SSE frame) leave as separate small writes; with Nagle on, the
+    #: second write waits for the client's delayed ACK, a fixed ~40 ms
+    #: stall on every response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------- #
     def handle_one_request(self) -> None:

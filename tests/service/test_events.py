@@ -94,6 +94,24 @@ class TestBroker:
         assert broker.channel("b" * 64, create=False) is not None
         assert broker.channel("c" * 64, create=False) is not None
 
+    def test_pruning_at_the_cap_takes_the_oldest_closed_channels(self):
+        broker = EventBroker(max_channels=3)
+        layout = [("a", False), ("b", True), ("c", True), ("d", False), ("e", True), ("f", True)]
+        with broker._lock:
+            for name, closed in layout:
+                channel = EventChannel()
+                if closed:
+                    channel.publish("status", {"status": "done"}, terminal=True)
+                broker._channels[name * 64] = channel
+            broker._prune_locked()  # excess 3: the three oldest closed go
+            assert list(broker._channels) == ["a" * 64, "d" * 64, "f" * 64]
+        # At the cap, every new channel evicts the oldest closed one.
+        broker.publish("g" * 64, "status", {})
+        assert list(broker._channels) == ["a" * 64, "d" * 64, "g" * 64]
+        # With no closed channel left, open channels overflow the cap.
+        broker.publish("h" * 64, "status", {})
+        assert list(broker._channels) == ["a" * 64, "d" * 64, "g" * 64, "h" * 64]
+
     def test_max_channels_validated(self):
         with pytest.raises(ValueError):
             EventBroker(max_channels=0)

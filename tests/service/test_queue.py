@@ -161,3 +161,58 @@ class TestJournal:
         assert events[0]["spec"] == _spec(0)
         assert events[0]["priority"] == 1
         assert events[1]["status"] == "done"
+
+
+class TestBoundedMemory:
+    """The queue holds only unsettled jobs; the journal keeps the history."""
+
+    def test_settled_and_cancelled_jobs_are_forgotten(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        queue = JobQueue(journal_path=path)
+        ids = [f"{index:064x}" for index in range(60)]
+        for index, run_id in enumerate(ids):
+            queue.submit(run_id, _spec(index))
+            if index % 3 == 2:
+                assert queue.cancel(run_id) is True
+            else:
+                job = queue.pop(timeout=0)
+                assert job.run_id == run_id
+                queue.settle(run_id, "done")
+        pending = ["a" * 64, "b" * 64, "c" * 64]
+        for index, run_id in enumerate(pending):
+            queue.submit(run_id, _spec(100 + index), priority=index)
+        running = queue.pop(timeout=0)
+        assert running.run_id == "c" * 64
+
+        assert sorted(queue._entries) == sorted(pending)
+        assert queue.depth == 2
+        assert queue.position("b" * 64) == 0
+        assert queue.position("a" * 64) == 1
+        assert queue.position(ids[0]) is None  # settled
+        assert queue.position(ids[2]) is None  # cancelled
+
+        # A settled id and a cancelled id both re-submit and run fresh.
+        settled_again = queue.submit(ids[0], _spec(0), priority=9)
+        cancelled_again = queue.submit(ids[2], _spec(2), priority=9)
+        assert settled_again.seq > running.seq and cancelled_again.seq > running.seq
+        assert queue.depth == 4
+        assert [queue.pop(timeout=0).run_id for _ in range(4)] == [
+            ids[0], ids[2], "b" * 64, "a" * 64,
+        ]
+
+        recovered = JobQueue(journal_path=path).recover()
+        assert [job.run_id for job in recovered] == [
+            "a" * 64, "b" * 64, "c" * 64, ids[0], ids[2],
+        ]
+
+    def test_resubmitted_cancelled_job_takes_its_new_place(self):
+        queue = JobQueue()
+        queue.submit("a" * 64, _spec(0))
+        assert queue.cancel("a" * 64) is True
+        queue.submit("b" * 64, _spec(1))
+        queue.submit("a" * 64, _spec(0))
+        # The cancelled submission's heap residue must not dispatch the
+        # re-submitted job ahead of a job that was queued before it.
+        assert queue.position("a" * 64) == 1
+        assert [queue.pop(timeout=0).run_id for _ in range(2)] == ["b" * 64, "a" * 64]
+        assert queue.pop(timeout=0) is None

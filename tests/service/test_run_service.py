@@ -272,6 +272,22 @@ class TestServiceRobustness:
             assert "c" * 64 in service._runs
         service.shutdown()
 
+    def test_pruning_at_the_cap_takes_the_oldest_settled_entries(self, tmp_path):
+        service = RunService(ExecutionContext(cache=str(tmp_path)), workers=1, max_runs=3)
+        layout = [
+            ("a", "queued"), ("b", "done"), ("c", "running"), ("d", "error"),
+            ("e", "cancelled"), ("f", "done"), ("g", "queued"),
+        ]
+        with service._lock:
+            for name, status in layout:
+                service._runs[name * 64] = {"status": status, "result": None, "error": None}
+            service._prune_locked()  # excess 4: the four oldest settled go
+            assert list(service._runs) == ["a" * 64, "c" * 64, "g" * 64]
+            service._runs["h" * 64] = {"status": "done", "result": {}, "error": None}
+            service._prune_locked()  # unsettled entries never go, even when older
+            assert list(service._runs) == ["a" * 64, "c" * 64, "g" * 64]
+        service.shutdown()
+
     def test_cache_hit_submissions_respect_the_registry_bound(self, tmp_path):
         """The cache-hit branch of submit() must prune like the others."""
         cache = str(tmp_path / "shared")

@@ -9,7 +9,8 @@ timed window (pure cache hits), the rest are distinct uncached specs
 that must each execute exactly once.
 
 Every request is timed submit -> settled (a cached POST settles in the
-response itself; an uncached one is polled until ``done``).  After the
+response itself; an uncached one follows the run's SSE stream to its
+terminal status event, so no poll interval is measured).  After the
 run the harness *asserts* the service-tier invariants this PR's
 acceptance criteria name:
 
@@ -83,6 +84,8 @@ class Client:
     """One keep-alive HTTP client bound to the harness server."""
 
     def __init__(self, port, timeout=60.0):
+        self._port = port
+        self._timeout = timeout
         self._conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
 
     def request(self, method, path, body=None):
@@ -93,20 +96,45 @@ class Client:
         raw = response.read()
         return response.status, json.loads(raw) if raw else None
 
-    def submit_and_wait(self, spec, poll_s=0.02, timeout=120.0):
-        """POST ``spec`` and poll until the run settles; returns the view."""
+    def submit_and_wait(self, spec):
+        """POST ``spec`` and wait until the run settles.
+
+        A run the POST answers as settled (a cache hit) returns that
+        view.  Otherwise the run's SSE stream is followed to its
+        terminal ``status`` event, whose data (``run_id``, ``status``,
+        ``cached``) is returned.
+        """
         status, view = self.request("POST", "/v1/runs", body=spec)
         if status not in (200, 202):
             raise AssertionError(f"POST /v1/runs -> {status}: {view}")
-        deadline = time.monotonic() + timeout
-        while view["status"] not in SETTLED:
-            if time.monotonic() > deadline:
-                raise AssertionError(f"run {view['run_id'][:16]} never settled")
-            time.sleep(poll_s)
-            status, view = self.request("GET", "/v1/runs/" + view["run_id"])
-            if status != 200:
-                raise AssertionError(f"GET run -> {status}: {view}")
-        return view
+        if view["status"] in SETTLED:
+            return view
+        return self.follow_events(view["run_id"])
+
+    def follow_events(self, run_id):
+        """Read ``/v1/runs/<id>/events`` up to the terminal status event.
+
+        The stream closes its connection at the end, so it gets its own
+        connection and the keep-alive one stays free for requests.
+        """
+        conn = http.client.HTTPConnection("127.0.0.1", self._port, timeout=self._timeout)
+        try:
+            conn.request("GET", f"/v1/runs/{run_id}/events")
+            response = conn.getresponse()
+            if response.status != 200:
+                raise AssertionError(f"GET events -> {response.status}")
+            event = None
+            for raw in response:
+                line = raw.decode("utf-8").rstrip("\n")
+                if line.startswith("event: "):
+                    event = line[len("event: "):]
+                elif line.startswith("data: ") and event == "status":
+                    data = json.loads(line[len("data: "):])
+                    if data["status"] in SETTLED:
+                        return data
+        finally:
+            conn.close()
+        raise AssertionError(f"run {run_id[:16]} stream ended before it settled")
 
     def close(self):
         self._conn.close()
