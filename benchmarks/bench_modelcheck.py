@@ -6,6 +6,9 @@ per engine backend — and the E6 adversary game solver, and records:
 * per-backend rows (``-packed`` / ``-vector`` suffixes) for the 7x14
   verification cell and the 6x15 frontier-throughput cell, so the gated
   medians pin down each engine separately;
+* ``verify-gathering-8x18`` — one gathering cell from an empty cell
+  cache on every repeat, so the row pays plan computation the way a
+  cold ``repro verify`` process does;
 * ``speedup_vector_vs_packed`` — the live warm-vs-warm engine ratio
   (both engines share the persistent per-cell plan caches, so this is
   the pure engine-mechanics ratio, *not* the cold-start ratio);
@@ -28,7 +31,8 @@ import statistics
 import time
 
 from repro.analysis.game import searching_game_verdict
-from repro.modelcheck import Verdict, check_cell
+from repro.modelcheck import ModelChecker, Verdict, check_cell
+from repro.modelcheck.tasks import make_task_spec
 
 #: Pre-rewrite medians of the same workloads, taken from the committed
 #: ``benchmarks/baselines.json`` (e6/e8 sections) before the packed
@@ -61,6 +65,18 @@ def _frontier_6x15(engine="auto"):
     return result
 
 
+def _gathering_8x18_cold():
+    """Gathering k=8 on n=18 with every plan recomputed.
+
+    A caller-built task spec keeps the checker off the process-wide cell
+    cache, so each call starts from empty plan and expansion tables.
+    """
+    spec = make_task_spec("gathering", 18, 8)
+    result = ModelChecker("gathering", 18, 8, spec=spec).run()
+    assert result.verdict is Verdict.SOLVED
+    return result
+
+
 def _game_solver_6x3():
     result = searching_game_verdict(6, 3)
     assert result.verdict.value == "impossible"
@@ -88,6 +104,11 @@ def test_frontier_throughput_cell_6x15(benchmark):
     assert result.num_states > 500
 
 
+def test_cold_gathering_cell_8x18(benchmark):
+    result = benchmark(_gathering_8x18_cold)
+    assert result.num_states > 1000
+
+
 def _median_seconds(workload, repeats=3):
     times = []
     for _ in range(repeats):
@@ -107,7 +128,10 @@ ENGINE_CELLS = {
 def main():
     from _harness import emit, safe_rate
 
-    workloads = {"verify-searching-rc-7x14": _searching_7x14}
+    workloads = {
+        "verify-searching-rc-7x14": _searching_7x14,
+        "verify-gathering-8x18": _gathering_8x18_cold,
+    }
     for cell, workload in ENGINE_CELLS.items():
         # Bind per iteration (default-arg trick) and measure packed
         # before vector; repeats share the persistent per-cell caches

@@ -21,7 +21,7 @@ Exclusivity is deliberately *not* enforced for this task.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from ..core.configuration import Configuration
 from ..core.errors import AlgorithmPreconditionError, UnsupportedParametersError
@@ -62,6 +62,33 @@ def plan_gathering_support(configuration: Configuration) -> Dict[int, int]:
     return plan_align(configuration)
 
 
+#: Branches of Fig. 14, as selected by :func:`_regime` on a support.
+_GATHERED = "gathered"
+_ENDGAME = "endgame"
+_UNSUPPORTED = "unsupported"
+_SUPPORT = "support"
+
+
+def _regime(configuration: Configuration) -> str:
+    """Which branch of Fig. 14 decides on this support configuration.
+
+    Only ``_SUPPORT`` (Align or Contraction on more than two occupied
+    nodes, inside the Theorem 8 range) ignores the snapshot; the
+    two-node endgame reads the robot's own multiplicity flag.
+    """
+    occupied = configuration.num_occupied
+    if occupied == 1:
+        return _GATHERED
+    if occupied == 2:
+        return _ENDGAME
+    if not gathering_supported(configuration.n, occupied) and not configuration.is_c_star_type():
+        # Outside C*-type configurations the support size equals k (the
+        # configuration is still exclusive), so the theorem's bounds can
+        # be checked meaningfully.
+        return _UNSUPPORTED
+    return _SUPPORT
+
+
 class GatheringAlgorithm(GlobalRuleAlgorithm):
     """Per-robot min-CORDA implementation of Algorithm Gathering.
 
@@ -75,13 +102,24 @@ class GatheringAlgorithm(GlobalRuleAlgorithm):
         """Delegate to :func:`plan_gathering_support` on the support."""
         return plan_gathering_support(configuration)
 
+    def global_plan(self, configuration: Configuration) -> Optional[PlannedMoves]:
+        """The support plan on more than two occupied nodes, else ``None``.
+
+        ``None`` covers the two-node endgame (it reads the multiplicity
+        flag) and supports outside the Theorem 8 range, so the exact
+        decision or error comes from :meth:`plan_for_snapshot`.
+        """
+        if _regime(configuration) != _SUPPORT:
+            return None
+        return self.plan(configuration)
+
     def plan_for_snapshot(self, configuration: Configuration, snapshot: Snapshot) -> PlannedMoves:
         """Plan on the multiplicity-blind support the snapshot implies."""
-        occupied = configuration.num_occupied
+        regime = _regime(configuration)
         n = configuration.n
-        if occupied == 1:
+        if regime == _GATHERED:
             return {}
-        if occupied == 2:
+        if regime == _ENDGAME:
             if snapshot.on_multiplicity:
                 # Robots forming the multiplicity never move.
                 return {}
@@ -93,11 +131,8 @@ class GatheringAlgorithm(GlobalRuleAlgorithm):
             if forward <= backward:
                 return {0: 1 % n}
             return {0: (n - 1) % n}
-        if not gathering_supported(n, snapshot.num_occupied) and not configuration.is_c_star_type():
-            # Outside C*-type configurations the support size equals k (the
-            # configuration is still exclusive), so the theorem's bounds can
-            # be checked meaningfully.
+        if regime == _UNSUPPORTED:
             raise UnsupportedParametersError(
                 f"Gathering is proven for 2 < k < n - 2; got n={n}, k={snapshot.num_occupied}"
             )
-        return plan_gathering_support(configuration)
+        return self.plan(configuration)

@@ -20,13 +20,21 @@ designated robot.  The library mirrors this structure:
   rule phrased purely in terms of views automatically is), every robot
   reaches a consistent conclusion and the per-robot algorithm is a
   faithful min-CORDA algorithm.
+
+* :meth:`GlobalRuleAlgorithm.global_plan` exposes that plan to
+  exhaustive drivers: on a configuration where every robot's decision
+  is a frame change of one plan it returns the plan, so the branching
+  adversary driver (:mod:`repro.simulator.branching`) evaluates one
+  plan per state class instead of one snapshot per robot and view
+  presentation.  It returns ``None`` wherever decisions depend on
+  snapshot-only data (presentation order, the multiplicity flag).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 from ..core.configuration import Configuration
 from ..core.errors import AlgorithmPreconditionError
@@ -153,6 +161,23 @@ class GlobalRuleAlgorithm(Algorithm):
         paper's rules are) satisfy this automatically.
         """
 
+    def global_plan(self, configuration: Configuration) -> Optional[PlannedMoves]:
+        """The plan every robot's decision in ``configuration`` is a frame change of.
+
+        ``configuration`` is the multiplicity-blind support, which is
+        what every robot's snapshot reconstructs.  Returns ``None`` when
+        decisions in this configuration depend on snapshot-only data;
+        callers then evaluate each snapshot.  The default returns
+        :meth:`plan` for pure global rules (:func:`is_pure_global_rule`)
+        and ``None`` otherwise.  A subclass overriding
+        :meth:`plan_for_snapshot` may override this hook to return the
+        plan on the configurations where its snapshot hook ignores the
+        snapshot.
+        """
+        if is_pure_global_rule(self):
+            return self.plan(configuration)
+        return None
+
     # Convenience used by tests and by the engine's "global dry-run" mode. #
     def planned_moves(self, configuration: Configuration) -> Dict[int, int]:
         """Public wrapper returning a concrete dict copy of :meth:`plan`."""
@@ -171,9 +196,11 @@ def is_pure_global_rule(algorithm: Algorithm) -> bool:
     data like multiplicity flags).  Such algorithms admit a *global*
     evaluation fast path: compute one plan per configuration and read
     every robot's move off it, instead of building ``2k`` directed-view
-    snapshots.  Used by the branching adversary driver
-    (:mod:`repro.simulator.branching`) and the batched engine
-    (:mod:`repro.batchsim`).
+    snapshots.  The batched engine (:mod:`repro.batchsim`) uses this
+    test directly; the branching adversary driver
+    (:mod:`repro.simulator.branching`) asks
+    :meth:`GlobalRuleAlgorithm.global_plan`, whose default is built on
+    it and which non-pure subclasses may override per configuration.
     """
     algorithm_type = type(algorithm)
     return (

@@ -29,6 +29,7 @@ adversarial behaviour the checker must explore.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -41,7 +42,7 @@ from ..core.errors import (
 )
 from ..core.ring import CCW, CW, Edge, Ring
 from ..core.symmetry import dihedral_permutation_tables
-from ..model.algorithm import Algorithm, DecisionCache, GlobalRuleAlgorithm, is_pure_global_rule
+from ..model.algorithm import Algorithm, DecisionCache, GlobalRuleAlgorithm
 from ..model.snapshot import Snapshot
 from .engine import ConfigurationPool
 
@@ -58,6 +59,8 @@ __all__ = [
 
 #: Option encoding: stay on the current node.
 IDLE = 0
+
+logger = logging.getLogger(__name__)
 
 Counts = Tuple[int, ...]
 
@@ -150,6 +153,11 @@ class BranchingDriver:
             gathering capability) when building snapshots.
         pool_size: bound of the internal configuration pool; revisited
             occupancy vectors reuse memoised gap/supermin/symmetry state.
+
+    Attributes:
+        plan_classes: option computations answered by one global plan.
+        snapshot_classes: option computations answered per snapshot.
+            Both are diagnostics only; no verdict or payload reads them.
     """
 
     def __init__(
@@ -170,17 +178,20 @@ class BranchingDriver:
         self._canon_options: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
         self._compact_cache: Dict[Tuple[Counts, str], Tuple[CompactTransition, ...]] = {}
         self._codecs: Dict[int, PackedSequenceCodec] = {}
-        # Global-plan fast path: a pure GlobalRuleAlgorithm computes one
-        # equivariant plan per configuration; every per-robot decision is
-        # a frame change of that plan, so one plan() call replaces up to
-        # 2k snapshot evaluations.  Algorithms overriding compute() or
-        # plan_for_snapshot() (presentation- or multiplicity-dependent
-        # behaviour) stay on the exact per-snapshot path.  The first few
-        # classes are double-checked against the per-snapshot path; any
-        # mismatch (a planner violating its equivariance contract)
-        # permanently disables the fast path for this driver.
-        self._global_plan = is_pure_global_rule(algorithm)
+        # Global-plan fast path: wherever a GlobalRuleAlgorithm's
+        # global_plan() answers, every per-robot decision is a frame
+        # change of that one equivariant plan, so one plan replaces up to
+        # 2k snapshot evaluations.  Where it returns None (presentation-
+        # or multiplicity-dependent decisions, e.g. the Gathering
+        # endgame) the class takes the exact per-snapshot path.  The
+        # first few answered classes are double-checked against the
+        # per-snapshot path; any mismatch (a planner violating its
+        # equivariance contract) permanently disables the fast path for
+        # this driver.
+        self._global_plan = isinstance(algorithm, GlobalRuleAlgorithm)
         self._global_plan_checks = 8
+        self.plan_classes = 0
+        self.snapshot_classes = 0
 
     # ------------------------------------------------------------------ #
     # per-robot options
@@ -245,9 +256,9 @@ class BranchingDriver:
                 UnsupportedParametersError,
                 InvalidConfigurationError,
             ):
-                # Preserve the exact error the legacy per-state path
-                # raises: recompute on the concrete vector and let the
-                # failure surface from the concrete snapshot.
+                # Preserve the exact error of the concrete vector:
+                # recompute in its own frame and let the failure surface
+                # from there.
                 return self._compute_options(counts)
             self._canon_options[canon_counts] = canon_options
         # sigma maps canonical index j to concrete node sigma(j); its
@@ -276,8 +287,19 @@ class BranchingDriver:
                     checked = self._compute_options_snapshots(counts)
                     if checked != derived:
                         self._global_plan = False
+                        logger.warning(
+                            "global plan of %s disagrees with its per-snapshot "
+                            "decisions on n=%d counts=%s; using the per-snapshot "
+                            "path from now on",
+                            self.algorithm.name,
+                            self.n,
+                            counts,
+                        )
+                        self.snapshot_classes += 1
                         return checked
+                self.plan_classes += 1
                 return derived
+        self.snapshot_classes += 1
         return self._compute_options_snapshots(counts)
 
     def _compute_options_from_plan(
@@ -285,16 +307,23 @@ class BranchingDriver:
     ) -> "Optional[Dict[int, Tuple[int, ...]]]":
         """Options derived from one global plan of an equivariant planner.
 
-        For an equivariant planner both view presentations of a robot
-        yield the same *global* outcome, so the option set per occupied
-        node is the plan's direction (or idle) — except on nodes whose
-        two views coincide, where "move" means the adversary picks the
-        direction.  Returns ``None`` (caller falls back to the exact
-        per-snapshot path) when the plan asks for a non-adjacent hop,
-        so the legacy error surfaces identically.
+        The plan comes from :meth:`GlobalRuleAlgorithm.global_plan` on
+        the pooled *support* configuration (what every snapshot
+        reconstructs).  For an equivariant planner both view
+        presentations of a robot yield the same *global* outcome, so the
+        option set per occupied node is the plan's direction (or idle) —
+        except on nodes whose two views coincide, where "move" means the
+        adversary picks the direction.  Returns ``None`` (caller falls
+        back to the exact per-snapshot path) when the algorithm has no
+        global plan for this configuration, or when the plan asks for a
+        non-adjacent hop, so the per-snapshot error surfaces identically.
         """
         configuration = self.configuration(counts)
-        moves = self.algorithm.plan(configuration)
+        if not configuration.is_exclusive:
+            configuration = self.configuration(tuple(1 if c else 0 for c in counts))
+        moves = self.algorithm.global_plan(configuration)
+        if moves is None:
+            return None
         n = self.n
         options: Dict[int, Tuple[int, ...]] = {}
         for node in configuration.support:
