@@ -8,6 +8,8 @@ from repro.algorithms.nminusthree import (
     final_configurations,
     nminusthree_supported,
 )
+from repro.campaign.spec import build_campaign
+from repro.experiments import e4_nminusthree
 from repro.simulator.engine import Simulator
 from repro.tasks import ExplorationMonitor, SearchingMonitor
 from repro.workloads.generators import rigid_configurations
@@ -54,6 +56,23 @@ def test_nminusthree_phase1_convergence(benchmark):
     assert reached == len(starts)
 
 
+def _quick_unit(n):
+    """The E4 quick-campaign unit of ring size ``n`` (worker input dict)."""
+    units = build_campaign("e4", "quick").units
+    return next(unit for unit in units if unit.n == n).as_dict()
+
+
+def test_nminusthree_campaign_cell(benchmark):
+    """One whole E4 cell: every start, monitored, plus the phase-1 scan."""
+    unit = _quick_unit(13)
+    payload = benchmark(e4_nminusthree.run_unit, unit)
+    assert payload["passed"]
+
+
+def _smoke_cell(n):
+    assert e4_nminusthree.run_unit(_quick_unit(n))["passed"]
+
+
 def _smoke_perpetual(n):
     searching, exploration, trace = _perpetual_run(n)
     assert not trace.had_collision
@@ -68,6 +87,7 @@ def main():
         {
             "nminusthree-n10": lambda: _smoke_perpetual(10),
             "nminusthree-n12": lambda: _smoke_perpetual(12),
+            "cell-n13-k10": lambda: _smoke_cell(13),
         },
     )
 

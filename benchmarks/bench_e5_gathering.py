@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.algorithms.gathering import GatheringAlgorithm
+from repro.campaign.spec import build_campaign
+from repro.experiments import e5_gathering
 from repro.simulator.runner import run_gathering
 from repro.workloads.generators import random_rigid_configuration, rigid_configurations
 
@@ -39,6 +41,23 @@ def test_gathering_scaling(benchmark, n, k):
     assert trace.total_moves <= 3 * n * k
 
 
+def _quick_unit(n, k):
+    """The E5 quick-campaign unit of cell ``(k, n)`` (worker input dict)."""
+    units = build_campaign("e5", "quick").units
+    return next(unit for unit in units if (unit.n, unit.k) == (n, k)).as_dict()
+
+
+def test_gathering_campaign_cell(benchmark):
+    """One whole E5 cell: the paper's algorithm and the greedy baseline."""
+    unit = _quick_unit(11, 6)
+    payload = benchmark(e5_gathering.run_unit, unit)
+    assert payload["passed"]
+
+
+def _smoke_cell(n, k):
+    assert e5_gathering.run_unit(_quick_unit(n, k))["passed"]
+
+
 def _smoke_exhaustive(n, k):
     for configuration in rigid_configurations(n, k)[:15]:
         trace, _ = run_gathering(GatheringAlgorithm(), configuration)
@@ -59,6 +78,7 @@ def main():
         {
             "gathering-exhaustive-n10-k5": lambda: _smoke_exhaustive(10, 5),
             "gathering-scaling-n24-k8": lambda: _smoke_scaling(24, 8),
+            "cell-n11-k6": lambda: _smoke_cell(11, 6),
         },
     )
 

@@ -323,10 +323,20 @@ class BlockStructure:
 def three_empty_structure(configuration: Configuration) -> BlockStructure:
     """Compute the :class:`BlockStructure` of a ``k = n - 3`` configuration.
 
+    Memoised on the configuration (the structure is frozen), so pooled
+    configurations revisited by a simulation pay one dictionary hit.
+
     Raises:
         InvalidConfigurationError: if the configuration does not have
-            exactly three empty nodes or is not exclusive.
+            exactly three empty nodes or is not exclusive (on every call:
+            failures are not memoised).
     """
+    return configuration._memoised(
+        "three_empty_structure", lambda: _three_empty_structure(configuration)
+    )
+
+
+def _three_empty_structure(configuration: Configuration) -> BlockStructure:
     if not configuration.is_exclusive:
         raise InvalidConfigurationError("the k = n - 3 structure requires an exclusive configuration")
     empties = configuration.empty_nodes()

@@ -1,6 +1,6 @@
 """Parallel experiment campaigns.
 
-The paper's experiments E1-E7 are embarrassingly parallel over their
+The paper's experiments E1-E8 are embarrassingly parallel over their
 ``(k, n)`` grids.  This package turns each experiment suite into a
 :class:`~repro.campaign.spec.Campaign` — a grid of self-contained,
 deterministically seeded :class:`~repro.campaign.spec.UnitSpec` units —

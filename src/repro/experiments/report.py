@@ -41,7 +41,7 @@ class ExperimentResult:
     """Output of one experiment run.
 
     Attributes:
-        experiment: experiment identifier (``E1`` .. ``E7``).
+        experiment: experiment identifier (``E1`` .. ``E8``).
         title: human-readable title (which paper artifact it reproduces).
         header: column names of the result table.
         rows: result rows.

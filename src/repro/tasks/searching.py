@@ -9,10 +9,11 @@ The perpetual exclusive graph searching task requires every edge to be
 cleared infinitely often while the exclusivity property always holds.
 
 :class:`SearchState` implements the clearing/recontamination state
-machine for an arbitrary set of simultaneous moves;
-:class:`SearchingMonitor` attaches it to a simulation and records, for
-every edge, the steps at which it was clear — the raw data used to
-verify perpetual clearing.
+machine for an arbitrary set of simultaneous moves on edge sets — the
+independent, set-based oracle.  :class:`RingSearchDynamics` is the same
+dynamics on ``n``-bit masks; :class:`SearchingMonitor` runs it alongside
+a simulation and records, for every edge, the steps at which it was
+clear — the raw data used to verify perpetual clearing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..core.configuration import Configuration
-from ..core.ring import Edge, Ring
+from ..core.ring import Edge, Ring, edge
 from ..simulator.trace import MoveRecord
 from .base import Monitor
 
@@ -28,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.engine import Simulator
 
 __all__ = [
+    "ClearEdgeView",
     "SearchState",
     "SearchingMonitor",
     "advance_clear_edges",
@@ -100,11 +102,12 @@ class RingSearchDynamics:
       outside it, because occupied endpoints block the spread.
 
     Interval decompositions are memoised per support mask and
-    ``(support, updated)`` advances per pair, so the exhaustive explorers
-    (:mod:`repro.modelcheck.frontier`, :mod:`repro.analysis.game`) pay a
-    dictionary hit per revisited transition instead of the set-algebra of
-    :func:`advance_clear_edges`.  Both implementations are cross-checked
-    by property tests.
+    ``(support, updated)`` advances per pair, so its users — the
+    exhaustive explorers (:mod:`repro.modelcheck.frontier`,
+    :mod:`repro.analysis.game`) and every :class:`SearchingMonitor` of a
+    simulation — pay a dictionary hit per revisited transition instead
+    of the set-algebra of :func:`advance_clear_edges`.  Both
+    implementations are cross-checked by property tests.
     """
 
     __slots__ = ("n", "all_edges", "_support_data", "_advance_memo")
@@ -274,8 +277,58 @@ class SearchState:
         self._clear = set(advance_clear_edges(self._ring, self._clear, set(), configuration))
 
 
+class ClearEdgeView:
+    """Live read view of a :class:`SearchingMonitor`'s clear-edge mask.
+
+    Answers the query surface of :class:`SearchState` (``clear_edges``,
+    ``contaminated_edges``, ``all_clear``, ``is_clear``) from the
+    monitor's current mask, so it always reflects the latest step.
+    """
+
+    __slots__ = ("_monitor",)
+
+    def __init__(self, monitor: "SearchingMonitor") -> None:
+        self._monitor = monitor
+
+    @property
+    def ring(self) -> Ring:
+        """The underlying ring."""
+        return self._monitor._ring
+
+    @property
+    def clear_edges(self) -> FrozenSet[Edge]:
+        """Edges currently clear."""
+        monitor = self._monitor
+        return monitor._dynamics.mask_to_edges(monitor._mask)
+
+    @property
+    def contaminated_edges(self) -> FrozenSet[Edge]:
+        """Edges currently contaminated."""
+        dynamics = self._monitor._dynamics
+        return dynamics.mask_to_edges(dynamics.all_edges & ~self._monitor._mask)
+
+    @property
+    def all_clear(self) -> bool:
+        """Whether the whole ring is simultaneously clear."""
+        monitor = self._monitor
+        return monitor._mask == monitor._dynamics.all_edges
+
+    def is_clear(self, u: int, v: int) -> bool:
+        """Whether the edge between adjacent nodes ``u`` and ``v`` is clear."""
+        monitor = self._monitor
+        return bool((monitor._mask >> monitor._ring.edge_between(u, v)[0]) & 1)
+
+
 class SearchingMonitor(Monitor):
     """Record per-edge clearing history during a simulation.
+
+    The live state is one clear-edge bitmask (bit ``i`` is the edge
+    ``(i, (i + 1) % n)``), advanced every step by the process-wide
+    :func:`ring_search_dynamics` kernel — the mask equivalent of
+    :func:`advance_clear_edges`.  Recording is O(1) per step: the
+    history is kept as runs ``[first_step, last_step, mask]`` of
+    consecutive steps sharing one mask, and the per-edge views below are
+    derived from the runs when they are queried.
 
     Attributes collected:
 
@@ -286,26 +339,40 @@ class SearchingMonitor(Monitor):
     """
 
     def __init__(self) -> None:
-        self._state: SearchState | None = None
-        self.clear_history: Dict[Edge, List[int]] = {}
+        self._ring: Ring | None = None
+        self._dynamics: RingSearchDynamics | None = None
+        self._mask = 0
+        self._support_masks: Dict[Tuple[int, ...], int] = {}
+        self._runs: List[List[int]] = []
         self.all_clear_steps: List[int] = []
-        self._step = -1
 
     @property
-    def state(self) -> SearchState:
+    def state(self) -> ClearEdgeView:
         """The live search state (available once the simulation started)."""
-        if self._state is None:
+        if self._dynamics is None:
             raise RuntimeError("SearchingMonitor used before the simulation started")
-        return self._state
+        return ClearEdgeView(self)
+
+    def _support_mask(self, configuration: Configuration) -> int:
+        counts = configuration.counts
+        mask = self._support_masks.get(counts)
+        if mask is None:
+            mask = 0
+            for node in configuration.support:
+                mask |= 1 << node
+            self._support_masks[counts] = mask
+        return mask
 
     def on_start(self, engine: "Simulator") -> None:
         """Initialise edge-contamination state from the starting configuration."""
-        ring = Ring(engine.ring_size)
-        self._state = SearchState(ring, engine.configuration)
-        self.clear_history = {e: [] for e in ring.edges()}
+        n = engine.ring_size
+        self._ring = Ring(n)
+        self._dynamics = ring_search_dynamics(n)
+        self._support_masks = {}
+        self._runs = []
         self.all_clear_steps = []
-        self._step = -1
-        self._record()
+        self._mask = self._dynamics.initial_clear(self._support_mask(engine.configuration))
+        self._record(-1)
 
     def on_step(
         self,
@@ -314,32 +381,74 @@ class SearchingMonitor(Monitor):
         configuration: Configuration,
     ) -> None:
         """Propagate contamination through the executed moves and record it."""
-        self._step = engine.step_count - 1
-        self.state.apply_moves(moves, configuration)
-        self._record()
+        dynamics = self._dynamics
+        if dynamics is None:
+            raise RuntimeError("SearchingMonitor used before the simulation started")
+        traversed = 0
+        for move in moves:
+            if move.source != move.target:
+                traversed |= 1 << edge(move.source, move.target, dynamics.n)[0]
+        self._mask = dynamics.advance(
+            self._support_mask(configuration), self._mask | traversed
+        )
+        self._record(engine.step_count - 1)
 
-    def _record(self) -> None:
-        clear = self.state.clear_edges
-        for e in clear:
-            self.clear_history[e].append(self._step)
-        if self.state.all_clear:
-            self.all_clear_steps.append(self._step)
+    def _record(self, step: int) -> None:
+        mask = self._mask
+        runs = self._runs
+        if runs and runs[-1][2] == mask and runs[-1][1] == step - 1:
+            runs[-1][1] = step
+        else:
+            runs.append([step, step, mask])
+        if mask == self._dynamics.all_edges:
+            self.all_clear_steps.append(step)
 
     # ------------------------------------------------------------------ #
-    # verification helpers
+    # verification helpers (derived from the recorded runs)
     # ------------------------------------------------------------------ #
+    def _edges(self) -> List[Edge]:
+        return self._ring.edges() if self._ring is not None else []
+
+    @property
+    def clear_history(self) -> Dict[Edge, List[int]]:
+        """For every edge, the steps at which it was clear, in order."""
+        history: Dict[Edge, List[int]] = {e: [] for e in self._edges()}
+        edges = list(history.values())
+        for first, last, mask in self._runs:
+            steps = range(first, last + 1)
+            for i, steps_of_edge in enumerate(edges):
+                if (mask >> i) & 1:
+                    steps_of_edge.extend(steps)
+        return history
+
     def clearing_counts(self) -> Dict[Edge, int]:
         """Number of steps at which each edge was observed clear."""
-        return {e: len(steps) for e, steps in self.clear_history.items()}
+        edges = self._edges()
+        counts = [0] * len(edges)
+        for first, last, mask in self._runs:
+            length = last - first + 1
+            for i in range(len(edges)):
+                if (mask >> i) & 1:
+                    counts[i] += length
+        return dict(zip(edges, counts))
 
     def edges_never_cleared(self) -> Tuple[Edge, ...]:
         """Edges that were never clear during the run."""
-        return tuple(e for e, steps in self.clear_history.items() if not steps)
+        ever = 0
+        for _, _, mask in self._runs:
+            ever |= mask
+        return tuple(e for i, e in enumerate(self._edges()) if not (ever >> i) & 1)
 
     def every_edge_cleared(self, minimum: int = 1) -> bool:
         """Whether every edge was clear during at least ``minimum`` steps."""
-        return all(len(steps) >= minimum for steps in self.clear_history.values())
+        return all(count >= minimum for count in self.clearing_counts().values())
 
     def last_clear_step(self) -> Dict[Edge, int]:
         """Most recent step at which each edge was clear (``-2`` if never)."""
-        return {e: (steps[-1] if steps else -2) for e, steps in self.clear_history.items()}
+        edges = self._edges()
+        last_steps = [-2] * len(edges)
+        for _, last, mask in self._runs:
+            for i in range(len(edges)):
+                if (mask >> i) & 1:
+                    last_steps[i] = last
+        return dict(zip(edges, last_steps))

@@ -1,4 +1,4 @@
-"""Named parameter suites for the experiments E1-E7.
+"""Named parameter suites for the experiments E1-E8 and the batchsim benchmark.
 
 Each suite is a plain data description (no computation) so that the
 experiment modules, the benchmarks and the CLI agree on what gets run.
@@ -19,7 +19,7 @@ class Suite:
     """One experiment workload description.
 
     Attributes:
-        name: suite identifier (``e1`` .. ``e7``).
+        name: suite identifier (``e1`` .. ``e8``, or ``batchsim``).
         description: one-line human description.
         pairs: the ``(k, n)`` pairs the experiment iterates over.
         samples_per_pair: number of random starting configurations per
@@ -194,7 +194,7 @@ SUITES: Dict[str, Dict[str, Suite]] = {
 
 
 def get_suite(name: str, variant: str = "quick") -> Suite:
-    """Look up a named suite (``e1`` .. ``e7``, or the ``batchsim``
+    """Look up a named suite (``e1`` .. ``e8``, or the ``batchsim``
     benchmark workload; variant ``quick`` or ``full``)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")

@@ -146,13 +146,23 @@ class TestThreeEmptyStructure:
 
     def test_requires_three_empties(self):
         cfg = Configuration.from_occupied(10, [0, 1, 2])
-        with pytest.raises(InvalidConfigurationError):
-            three_empty_structure(cfg)
+        for _ in range(2):  # failures are not memoised: every call raises
+            with pytest.raises(InvalidConfigurationError, match="exactly 3 empty nodes"):
+                three_empty_structure(cfg)
 
     def test_requires_exclusive(self):
         cfg = Configuration.from_positions(10, [0, 0, 1, 2, 3, 4, 5, 7])
-        with pytest.raises(InvalidConfigurationError):
-            three_empty_structure(cfg)
+        for _ in range(2):
+            with pytest.raises(InvalidConfigurationError, match="exclusive"):
+                three_empty_structure(cfg)
+
+    def test_memoised_per_configuration(self):
+        occupied = [0, 1, 2, 3, 5, 6, 7, 9, 10]
+        cfg = Configuration.from_occupied(12, occupied)
+        structure = three_empty_structure(cfg)
+        assert three_empty_structure(cfg) is structure
+        fresh = three_empty_structure(Configuration.from_occupied(12, occupied))
+        assert fresh == structure and fresh is not structure
 
     def test_slot_with_size_unique(self):
         cfg = Configuration.from_occupied(12, [0, 1, 2, 3, 5, 6, 7, 9, 10])
