@@ -1,29 +1,22 @@
-"""Benchmark — frontier engines (packed + vector) and the game solver.
+"""Benchmark — the frontier engine and the game solver.
 
-Times the hot paths of the model checker's frontier exploration — once
-per engine backend — and the E6 adversary game solver, and records:
+Times the hot paths of the model checker's frontier exploration and the
+E6 adversary game solver, and records:
 
-* per-backend rows (``-packed`` / ``-vector`` suffixes) for the 7x14
-  verification cell and the 6x15 frontier-throughput cell, so the gated
-  medians pin down each engine separately;
+* ``verify-searching-rc-7x14`` and ``frontier-searching-6x15`` — warm
+  cells (the persistent per-cell plan caches are filled by the first
+  repeat), so the gated medians pin down engine mechanics: BFS,
+  canonicalisation and the livelock search with its pre-proof;
 * ``verify-gathering-8x18`` — one gathering cell from an empty cell
   cache on every repeat, so the row pays plan computation the way a
   cold ``repro verify`` process does;
-* ``speedup_vector_vs_packed`` — the live warm-vs-warm engine ratio
-  (both engines share the persistent per-cell plan caches, so this is
-  the pure engine-mechanics ratio, *not* the cold-start ratio);
 * ``states_per_second`` — explored states over the median wall time of
-  every gated row;
+  the warm rows;
 * the speedups against the pre-rewrite committed baselines, carried
   over from the packed-state rewrite.
 
-The unsuffixed ``verify-searching-rc-7x14`` row keeps running on the
-default (``auto``) engine for baseline continuity.  Without NumPy the
-``-vector`` rows degrade to the packed engine (identical verdicts, so
-the assertions still hold) and the vector-vs-packed ratio reads ~1.
-The 6x13 checker cell and the game solver are already gated through
-``BENCH_e8.json`` / ``BENCH_e6.json``, so here they are measured inline
-for the speedup table only (one gate per workload).
+The warm 6x13 checker cell and the game solver (gated through
+``BENCH_e6.json``) are measured inline for the speedup table only.
 """
 
 import json
@@ -46,21 +39,21 @@ PRE_REWRITE_BASELINE = {
 }
 
 
-def _searching_6x13(engine="auto"):
-    result = check_cell("searching", 13, 6, engine=engine)
+def _searching_6x13():
+    result = check_cell("searching", 13, 6)
     assert result.verdict is Verdict.SOLVED
     return result
 
 
-def _searching_7x14(engine="auto"):
-    result = check_cell("searching", 14, 7, engine=engine)
+def _searching_7x14():
+    result = check_cell("searching", 14, 7)
     assert result.verdict is Verdict.SOLVED
     return result
 
 
-def _frontier_6x15(engine="auto"):
+def _frontier_6x15():
     """The frontier-throughput cell: one (k, n) past the 7x14 frontier cell's k-1 row."""
-    result = check_cell("searching", 15, 6, engine=engine)
+    result = check_cell("searching", 15, 6)
     assert result.verdict is Verdict.SOLVED
     return result
 
@@ -118,8 +111,8 @@ def _median_seconds(workload, repeats=3):
     return statistics.median(times)
 
 
-#: Cells measured once per engine backend (the per-backend gated rows).
-ENGINE_CELLS = {
+#: Warm cells whose explored-state rates are reported.
+WARM_CELLS = {
     "verify-searching-rc-7x14": _searching_7x14,
     "frontier-searching-6x15": _frontier_6x15,
 }
@@ -128,22 +121,14 @@ ENGINE_CELLS = {
 def main():
     from _harness import emit, safe_rate
 
-    workloads = {
-        "verify-searching-rc-7x14": _searching_7x14,
-        "verify-gathering-8x18": _gathering_8x18_cold,
-    }
-    for cell, workload in ENGINE_CELLS.items():
-        # Bind per iteration (default-arg trick) and measure packed
-        # before vector; repeats share the persistent per-cell caches
-        # either way, so the medians compare warm engine mechanics.
-        workloads[f"{cell}-packed"] = lambda w=workload: w("packed")
-        workloads[f"{cell}-vector"] = lambda w=workload: w("vector")
+    workloads = dict(WARM_CELLS)
+    workloads["verify-gathering-8x18"] = _gathering_8x18_cold
     path = emit("modelcheck", workloads)
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     medians = {name: data["median_s"] for name, data in document["workloads"].items()}
-    cell_states = {cell: workload().num_states for cell, workload in ENGINE_CELLS.items()}
-    # Already gated via BENCH_e8/BENCH_e6; measured here for the table only.
+    cell_states = {cell: workload().num_states for cell, workload in WARM_CELLS.items()}
+    # Measured for the speedup table only (the game solver is gated via BENCH_e6).
     medians["verify-searching-rc-6x13"] = _median_seconds(_searching_6x13)
     medians["game-solver-n6-k3"] = _median_seconds(_game_solver_6x3)
 
@@ -153,27 +138,14 @@ def main():
                 name: round(safe_rate(PRE_REWRITE_BASELINE[name], medians[name]), 2)
                 for name in PRE_REWRITE_BASELINE
             },
-            "speedup_vector_vs_packed": {
-                cell: round(
-                    safe_rate(medians[f"{cell}-packed"], medians[f"{cell}-vector"]), 2
-                )
-                for cell in ENGINE_CELLS
-            },
             "states_per_second": {
-                f"{cell}-{engine}": round(
-                    safe_rate(cell_states[cell], medians[f"{cell}-{engine}"]), 1
-                )
-                for cell in ENGINE_CELLS
-                for engine in ("packed", "vector")
+                cell: round(safe_rate(cell_states[cell], medians[cell]), 1)
+                for cell in WARM_CELLS
             },
             "speedup_note": (
                 "speedup_vs_pre_rewrite compares against the committed "
                 "tuple-state-engine baselines measured on the 1-core "
-                "reference container; speedup_vector_vs_packed is "
-                "measured live on this host with warm persistent cell "
-                "caches (engine mechanics only). Without NumPy the -vector "
-                "rows degrade to the packed engine and "
-                "speedup_vector_vs_packed reads ~1."
+                "reference container."
             ),
         }
     )
@@ -182,8 +154,6 @@ def main():
         handle.write("\n")
     for name, ratio in sorted(document["speedup_vs_pre_rewrite"].items()):
         print(f"[bench modelcheck] {name}: {ratio}x vs pre-rewrite baseline")
-    for cell, ratio in sorted(document["speedup_vector_vs_packed"].items()):
-        print(f"[bench modelcheck] {cell}: vector {ratio}x vs packed (warm)")
 
 
 if __name__ == "__main__":

@@ -55,34 +55,6 @@ from .graphs import tarjan_scc
 
 __all__ = ["Option", "GameVerdict", "GameResult", "SearchGameSolver", "searching_game_verdict"]
 
-#: Minimum combo-table size before the batched NumPy advance pays for
-#: itself (below this the per-call array overhead beats the memo gets).
-_BATCH_MIN = 24
-
-_VECTOR_FUNCS = None
-
-
-def _vector_funcs():
-    """``(numpy, advance_clear_many)`` when NumPy is usable, else ``None``.
-
-    Imported lazily (and memoised) because :mod:`repro.modelcheck` imports
-    this package at module load; a top-level import here would be circular.
-    Honouring :func:`repro.modelcheck.engines.numpy_or_none` keeps the game
-    solver's batching under the same NumPy-availability switch as the
-    vector frontier engine.
-    """
-    global _VECTOR_FUNCS
-    if _VECTOR_FUNCS is None:
-        try:
-            from ..modelcheck.engines import numpy_or_none
-            from ..modelcheck.vector import advance_clear_many
-        except ImportError:  # pragma: no cover - defensive
-            _VECTOR_FUNCS = False
-        else:
-            np_mod = numpy_or_none()
-            _VECTOR_FUNCS = False if np_mod is None else (np_mod, advance_clear_many)
-    return _VECTOR_FUNCS or None
-
 
 class _ComboTable:
     """Clear-independent expansion of one ``(positions, targets)`` pair.
@@ -101,7 +73,7 @@ class _ComboTable:
     candidate algorithm.
     """
 
-    __slots__ = ("robots", "supports", "traversed", "pos_codes", "new_positions", "collision", "_arrays")
+    __slots__ = ("robots", "supports", "traversed", "pos_codes", "new_positions", "collision")
 
     def __init__(self) -> None:
         self.robots: List[int] = []
@@ -110,17 +82,7 @@ class _ComboTable:
         self.pos_codes: List[int] = []
         self.new_positions: List[Tuple[int, ...]] = []
         self.collision = False
-        self._arrays = None
 
-    def arrays(self, np_mod):
-        """The ``(supports, traversed, pos_codes)`` int64 arrays (memoised)."""
-        if self._arrays is None:
-            self._arrays = (
-                np_mod.asarray(self.supports, dtype=np_mod.int64),
-                np_mod.asarray(self.traversed, dtype=np_mod.int64),
-                np_mod.asarray(self.pos_codes, dtype=np_mod.int64),
-            )
-        return self._arrays
 
 #: A robot observation class: the (sorted) pair of its two directed views.
 ObservationClass = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -392,12 +354,7 @@ class SearchGameSolver:
         interval-mask :class:`~repro.tasks.searching.RingSearchDynamics`
         memo.  Each state expands by *replaying* its cached
         :class:`_ComboTable` (clear-independent, shared across all
-        candidate algorithms); when NumPy is available and the table is
-        large enough the clear advances of the whole table are computed
-        as one array call
-        (:func:`~repro.modelcheck.vector.advance_clear_many`, exact
-        batch form of ``RingSearchDynamics.advance``).  Traversal order,
-        the collision early-exit and the ``max_states`` cap behave
+        candidate algorithms).  Traversal order, the collision early-exit and the ``max_states`` cap behave
         exactly as the tuple-state implementation did.
         """
         cache: Dict[int, Dict[int, Tuple[Optional[int], ...]]] = {}
@@ -412,7 +369,6 @@ class SearchGameSolver:
             support_mask |= 1 << p
         clear = dynamics.initial_clear(support_mask)
         clear_shift = k * position_bits
-        vector = _vector_funcs()
 
         start_code = 0
         for p in positions:
@@ -427,21 +383,14 @@ class SearchGameSolver:
             table = self._combo_table(positions, targets_by_node)
             outgoing: List[Tuple[int, int]] = []
             seen_edges: Set[Tuple[int, int]] = set()
-            if vector is not None and len(table.robots) >= _BATCH_MIN:
-                np_mod, advance_clear_many = vector
-                supports_arr, traversed_arr, pos_arr = table.arrays(np_mod)
-                new_clears = advance_clear_many(n, supports_arr, traversed_arr | clear)
-                clear_list = new_clears.tolist()
-                packed_list = ((new_clears << clear_shift) | pos_arr).tolist()
-            else:
-                clear_list = [
-                    advance(new_support, clear | traversed)
-                    for new_support, traversed in zip(table.supports, table.traversed)
-                ]
-                packed_list = [
-                    (new_clear << clear_shift) | pos_code
-                    for new_clear, pos_code in zip(clear_list, table.pos_codes)
-                ]
+            clear_list = [
+                advance(new_support, clear | traversed)
+                for new_support, traversed in zip(table.supports, table.traversed)
+            ]
+            packed_list = [
+                (new_clear << clear_shift) | pos_code
+                for new_clear, pos_code in zip(clear_list, table.pos_codes)
+            ]
             for robots_mask, new_pos, new_clear, next_packed in zip(
                 table.robots, table.new_positions, clear_list, packed_list
             ):

@@ -49,10 +49,6 @@ class ExecutionContext:
     Attributes:
         jobs: worker processes for campaign-backed runs (parallelism
             *across* units); ``1`` runs in-process.
-        shards: frontier partitions per model-checking cell (parallelism
-            *within* a verify unit; see :mod:`repro.modelcheck.frontier`).
-            ``jobs`` and ``shards`` cannot both exceed 1: one machine-wide
-            worker budget should not be oversubscribed twice.
         store: campaign result store (instance or root directory):
             enables resume and writes JSONL shards plus ``summary.json``.
             With a store, :func:`~repro.runs.execute.execute` skips the
@@ -89,7 +85,6 @@ class ExecutionContext:
     """
 
     jobs: int = 1
-    shards: int = 1
     store: Union[str, ResultStore, None] = None
     progress: Optional[ProgressCallback] = None
     cache: Union[str, "ResultCache", None] = None
@@ -102,13 +97,6 @@ class ExecutionContext:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.jobs > 1 and self.shards > 1:
-            raise ValueError(
-                "jobs and shards cannot both exceed 1; parallelise across cells "
-                "(--jobs) or within cells (--shards), not both"
-            )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be > 0 (or None to disable)")
         if isinstance(self.store, (str, os.PathLike)):

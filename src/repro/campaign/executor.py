@@ -254,10 +254,6 @@ def make_pool(jobs: int) -> ProcessPoolExecutor:
     dispatched by the HTTP service's worker pool — forking a
     multithreaded process can deadlock the child on locks held by
     sibling threads, so an explicit ``spawn`` context is used instead.
-
-    Shared with the frontier engine's sharded exploration
-    (:mod:`repro.modelcheck.frontier`), so every process pool in the
-    repository inherits the same thread-safety policy.
     """
     if threading.current_thread() is threading.main_thread():
         return ProcessPoolExecutor(max_workers=jobs)
@@ -547,7 +543,7 @@ def run_campaign(
             :class:`~repro.campaign.context.ExecutionContext`).  This
             layer honours ``jobs``, ``store``, ``progress``, ``cache``,
             ``timeout``, ``retry``, ``fault_plan`` and ``metrics``;
-            ``shards`` and ``refresh`` are applied by the callers above.
+            ``refresh`` is applied by the callers above.
         batch_worker: optional module-level callable claiming a whole
             chunk of units at once (see :data:`BatchWorker`).  Must
             produce exactly the payloads ``worker`` would, so the

@@ -154,13 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the full verdict documents (witnesses included) as JSON",
     )
-    verify.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
-        help=(
-            "partition each cell's frontier across N shard workers "
-            "(byte-identical verdicts; mutually exclusive with --jobs > 1)"
-        ),
-    )
     _add_campaign_arguments(verify)
     _add_cache_arguments(verify)
 
@@ -177,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes each campaign-backed run may use (default: 1)",
-    )
-    serve.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
-        help=(
-            "frontier shards per model-checking cell "
-            "(default: 1; mutually exclusive with --jobs > 1)"
-        ),
     )
     serve.add_argument(
         "--timeout",

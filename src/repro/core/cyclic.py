@@ -307,19 +307,6 @@ class PackedSequenceCodec:
     # ------------------------------------------------------------------ #
     # batch packing
     # ------------------------------------------------------------------ #
-    @property
-    def place_values(self) -> Tuple[int, ...]:
-        """Big-endian digit weights: ``pack(seq) == sum(w * d for w, d in zip(...))``.
-
-        This is the bridge between the packed-int representation and a
-        ``(batch, n)`` digit matrix: a whole batch of sequences packs in
-        one matrix-vector product against these weights (the vectorized
-        model-check engine, :mod:`repro.modelcheck.vector`, packs its
-        int64 state batches exactly that way).
-        """
-        bits = self.digit_bits
-        return tuple(1 << (bits * (self.n - 1 - i)) for i in range(self.n))
-
     def pack_many(self, rows: Iterable[Sequence[int]]) -> List[int]:
         """Pack a batch of sequences (one :meth:`pack` per row, no checks)."""
         bits = self.digit_bits
@@ -330,10 +317,6 @@ class PackedSequenceCodec:
                 packed = (packed << bits) | value
             out.append(packed)
         return out
-
-    def unpack_many(self, packed_values: Iterable[int]) -> List[Tuple[int, ...]]:
-        """Unpack a batch of packed values (inverse of :meth:`pack_many`)."""
-        return [self.unpack(value) for value in packed_values]
 
     # ------------------------------------------------------------------ #
     # dihedral action on packed values

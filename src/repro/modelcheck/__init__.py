@@ -19,7 +19,6 @@ the soundness caveats.
 """
 
 from .checker import ModelChecker, ModelCheckResult, Verdict, Witness, WitnessStep, check_cell
-from .engines import ENGINES, resolve_engine
 from .grid import build_verify_campaign, run_unit, run_verify_campaign
 from .tasks import TASKS, TaskSpec, make_task_spec
 
@@ -30,8 +29,6 @@ __all__ = [
     "Witness",
     "WitnessStep",
     "check_cell",
-    "ENGINES",
-    "resolve_engine",
     "build_verify_campaign",
     "run_unit",
     "run_verify_campaign",

@@ -36,18 +36,15 @@ weaker — prefer the default SSYNC adversary for verdicts.  Conversely
 the adversary class explored and evidence (not proof) for the full
 asynchronous CORDA adversary.
 
-**Engines.**  Exploration runs on the packed-state frontier engine
+**Engine.**  Exploration runs on the packed-state frontier engine
 (:mod:`repro.modelcheck.frontier`): states are single integers, dihedral
 canonicalisation is a table-driven min-scan, the searching dynamics are
-interval bitmasks, and the frontier can optionally be sharded across a
-process pool (``shards > 1``) with byte-identical output.  When NumPy is
-importable the default resolves to the array-batched vector engine
-(:mod:`repro.modelcheck.vector`), which processes whole BFS waves as
-int64 arrays; cells wider than its 62-bit budget fall back to the packed
-engine.  Both engines produce byte-identical verdict documents and
-witness traces, certified against a golden corpus frozen from an
-independent tuple-state explorer (every E8 quick-suite check, both
-adversaries; see ``tests/modelcheck/test_frontier_equivalence.py``).
+interval bitmasks, and the SSYNC livelock search skips regions that an
+int-bitmask emptiness proof shows to be trap-free.  Its verdict
+documents and witness traces are certified against a golden corpus
+frozen from an independent tuple-state explorer (every E8 quick-suite
+check, both adversaries; see
+``tests/modelcheck/test_frontier_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from time import perf_counter
 from typing import Optional
 
 from ..simulator.branching import BranchingDriver
-from .engines import resolve_engine
 from .frontier import FrontierExplorer
 from .results import (
     DEFAULT_MAX_STATES,
@@ -88,17 +84,6 @@ class ModelChecker:
         adversary: ``"ssync"`` (default) or ``"sequential"``.
         max_states: exploration cap; exceeding it yields ``UNKNOWN``.
         spec: pre-built task adapter (overrides ``task`` lookup).
-        engine: ``"auto"`` (default), ``"packed"`` or ``"vector"``,
-            resolved by :func:`repro.modelcheck.engines.resolve_engine`
-            — ``auto`` picks the NumPy-vectorized engine when NumPy is
-            importable, and ``vector`` degrades to ``packed`` when it is
-            not.  Both engines produce byte-identical results; the
-            explicit names exist so differential tests and benchmarks
-            can compare them.
-        shards: frontier partitions expanded in parallel (``1`` =
-            serial).  Ignored by custom ``spec`` adapters, whose shard
-            workers could not be reconstructed by name in another
-            process.
     """
 
     def __init__(
@@ -110,25 +95,19 @@ class ModelChecker:
         adversary: str = "ssync",
         max_states: int = DEFAULT_MAX_STATES,
         spec: Optional[TaskSpec] = None,
-        engine: str = "auto",
-        shards: int = 1,
     ) -> None:
         if adversary not in ("ssync", "sequential"):
             raise ValueError(f"unknown adversary {adversary!r}; expected 'ssync' or 'sequential'")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         custom_spec = spec is not None
         self.spec = spec if spec is not None else make_task_spec(task, n, k)
         self.n = n
         self.k = k
         self.adversary = adversary
         self.max_states = max_states
-        self.engine = resolve_engine(engine)
-        # The persistent cell cache and the sharded workers both rebuild
-        # the task adapter by name; a custom or unregistered adapter
-        # therefore explores serially with instance-local caches.
+        # The persistent cell cache is keyed by task name; a custom or
+        # unregistered adapter therefore explores with instance-local
+        # caches.
         self._registered_spec = not custom_spec and self.spec.task in TASKS
-        self.shards = shards if self._registered_spec else 1
         self.driver = BranchingDriver(
             self.spec.algorithm, n, multiplicity_detection=self.spec.multiplicity_detection
         )
@@ -150,23 +129,14 @@ class ModelChecker:
         if self.spec.note:
             result.notes.append(self.spec.note)
         started = perf_counter()
-        explorer_cls = FrontierExplorer
-        if self.engine == "vector":
-            from .vector import VectorFrontierExplorer
-
-            # Cells whose packed states exceed the int64 batch width
-            # fall back to the (identical) packed engine.
-            if VectorFrontierExplorer.supports_cell(self.spec, self.n, self.k):
-                explorer_cls = VectorFrontierExplorer
         try:
-            explorer_cls(
+            FrontierExplorer(
                 self.spec,
                 self.n,
                 self.k,
                 self.adversary,
                 self.max_states,
                 self.driver,
-                shards=self.shards,
                 persistent=self._registered_spec,
             ).run(result)
         finally:
@@ -181,8 +151,6 @@ def check_cell(
     *,
     adversary: str = "ssync",
     max_states: int = DEFAULT_MAX_STATES,
-    engine: str = "auto",
-    shards: int = 1,
 ) -> ModelCheckResult:
     """Convenience wrapper: build a checker and run one cell."""
     return ModelChecker(
@@ -191,6 +159,4 @@ def check_cell(
         k,
         adversary=adversary,
         max_states=max_states,
-        engine=engine,
-        shards=shards,
     ).run()

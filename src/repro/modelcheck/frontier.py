@@ -24,27 +24,18 @@ throughout:
 * BFS, SCC-based fair-livelock detection and witness reconstruction all
   run over int-keyed dicts.
 
-**Sharded parallel exploration.**  With ``shards > 1`` the engine
-partitions each BFS frontier by the residue of the packed occupancy key
-— the canonical state key for terminal tasks; for the phase-carrying
-tasks the phase field is deliberately stripped, since expansion depends
-only on the occupancy vector and states sharing it must land on the
-same shard — and expands the partitions concurrently on a process pool
-built by :func:`repro.campaign.executor.make_pool` (the campaign
-subsystem's pool factory).  Only the *expansion* (algorithm decisions,
-successor enumeration) is parallel; discovered successors are merged by
-a serial reduce that replays the exact serial bookkeeping — BFS order,
-parent assignment, transition counting, early exits — so verdicts,
-statistics and witness traces are byte-identical to the serial path and
-independent of the shard count.
+**Livelock pre-proof.**  Under the SSYNC adversary the fair-trap search
+first clears whole regions ("edge i never clear" for searching, "goal
+not reached" for reach tasks) with an emptiness proof on per-state
+region bitmasks, so the per-region SCC pass runs only where a trap is
+still possible (see :meth:`FrontierExplorer._candidate_regions`).
 """
 
 from __future__ import annotations
 
-import atexit
 import threading
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.enumeration import iter_configurations
 from ..analysis.graphs import tarjan_scc
@@ -64,9 +55,9 @@ from ..simulator.branching import (
 )
 from ..tasks.searching import ring_search_dynamics
 from .results import Verdict, Witness, WitnessStep, ModelCheckResult
-from .tasks import TaskSpec, make_task_spec
+from .tasks import TaskSpec
 
-__all__ = ["CellCache", "FrontierExplorer", "cell_cache", "shard_pool"]
+__all__ = ["CellCache", "FrontierExplorer", "cell_cache"]
 
 Counts = Tuple[int, ...]
 
@@ -82,8 +73,8 @@ _ALGORITHM_ERRORS = (
     InvalidConfigurationError,
 )
 
-#: Name -> class map used to re-raise worker-side algorithm errors in
-#: the driving process with their original type and message.
+#: Name -> class map used to re-raise a recorded algorithm error with
+#: its original type and message.
 _ERRORS_BY_NAME = {cls.__name__: cls for cls in _ALGORITHM_ERRORS}
 
 
@@ -96,25 +87,20 @@ class CellCache:
     Every entry is a pure function of the cell — packed codes, canonical
     forms, and above all the compact successor *plans* produced by
     :meth:`~repro.simulator.branching.BranchingDriver.successors_compact`
-    — so the block is safely shared across explorer instances, engines
-    (packed and vector) and repeated ``check_cell`` calls.  This is the
-    persistent class→plan cache of ROADMAP item 2: the first exploration
-    of a cell pays for plan computation once and every later run (warm
-    service process, benchmark repeat, witness replay) starts with the
-    full expansion table.
-
-    ``arrays`` holds the vector engine's per-code NumPy record columns
-    (built lazily from ``expansions``; unused by the packed engine).
+    — so the block is safely shared across explorer instances and
+    repeated ``check_cell`` calls.  The first exploration of a cell pays
+    for plan computation once and every later run (warm service process,
+    benchmark repeat, witness replay) starts with the full expansion
+    table.
     """
 
-    __slots__ = ("counts_of", "pack", "canon", "expansions", "arrays", "initials")
+    __slots__ = ("counts_of", "pack", "canon", "expansions", "initials")
 
     def __init__(self) -> None:
         self.counts_of: Dict[int, Counts] = {}
         self.pack: Dict[Counts, Tuple[int, int]] = {}
         self.canon: Dict[int, int] = {}
         self.expansions: Dict[int, Tuple[str, object, object]] = {}
-        self.arrays: Dict[int, object] = {}
         self.initials: Optional[Tuple[Tuple[int, ...], str]] = None
 
 
@@ -122,8 +108,8 @@ _CELL_CACHES: Dict[Tuple[str, int, int, str], CellCache] = {}
 _CELL_CACHE_LIMIT = 16
 _CELL_CACHES_LOCK = threading.Lock()
 
-#: (n, k) -> (initial occupancy vectors, provenance note), shared by the
-#: packed and vector engines; purely combinatorial, independent of task.
+#: (n, k) -> (initial occupancy vectors, provenance note), shared by
+#: every task; purely combinatorial.
 _INITIAL_CONFIGS: Dict[Tuple[int, int], Tuple[Tuple[Counts, ...], str]] = {}
 
 
@@ -167,76 +153,6 @@ def _initial_configurations(n: int, k: int) -> Tuple[Tuple[Counts, ...], str]:
 
 
 # --------------------------------------------------------------------- #
-# shard worker pool
-# --------------------------------------------------------------------- #
-_SHARD_POOLS: Dict[int, object] = {}
-_SHARD_POOLS_LOCK = threading.Lock()
-
-#: Per-worker-process driver cache (task, n, k) -> BranchingDriver.
-_WORKER_DRIVERS: Dict[Tuple[str, int, int], BranchingDriver] = {}
-
-
-def _shutdown_shard_pools() -> None:  # pragma: no cover - exit hook
-    for pool in _SHARD_POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _SHARD_POOLS.clear()
-
-
-def shard_pool(shards: int):
-    """The lazily created, process-wide pool for ``shards`` workers.
-
-    Reuses the campaign executor's :func:`~repro.campaign.executor.make_pool`
-    (fork from the main thread, spawn elsewhere) and is shared across
-    every cell of a verification grid, so the per-cell cost of sharded
-    exploration is one pickle round-trip per frontier, not a pool
-    start-up.
-    """
-    with _SHARD_POOLS_LOCK:
-        # Locked check-then-create: concurrent service threads must not
-        # both build (and half-leak) a pool for the same shard count.
-        pool = _SHARD_POOLS.get(shards)
-        if pool is None:
-            from ..campaign.executor import make_pool
-
-            if not _SHARD_POOLS:
-                atexit.register(_shutdown_shard_pools)
-            pool = make_pool(shards)
-            _SHARD_POOLS[shards] = pool
-    return pool
-
-
-def _expand_batch(
-    task: str, n: int, k: int, adversary: str, batch: Sequence[Counts]
-) -> List[Tuple[Counts, Tuple[str, object, object]]]:
-    """Shard worker: expand a batch of occupancy vectors of one cell.
-
-    Returns ``(counts, ("ok", records, None))`` per vector, or
-    ``(counts, ("error", type_name, message))`` when the algorithm
-    rejects the state — the reduce re-raises or records it exactly where
-    the serial path would.
-    """
-    key = (task, n, k)
-    driver = _WORKER_DRIVERS.get(key)
-    if driver is None:
-        if len(_WORKER_DRIVERS) > 4:
-            # Evict the oldest cell only; drivers of still-active cells
-            # keep their warm decision/expansion caches.
-            _WORKER_DRIVERS.pop(next(iter(_WORKER_DRIVERS)))
-        spec = make_task_spec(task, n, k)
-        driver = BranchingDriver(
-            spec.algorithm, n, multiplicity_detection=spec.multiplicity_detection
-        )
-        _WORKER_DRIVERS[key] = driver
-    out: List[Tuple[Counts, Tuple[str, object, object]]] = []
-    for counts in batch:
-        try:
-            out.append((counts, ("ok", driver.successors_compact(counts, adversary), None)))
-        except _ALGORITHM_ERRORS as exc:
-            out.append((counts, ("error", type(exc).__name__, str(exc))))
-    return out
-
-
-# --------------------------------------------------------------------- #
 # the explorer
 # --------------------------------------------------------------------- #
 class FrontierExplorer:
@@ -256,9 +172,6 @@ class FrontierExplorer:
         driver: the branching driver to expand with (shared with the
             owning :class:`~repro.modelcheck.checker.ModelChecker` so
             witness replay reuses the same caches).
-        shards: frontier partitions expanded in parallel; ``1`` is the
-            serial path.  Requires ``spec.task`` to be a registered task
-            (shard workers rebuild the adapter by name).
         persistent: bind the packing/canonicalisation/expansion memos to
             the process-wide :func:`cell_cache` of the cell instead of
             instance-local dicts, so successor plans amortise across
@@ -274,7 +187,6 @@ class FrontierExplorer:
         adversary: str,
         max_states: int,
         driver: BranchingDriver,
-        shards: int = 1,
         persistent: bool = False,
     ) -> None:
         self.spec = spec
@@ -283,7 +195,6 @@ class FrontierExplorer:
         self.adversary = adversary
         self.max_states = max_states
         self.driver = driver
-        self.shards = max(1, shards)
         self.codec = packed_codec(n, k)
         self.counts_bits = self.codec.total_bits
         self.counts_mask = self.codec.full_mask
@@ -351,7 +262,7 @@ class FrontierExplorer:
         return code
 
     # ------------------------------------------------------------------ #
-    # expansion (serial or sharded)
+    # expansion
     # ------------------------------------------------------------------ #
     def _expansion(self, code: int) -> Tuple[str, object, object]:
         entry = self._expansions.get(code)
@@ -370,37 +281,6 @@ class FrontierExplorer:
         if entry[0] != "ok":  # pragma: no cover - defensive
             raise _ERRORS_BY_NAME[entry[1]](entry[2])
         return entry[1]
-
-    def _prefetch(self, states: Sequence[int]) -> None:
-        """Expand the frontier's unexpanded vectors across the shard pool."""
-        pending: List[int] = []
-        seen: Set[int] = set()
-        for state in states:
-            code = self._counts_code(state)
-            if code not in self._expansions and code not in seen:
-                seen.add(code)
-                pending.append(code)
-        if len(pending) < 2:
-            return
-        buckets: List[List[Counts]] = [[] for _ in range(self.shards)]
-        for code in pending:
-            # Partition by the packed occupancy key (canonical for
-            # terminal tasks, phase-stripped for the others): every
-            # state sharing an occupancy vector shares one expansion,
-            # so it must be computed by exactly one shard.
-            buckets[code % self.shards].append(self._counts_of[code])
-        pool = shard_pool(self.shards)
-        futures = [
-            pool.submit(
-                _expand_batch, self.spec.task, self.n, self.k, self.adversary, bucket
-            )
-            for bucket in buckets
-            if bucket
-        ]
-        for future in futures:
-            for counts, entry in future.result():
-                code, _ = self._pack_counts(counts)
-                self._expansions[code] = entry
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -428,11 +308,6 @@ class FrontierExplorer:
 
         num_transitions = 0
         while queue:
-            if (
-                self.shards > 1
-                and self._counts_code(queue[0]) not in self._expansions
-            ):
-                self._prefetch(queue)
             state = queue.popleft()
             code = self._counts_code(state)
             counts = self._counts_of[code]
@@ -529,7 +404,13 @@ class FrontierExplorer:
         """
         kind = self.spec.kind
         n = self.n
+        if kind in ("reach", "search") and self.adversary == "ssync":
+            candidates = self._candidate_regions(out_edges, goal_states)
+        else:
+            candidates = -1  # every region
         if kind == "reach":
+            if not candidates & 1:
+                return None
             region = {s for s in out_edges if s not in goal_states}
             return self._fair_trap(
                 out_edges, region, note="fair loop never reaches the goal configuration"
@@ -537,6 +418,8 @@ class FrontierExplorer:
         if kind == "search":
             bits = self.counts_bits
             for i in range(n):
+                if not (candidates >> i) & 1:
+                    continue
                 ring_edge = (i, (i + 1) % n)
                 region = {s for s in out_edges if not (s >> (bits + i)) & 1}
                 trap = self._fair_trap(
@@ -571,6 +454,79 @@ class FrontierExplorer:
                     f"fair loop on which node(s) {missing} are never visited"
                 )
         return None
+
+    def _candidate_regions(
+        self,
+        out_edges: Dict[int, List[Tuple[int, int]]],
+        goal_states: Set[int],
+    ) -> int:
+        """Bitmask of the regions that may hold an SSYNC fair trap.
+
+        Bit ``i`` of a searching state's region mask is set when ring
+        edge ``i`` is not clear in it; a reach task has one region, the
+        non-goal states.  A fair trap is an SCC of the region with an
+        internal edge and, under SSYNC, a full (activate-everybody)
+        internal edge.  So its region has an in-region full edge *and*
+        either an in-region cycle through two or more states or a full
+        self-loop.  Regions failing that test are trap-free and the
+        caller skips their SCC pass; the others keep their order, so
+        the witness is unchanged.
+
+        The cycle test is the greatest fixed point of "starts an
+        arbitrarily long in-region path" over non-self edges, all
+        regions at once on int bitmasks, driven by a predecessor
+        worklist.
+        """
+        if self.spec.kind == "search":
+            bits = self.counts_bits
+            ring_mask = (1 << self.n) - 1
+            reg = {s: ~(s >> bits) & ring_mask for s in out_edges}
+        else:
+            reg = {s: 0 if s in goal_states else 1 for s in out_edges}
+        full_reg = full_self_reg = 0
+        successors: Dict[int, Dict[int, int]] = {}
+        predecessors: Dict[int, List[int]] = {s: [] for s in out_edges}
+        for s, edges in out_edges.items():
+            region_s = reg[s]
+            targets: Dict[int, int] = {}
+            successors[s] = targets
+            if not region_s or not edges:
+                continue
+            records = self._records(self._counts_code(s))
+            for t, index in edges:
+                shared = region_s & reg[t]
+                if not shared:
+                    continue
+                if records[index][4] & COMPACT_FULL:
+                    full_reg |= shared
+                    if t == s:
+                        full_self_reg |= shared
+                if t != s and t not in targets:
+                    targets[t] = shared
+                    predecessors[t].append(s)
+        if not full_reg:
+            return 0
+        alive = dict(reg)
+        pending = [s for s in out_edges if reg[s]]
+        queued = set(pending)
+        while pending:
+            s = pending.pop()
+            queued.discard(s)
+            before = alive[s]
+            reach = 0
+            for t, shared in successors[s].items():
+                reach |= shared & alive[t]
+            after = before & reach
+            if after != before:
+                alive[s] = after
+                for p in predecessors[s]:
+                    if p not in queued and alive[p]:
+                        queued.add(p)
+                        pending.append(p)
+        cycle_reg = 0
+        for mask in alive.values():
+            cycle_reg |= mask
+        return full_reg & (cycle_reg | full_self_reg)
 
     def _fair_trap(
         self,

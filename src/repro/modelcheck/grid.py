@@ -54,17 +54,12 @@ def build_verify_campaign(
     )
 
 
-def run_unit(unit: Dict[str, object], shards: int = 1) -> Dict[str, object]:
+def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
     """Campaign worker: model-check one cell.
 
     The payload row is ``(task, k, n, algorithm, adversary, verdict,
     states, transitions, witness?)``; the full verdict document (without
     timing, for byte-determinism) rides along under ``"result"``.
-
-    ``shards`` is execution context, not cell identity: a sharded
-    exploration returns the byte-identical payload, so it is not part of
-    the unit dict (and therefore not part of the campaign or unit-cache
-    identity).
     """
     extra = unit.get("extra") or {}
     task = str(extra["task"])
@@ -77,7 +72,6 @@ def run_unit(unit: Dict[str, object], shards: int = 1) -> Dict[str, object]:
         k,
         adversary=adversary,
         max_states=max_states,
-        shards=shards,
     ).run()
     witness_note = result.witness.note if result.witness else ""
     return {
@@ -97,24 +91,6 @@ def run_unit(unit: Dict[str, object], shards: int = 1) -> Dict[str, object]:
     }
 
 
-class _ConfiguredVerifyWorker:
-    """``run_unit`` with fixed execution context, picklable by reference.
-
-    Each instance advertises ``run_unit``'s qualname (as an *instance*
-    attribute, leaving the class's own pickling identity untouched) so
-    the campaign layer's unit de-duplication cache keys stay identical
-    to the plain worker's — a sharded exploration of the same cell
-    returns the byte-identical payload, so both must share cache entries.
-    """
-
-    def __init__(self, shards: int = 1) -> None:
-        self.shards = shards
-        self.__qualname__ = run_unit.__qualname__
-
-    def __call__(self, unit: Dict[str, object]) -> Dict[str, object]:
-        return run_unit(unit, shards=self.shards)
-
-
 def run_verify_campaign(
     task: str,
     cells: Sequence[Tuple[int, int]],
@@ -125,14 +101,10 @@ def run_verify_campaign(
 ) -> CampaignReport:
     """Build and execute a verification grid (the ``repro verify`` core).
 
-    ``ctx.jobs`` parallelises *across* cells through the campaign pool;
-    ``ctx.shards`` parallelises *within* each cell by partitioning the
-    frontier across the shard pool (see
-    :mod:`repro.modelcheck.frontier`).  Like every other
-    :class:`~repro.campaign.context.ExecutionContext` field, neither is
-    part of the grid's identity, and every payload stays byte-identical
-    to the serial run.
+    ``ctx.jobs`` parallelises across cells through the campaign pool.
+    Like every other :class:`~repro.campaign.context.ExecutionContext`
+    field it is not part of the grid's identity, and every payload stays
+    byte-identical to the serial run.
     """
     campaign = build_verify_campaign(task, cells, adversary=adversary, max_states=max_states)
-    worker = _ConfiguredVerifyWorker(ctx.shards) if ctx.shards > 1 else run_unit
-    return run_campaign(campaign, worker, ctx)
+    return run_campaign(campaign, run_unit, ctx)

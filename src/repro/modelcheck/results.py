@@ -1,9 +1,9 @@
 """Verdicts, witnesses and result documents of the model checker.
 
-These value objects are shared between the packed-state frontier engine
-(:mod:`repro.modelcheck.frontier`) and the NumPy-vectorized engine
-(:mod:`repro.modelcheck.vector`), and their JSON renderings are required
-to be byte-identical across engines, shard counts and processes.
+These value objects are filled in by the packed-state frontier engine
+(:mod:`repro.modelcheck.frontier`), and their JSON renderings are
+required to be byte-identical across runs, ``--jobs`` settings and
+processes.
 """
 
 from __future__ import annotations

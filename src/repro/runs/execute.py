@@ -9,9 +9,9 @@ repeated run with an identical spec is served from disk without a single
 engine step, and campaign workers de-duplicate identical units across
 campaigns through the same store.
 
-How a run executes — worker processes, frontier shards, result store,
-progress callback, cache, refresh, deadline, retry policy, fault plan
-and metrics sink — travels as one frozen
+How a run executes — worker processes, result store, progress
+callback, cache, refresh, deadline, retry policy, fault plan and
+metrics sink — travels as one frozen
 :class:`~repro.campaign.context.ExecutionContext`, deliberately outside
 the spec: it changes how fast a run completes and what side artifacts
 it writes, never what the result means — so it never perturbs a run id

@@ -967,7 +967,7 @@ def serve(
     bound_host, bound_port = server.server_address[:2]
     journal = service._queue.journal_path
     print(f"repro serve: listening on http://{bound_host}:{bound_port} "
-          f"(workers={workers}, jobs={ctx.jobs}, shards={ctx.shards}, "
+          f"(workers={workers}, jobs={ctx.jobs}, "
           f"timeout={ctx.timeout if ctx.timeout is not None else 'none'}, "
           f"cache={service.health()['cache'] or 'disabled'}, "
           f"queue={'persistent:' + journal if journal else 'memory'})")

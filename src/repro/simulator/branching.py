@@ -397,9 +397,9 @@ class BranchingDriver:
         Same transitions, same order and same deduplication as
         :meth:`successors` (which is a thin wrapper inflating these
         records), but each transition is a plain tuple — see
-        :data:`CompactTransition` — cheap to store per explored state,
-        to ship across shard-worker process boundaries, and to expand in
-        the frontier engine's reduce loop.  Results are memoised per
+        :data:`CompactTransition` — cheap to store per explored state
+        and to expand in the frontier engine's BFS loop.  Results are
+        memoised per
         ``(counts, mode)``.
         """
         key = (counts, mode)

@@ -40,35 +40,24 @@ class TestGameSolverSetup:
         assert first <= second
 
 
-class TestGameBatchedExpansion:
-    """The batched combo replay must be invisible in every observable."""
+class TestGameComboReplay:
+    """Replaying shared combo tables must be invisible in every observable."""
 
     CELLS = ((4, 1), (5, 2), (6, 2), (5, 3), (6, 3))
 
-    def _sweep(self):
-        return [searching_game_verdict(n, k) for n, k in self.CELLS]
+    def test_cold_and_warm_sweeps_identical(self):
+        cold = [SearchGameSolver(n, k).solve() for n, k in self.CELLS]
+        warm = [searching_game_verdict(n, k) for n, k in self.CELLS]
+        assert cold == warm
+        assert [r.verdict for r in cold] == [GameVerdict.IMPOSSIBLE] * len(self.CELLS)
+        assert [r.algorithms_checked for r in cold] == [2, 9, 18, 36, 324]
 
-    def test_batched_and_serial_paths_identical(self, monkeypatch):
-        import repro.analysis.game as game
-
-        monkeypatch.setattr(game, "_BATCH_MIN", 10**9)
-        serial = self._sweep()
-        monkeypatch.setattr(game, "_BATCH_MIN", 1)
-        batched = self._sweep()
-        for left, right in zip(serial, batched):
-            assert left == right
-
-    def test_cap_error_identical_on_both_paths(self, monkeypatch):
-        import repro.analysis.game as game
+    def test_cap_error_is_raised(self):
         from repro.core.errors import SimulationLimitError
 
-        messages = []
-        for batch_min in (10**9, 1):
-            monkeypatch.setattr(game, "_BATCH_MIN", batch_min)
-            with pytest.raises(SimulationLimitError) as excinfo:
-                searching_game_verdict(6, 3, max_states=10)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(SimulationLimitError) as excinfo:
+            searching_game_verdict(6, 3, max_states=10)
+        assert str(excinfo.value) == "game state space exceeded 10 states"
 
     def test_combo_tables_shared_across_candidates(self):
         solver = SearchGameSolver(6, 2)

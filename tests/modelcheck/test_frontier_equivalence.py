@@ -1,7 +1,8 @@
-"""Equivalence suite: packed == vector == sharded == the golden corpus.
+"""Equivalence suite: the frontier engine == the golden corpus.
 
-The frontier engines are pure performance variants; these tests pin
-that claim down byte-for-byte against ``tests/golden/modelcheck_verdicts.json``,
+The frontier engine's speed-ups (packed states, cached plans, the
+livelock pre-proof) are pure performance work; these tests pin that
+claim down byte-for-byte against ``tests/golden/modelcheck_verdicts.json``,
 a frozen corpus of verdict documents (``to_jsonable(include_timing=False)``,
 witnesses included) for:
 
@@ -9,21 +10,18 @@ witnesses included) for:
 * the state-cap cell (searching, n=11, k=5, ``max_states=5``);
 * the algorithm-error cell (gathering, n=6, k=4).
 
-The packed engine, the NumPy-vectorized engine and a 4-shard exploration
-must each reproduce the corpus byte for byte.
-
 The corpus was written by the original tuple-state explorer, which
-shares no exploration code with the packed-int frontier engines, at
+shares no exploration code with the packed-int frontier engine, at
 commit 5d11c6a (the last commit that had it)::
 
     mkdir old && git archive 5d11c6a src | tar -x -C old
-    PYTHONPATH=old/src python tests/modelcheck/test_frontier_equivalence.py legacy
+    REPRO_MODELCHECK_ENGINE=legacy PYTHONPATH=old/src \
+        python tests/modelcheck/test_frontier_equivalence.py
 
-Running this module with ``packed`` or ``vector`` instead rewrites the
-corpus from a current engine; ``git diff`` then shows any drift.
+Running this module against the current source instead rewrites the
+corpus from the current engine; ``git diff`` then shows any drift.
 """
 
-import io
 import json
 import os
 import sys
@@ -32,10 +30,8 @@ import pytest
 
 from repro.algorithms.nminusthree import nminusthree_supported
 from repro.algorithms.ring_clearing import ring_clearing_supported
-from repro.campaign import ExecutionContext
-from repro.cli import main
 from repro.experiments.e8_verification import GAME_CELLS, MAX_STATES
-from repro.modelcheck import ModelChecker, check_cell, run_verify_campaign
+from repro.modelcheck import ModelChecker, check_cell, frontier
 from repro.modelcheck.results import DEFAULT_MAX_STATES, ModelCheckResult, Verdict
 from repro.modelcheck.tasks import make_task_spec
 from repro.simulator.branching import NodeActivation
@@ -85,16 +81,15 @@ CORPUS_CELLS["error:gathering-k4-n6-ssync"] = (
 )
 
 
-def _check(name, **context):
+def _check(name):
     task, k, n, adversary, max_states = CORPUS_CELLS[name]
-    return check_cell(task, n, k, adversary=adversary, max_states=max_states, **context)
+    return check_cell(task, n, k, adversary=adversary, max_states=max_states)
 
 
-def corpus_text(**context):
-    """The corpus document, one cell per line, computed under ``context``
-    (``engine=`` / ``shards=`` keywords of :func:`check_cell`)."""
+def corpus_text():
+    """The corpus document, one cell per line."""
     lines = [
-        f"{json.dumps(name)}: {_canonical_json(_check(name, **context))}"
+        f"{json.dumps(name)}: {_canonical_json(_check(name))}"
         for name in CORPUS_CELLS
     ]
     return "{\n" + ",\n".join(lines) + "\n}\n"
@@ -108,21 +103,17 @@ def _golden():
 GOLDEN = _golden() if os.path.exists(CORPUS_PATH) else {}
 
 
-class TestEnginesEqualCorpus:
+class TestEngineEqualsCorpus:
     def test_corpus_covers_every_cell(self):
         assert sorted(GOLDEN) == sorted(CORPUS_CELLS)
         assert len(CORPUS_CELLS) == 2 * len(E8_QUICK_CHECKS) + 2
         assert GOLDEN["state-cap:searching-k5-n11-ssync"]["verdict"] == Verdict.UNKNOWN.value
         assert GOLDEN["error:gathering-k4-n6-ssync"]["verdict"] == Verdict.ERROR.value
 
-    @pytest.mark.parametrize("engine", ["packed", "vector"])
     @pytest.mark.parametrize("name", sorted(CORPUS_CELLS))
-    def test_verdict_json_byte_identical(self, name, engine):
-        """Without NumPy the vector engine degrades to packed and the
-        vector rows compare packed again (the masked-NumPy CI job covers
-        that path deliberately)."""
+    def test_verdict_json_byte_identical(self, name):
         expected = json.dumps(GOLDEN[name], sort_keys=True)
-        assert _canonical_json(_check(name, engine=engine)) == expected
+        assert _canonical_json(_check(name)) == expected
 
     @pytest.mark.parametrize("name", sorted(CORPUS_CELLS))
     def test_golden_witness_replays(self, name):
@@ -143,67 +134,21 @@ class TestEnginesEqualCorpus:
             step["after"] for step in witness["steps"]
         ]
 
-    @pytest.mark.parametrize(
-        "context",
-        [{"engine": "packed"}, {"engine": "vector"}, {"shards": 4}],
-        ids=["packed", "vector", "shards4"],
-    )
-    def test_corpus_file_byte_identical(self, context):
+    def test_corpus_file_byte_identical(self):
         with open(CORPUS_PATH, encoding="utf-8") as handle:
-            assert corpus_text(**context) == handle.read()
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ModelChecker("gathering", 6, 3, engine="quantum")
-        with pytest.raises(ValueError):
-            ModelChecker("gathering", 6, 3, engine="legacy")
+            assert corpus_text() == handle.read()
 
 
-class TestShardedEqualsSerial:
-    def test_sharded_cell_byte_identical(self):
-        for task, k, n in [("searching", 6, 13), ("gathering", 2, 6), ("searching", 3, 6)]:
-            serial = check_cell(task, n, k, shards=1)
-            sharded = check_cell(task, n, k, shards=4)
-            assert _canonical_json(serial) == _canonical_json(sharded)
-
-    def test_sharded_vector_byte_identical(self):
-        for task, k, n in [("searching", 6, 13), ("searching", 3, 6)]:
-            serial = check_cell(task, n, k, shards=1, engine="packed")
-            sharded_vector = check_cell(task, n, k, shards=4, engine="vector")
-            assert _canonical_json(serial) == _canonical_json(sharded_vector)
-
-    def test_campaign_summaries_byte_identical(self):
-        cells = ((2, 6), (3, 6), (3, 7))
-        serial = run_verify_campaign("gathering", cells)
-        sharded = run_verify_campaign("gathering", cells, ExecutionContext(shards=4))
-        assert serial.summary_bytes() == sharded.summary_bytes()
-
-    def test_jobs_and_shards_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            run_verify_campaign("gathering", ((3, 6),), ExecutionContext(jobs=2, shards=2))
-
-    def test_cli_rejects_jobs_with_shards(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["verify", "gathering", "--k", "3", "--n", "6", "--jobs", "2", "--shards", "2"],
-                out=io.StringIO(),
-            )
-        assert excinfo.value.code == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_cli_shards_flag_runs(self):
-        out = io.StringIO()
-        assert (
-            main(["verify", "gathering", "--k", "3", "--n", "6", "--shards", "2"], out=out)
-            == 0
-        )
-        assert "solved" in out.getvalue()
-
-    def test_custom_spec_forces_serial_exploration(self):
+class TestCustomSpec:
+    def test_custom_spec_explores_with_private_caches(self, monkeypatch):
+        monkeypatch.setattr(frontier, "_CELL_CACHES", {})
         spec = make_task_spec("gathering", 6, 3)
-        checker = ModelChecker("gathering", 6, 3, spec=spec, shards=4)
-        assert checker.shards == 1
-        assert checker.run().verdict is Verdict.SOLVED
+        custom = ModelChecker("gathering", 6, 3, spec=spec).run()
+        assert custom.verdict is Verdict.SOLVED
+        assert frontier._CELL_CACHES == {}
+        registered = check_cell("gathering", 6, 3)
+        assert list(frontier._CELL_CACHES) == [("gathering", 6, 3, "ssync")]
+        assert _canonical_json(custom) == _canonical_json(registered)
 
 
 class TestZeroDurationGuards:
@@ -229,9 +174,9 @@ class TestZeroDurationGuards:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: python {sys.argv[0]} ENGINE")
-    text = corpus_text(engine=sys.argv[1])
+    if len(sys.argv) != 1:
+        sys.exit(f"usage: python {sys.argv[0]}")
+    text = corpus_text()
     with open(CORPUS_PATH, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"wrote {len(CORPUS_CELLS)} cells to {CORPUS_PATH}")

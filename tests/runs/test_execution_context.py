@@ -39,7 +39,6 @@ def _non_default_values(tmp_path):
     """One non-default value per context field."""
     return {
         "jobs": 2,
-        "shards": 2,
         "store": str(tmp_path / "store"),
         "progress": lambda done, total, record: None,
         "cache": str(tmp_path / "cache"),
@@ -101,8 +100,6 @@ class TestValidation:
         "knobs",
         [
             {"jobs": 0},
-            {"shards": 0},
-            {"jobs": 2, "shards": 2},
             {"timeout": 0.0},
             {"timeout": -1.0},
         ],
@@ -120,8 +117,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "searching", "--k", "3", "--n", "6", "--jobs", "2", "--shards", "2"],
-            ["serve", "--port", "0", "--jobs", "2", "--shards", "2"],
+            ["verify", "searching", "--k", "3", "--n", "6", "--shards", "2"],
+            ["serve", "--port", "0", "--shards", "2"],
             ["experiment", "e1", "--jobs", "0"],
             ["batch", "align", "12", "5", "--timeout", "0"],
         ],

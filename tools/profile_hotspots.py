@@ -7,14 +7,14 @@ a cell, read the hottest frames, decide what to attack next.
 first populates the persistent per-cell caches (expansion plans,
 canonicalization memos, dynamics tables — see
 ``repro.modelcheck.frontier.cell_cache``), then ``--repeat`` further
-runs are profiled.  That isolates the per-run engine mechanics — the
-part the packed/vector engines actually differ in — from the one-time
-cell planning cost that dominates a cold profile.
+runs are profiled.  That isolates the per-run engine mechanics (BFS,
+canonicalisation, livelock search) from the one-time cell planning cost
+that dominates a cold profile.
 
 Examples::
 
     PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13
-    PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13 --engine vector --frontier
+    PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13 --frontier
     PYTHONPATH=src python tools/profile_hotspots.py --game --k 3 --n 6 --top 15
 """
 
@@ -47,10 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, required=True, help="ring size")
     parser.add_argument(
         "--adversary", choices=["ssync", "sequential"], default="ssync"
-    )
-    parser.add_argument(
-        "--engine", choices=["auto", "packed", "vector"], default="packed",
-        help="exploration engine to profile (default: packed)",
     )
     parser.add_argument(
         "--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="M"
@@ -101,7 +97,6 @@ def main(argv=None) -> int:
                 args.k,
                 adversary=args.adversary,
                 max_states=args.max_states,
-                engine=args.engine,
             )
         if args.frontier:
             check_once()  # unprofiled warm-up populates the cell caches
@@ -111,14 +106,13 @@ def main(argv=None) -> int:
                 return check_once()
             label = (
                 f"{args.task} k={args.k} n={args.n} "
-                f"({args.engine} engine, {args.adversary}, "
-                f"warm frontier x{args.repeat})"
+                f"({args.adversary}, warm frontier x{args.repeat})"
             )
         else:
             workload = check_once
             label = (
                 f"{args.task} k={args.k} n={args.n} "
-                f"({args.engine} engine, {args.adversary})"
+                f"({args.adversary})"
             )
 
     profiler = cProfile.Profile()
