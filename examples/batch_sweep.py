@@ -1,4 +1,4 @@
-"""Batched campaign execution: one E7 scaling cell, two ways.
+"""Batched simulation: one E7 scaling cell, two ways.
 
 The E7 experiment measures how many moves Align needs to converge and
 what a full ring clearing costs on each ``(k, n)`` cell.  Every sample of
@@ -7,9 +7,10 @@ batched engine (:mod:`repro.batchsim`) exploits: all samples advance as
 lanes of one engine that shares planner work across the whole batch,
 while producing byte-identical traces to one-at-a-time runs.
 
-This example runs one cell through both paths, checks the payloads and
-the campaign's ``summary.json`` agree byte-for-byte, and prints the
-measured speedup.  (The speedup here is modest compared to
+This example measures one cell both ways — one ``Simulator`` per sample
+and one ``BatchEngine`` for all of them — checks that the statistics are
+identical (and equal to the row E7's campaign worker reports), and
+prints the measured speedup.  (The speedup here is modest compared to
 ``benchmarks/bench_batchsim.py`` — a cell this small spends little time
 simulating; the benchmark's batch-of-64 heaviest cell is where batching
 pays.)
@@ -19,55 +20,109 @@ Usage::
     python examples/batch_sweep.py [n] [k] [samples]
 """
 
+import random
 import sys
 import time
 
-from repro.campaign import build_cells_campaign, run_campaign
-from repro.experiments.e7_scaling import run_unit, run_units_batched
+from repro.algorithms.align import AlignAlgorithm
+from repro.algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
+from repro.analysis.metrics import clearing_metrics, summarize
+from repro.batchsim import BatchEngine
+from repro.experiments.e7_scaling import run_unit
+from repro.simulator.engine import Simulator
+from repro.tasks import SearchingMonitor
+from repro.workloads.generators import random_rigid_configuration
+
+
+def starts(n, k, samples, seed):
+    rng = random.Random(seed)
+    return [random_rigid_configuration(n, k, rng) for _ in range(samples)]
+
+
+def align_per_run(configurations, budget):
+    moves = []
+    for configuration in configurations:
+        engine = Simulator(AlignAlgorithm(), configuration)
+        trace = engine.run_until(lambda sim: sim.configuration.is_c_star(), budget)
+        moves.append(trace.total_moves)
+    return summarize(moves)
+
+
+def align_batched(configurations, budget):
+    engine = BatchEngine(AlignAlgorithm(), configurations, record_events=False)
+    engine.run_until_configuration(lambda c: c.is_c_star(), budget, invariant=True)
+    return summarize([engine.lane(i).total_moves for i in range(len(configurations))])
+
+
+def clearing_per_run(configurations, steps):
+    costs = []
+    for configuration in configurations:
+        searching = SearchingMonitor()
+        engine = Simulator(RingClearingAlgorithm(), configuration, monitors=[searching])
+        engine.run(steps)
+        cost = clearing_metrics(searching, trace=engine.trace).moves_to_full_clear
+        if cost is not None:
+            costs.append(cost)
+    return summarize(costs)
+
+
+def clearing_batched(configurations, steps):
+    searchers = [SearchingMonitor() for _ in configurations]
+    engine = BatchEngine(
+        RingClearingAlgorithm(), configurations, monitors_factory=lambda i: [searchers[i]]
+    )
+    engine.run(steps)
+    costs = []
+    for i, searching in enumerate(searchers):
+        cost = clearing_metrics(searching, trace=engine.lane_trace(i)).moves_to_full_clear
+        if cost is not None:
+            costs.append(cost)
+    return summarize(costs)
+
+
+def timed(fn, *args):
+    started = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - started
 
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     k = int(sys.argv[2]) if len(sys.argv) > 2 else 8
     samples = int(sys.argv[3]) if len(sys.argv) > 3 else 8
-    cell = {
-        "k": k,
-        "n": n,
-        "samples": samples,
-        "seed": 20130701,
-        "steps_factor": 30,
-    }
+    if not ring_clearing_supported(n, k):
+        sys.exit(f"Ring Clearing does not support (k={k}, n={n})")
+    seed, steps_factor = 20130701, 30
     print(f"E7 cell (k={k}, n={n}), {samples} samples per measure")
 
-    # -- the workers themselves: identical payloads, different wall time --
-    started = time.perf_counter()
-    per_unit = run_unit(cell)
-    per_unit_s = time.perf_counter() - started
+    # The same draws E7's worker makes: Align from `seed`, clearing from
+    # `seed + 2` with half the samples (at least two).
+    align_starts = starts(n, k, samples, seed)
+    clear_starts = starts(n, k, max(2, samples // 2), seed + 2)
+    budget, steps = 40 * n * k + 200, steps_factor * n * k
 
-    started = time.perf_counter()
-    (batched,) = run_units_batched([cell])
-    batched_s = time.perf_counter() - started
+    align_ref, align_ref_s = timed(align_per_run, align_starts, budget)
+    align_fast, align_fast_s = timed(align_batched, align_starts, budget)
+    clear_ref, clear_ref_s = timed(clearing_per_run, clear_starts, steps)
+    clear_fast, clear_fast_s = timed(clearing_batched, clear_starts, steps)
+    assert align_fast == align_ref, "batched Align statistics diverged"
+    assert clear_fast == clear_ref, "batched clearing statistics diverged"
 
-    assert batched == per_unit, "batched payload diverged from per-run payload"
-    header = ("k", "n", "align moves", "align/(n*k)", "gather", "clear cost", "cost/n")
-    for label, value in zip(header, per_unit["row"]):
-        print(f"  {label:>12}: {value}")
-    print(f"per-unit worker: {per_unit_s:.2f}s   batched worker: {batched_s:.2f}s   "
-          f"speedup: {per_unit_s / batched_s:.1f}x")
-
-    # -- through the campaign layer: summary.json is byte-identical --
-    # Two cells, so the serial executor actually claims a whole batch.
-    campaign = build_cells_campaign(
-        "e7", "example", "batch_sweep example cells", [(k, n), (k - 2, n - 4)],
-        samples=samples, steps_factor=30,
+    row = run_unit(
+        {"k": k, "n": n, "samples": samples, "seed": seed, "steps_factor": steps_factor}
+    )["row"]
+    assert row[2] == align_ref["mean"] and row[5] == clear_ref["mean"], (
+        "E7's campaign worker reports different statistics"
     )
-    plain = run_campaign(campaign, run_unit)
-    fast = run_campaign(campaign, run_unit, batch_worker=run_units_batched)
-    plain_bytes = plain.summary_bytes()
-    assert plain_bytes == fast.summary_bytes(), (
-        "summary.json differs between execution paths"
-    )
-    print(f"summary.json byte-identical across both paths ({len(plain_bytes)} bytes)")
+
+    for label, ref, ref_s, fast_s in (
+        ("align moves", align_ref, align_ref_s, align_fast_s),
+        ("clear cost", clear_ref, clear_ref_s, clear_fast_s),
+    ):
+        print(f"  {label:>11}: mean {ref['mean']:.2f}  "
+              f"per-run {ref_s:.2f}s  batched {fast_s:.2f}s  "
+              f"speedup {ref_s / fast_s:.1f}x")
+    print("statistics identical across both paths and E7's worker row")
 
 
 if __name__ == "__main__":

@@ -68,18 +68,6 @@ def _gap_cw(configuration: Configuration, from_node: int, to_node: int) -> int:
     return distance - 1
 
 
-def _block_after(blocks: List[Block], index: int) -> Block:
-    return blocks[(index + 1) % len(blocks)]
-
-
-def _cyclic_gaps_between_blocks(configuration: Configuration, blocks: List[Block]) -> List[int]:
-    """gaps[i] = empty nodes between ``blocks[i]`` and ``blocks[i+1]`` clockwise."""
-    return [
-        _gap_cw(configuration, blocks[i].last, _block_after(blocks, i).first)
-        for i in range(len(blocks))
-    ]
-
-
 def classify_a(configuration: Configuration) -> Optional[AClassification]:
     """Classify a configuration into :math:`\\mathcal{A}` (or return ``None``).
 

@@ -22,13 +22,18 @@ Look-Compute-Move cycles, i.e. the semi-synchronous model) and chooses
 the directions of symmetric movers.
 
 **Verdicts.**  The adversary *wins* against a candidate algorithm if it
-can (a) force a collision (exclusivity violation), or (b) reach a cycle
-of system states — configuration plus clear-edge set — in which some
-fixed edge is never clear and which contains at least one
-"activate-everybody" step (so the cycle can be repeated forever without
-violating fairness).  Both conditions imply that the algorithm does not
-solve exclusive perpetual graph searching in the CORDA model (the
-asynchronous adversary subsumes the semi-synchronous one), so the verdict
+can (a) force a collision (exclusivity violation), or (b) reach a
+strongly connected set of system states — configuration plus clear-edge
+set — in which some fixed edge is never clear and whose internal steps
+together activate every robot (so the adversary can cycle through it
+forever while activating each robot infinitely often).  One
+activate-everybody step is enough, but so are partial activations that
+alternate between robots; this per-robot rule is stronger than
+requiring a full-activation step, which is all the model checker
+searches for (see :mod:`repro.modelcheck.checker`).  Both conditions
+imply that the algorithm does not solve exclusive perpetual graph
+searching in the CORDA model (the asynchronous adversary subsumes the
+semi-synchronous one), so the verdict
 ``IMPOSSIBLE`` (every candidate loses) is *sound*.  Conversely
 ``CANDIDATE_FOUND`` only means that this particular adversary could not
 break some candidate; it is evidence, not a proof of feasibility.

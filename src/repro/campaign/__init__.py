@@ -32,21 +32,12 @@ and from the command line::
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .context import DEFAULT_CONTEXT, ExecutionContext, ProgressCallback
-from .executor import (
-    BatchWorker,
-    CampaignReport,
-    Worker,
-    execute_batch,
-    run_campaign,
-)
+from .executor import CampaignReport, Worker, execute_batch, run_campaign
 from .spec import Campaign, UnitSpec, build_campaign, build_cells_campaign, derive_seed
 from .store import ResultStore
 
 __all__ = [
-    "BatchWorker",
     "Campaign",
     "CampaignReport",
     "DEFAULT_CONTEXT",
@@ -68,13 +59,10 @@ def run_experiment_campaign(
     variant: str,
     worker: Worker,
     ctx: ExecutionContext = DEFAULT_CONTEXT,
-    *,
-    batch_worker: Optional[BatchWorker] = None,
 ) -> CampaignReport:
     """Build the campaign for an experiment suite and execute it under ``ctx``.
 
     See :func:`~repro.campaign.executor.run_campaign` for how the
-    context and ``batch_worker`` are honoured.
+    context is honoured.
     """
-    campaign = build_campaign(experiment, variant)
-    return run_campaign(campaign, worker, ctx, batch_worker=batch_worker)
+    return run_campaign(build_campaign(experiment, variant), worker, ctx)

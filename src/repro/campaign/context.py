@@ -63,9 +63,9 @@ class ExecutionContext:
             overwrite the stored results.
         timeout: deadline in seconds.  Per unit for campaign-backed
             kinds: execution moves to a killable pool (even at
-            ``jobs=1``) without batch claiming, and an overrunning unit
-            is killed, retried once in isolation and recorded as
-            ``"timeout"`` only if it overruns again.  Whole-run for
+            ``jobs=1``), and an overrunning unit is killed, retried
+            once in isolation and recorded as ``"timeout"`` only if it
+            overruns again.  Whole-run for
             ``simulate`` / ``batch_sweep``, which then execute in a
             killable worker process and raise
             :class:`~repro.faults.DeadlineExceeded` on overrun.
@@ -74,8 +74,7 @@ class ExecutionContext:
             with deterministic backoff before an error is recorded.
         fault_plan: :class:`~repro.faults.FaultPlan` arming deterministic
             fault injection (chaos testing only): it wraps campaign
-            workers with per-unit injection sites (batch claiming is
-            disabled so every unit passes its site), and path-given
+            workers with per-unit injection sites, and path-given
             stores and caches inherit its write-path sites.
         metrics: duck-typed sink with an ``inc(name, **labels)`` method
             (e.g. :class:`repro.service.metrics.MetricsRegistry`); every

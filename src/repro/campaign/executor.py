@@ -62,13 +62,6 @@ __all__ = ["CampaignReport", "run_campaign", "execute_unit", "execute_batch"]
 #: Worker signature: unit dict in, JSON-serialisable payload out.
 Worker = Callable[[Dict[str, object]], Dict[str, object]]
 
-#: Batch-worker signature: a list of unit dicts in, one payload per unit
-#: out (same order).  A batch worker is an *optimisation* of a unit
-#: worker: it must produce exactly the payloads the unit worker would,
-#: only faster (e.g. by running all units' simulations through one
-#: :class:`repro.batchsim.BatchEngine`).
-BatchWorker = Callable[[Sequence[Dict[str, object]]], List[Dict[str, object]]]
-
 #: Record fields added by execution on top of the unit spec fields.
 _RESULT_FIELDS = ("status", "payload", "error", "duration_s")
 
@@ -160,52 +153,10 @@ def execute_unit(
 
 
 def execute_batch(
-    worker: Worker,
-    batch_worker: Optional[BatchWorker],
-    units: Sequence[Dict[str, object]],
-    retry=None,
-) -> List[Dict[str, object]]:
-    """Run a batch of units, claimed whole by ``batch_worker`` when possible.
-
-    The batch worker receives every unit at once and returns one payload
-    per unit; the batch's wall time is split evenly across the produced
-    records (``duration_s`` is a non-deterministic field and never enters
-    ``summary.json``).  If the batch worker raises — or returns the wrong
-    number of payloads — the whole batch falls back to per-unit
-    :func:`execute_unit` calls, so error records (status, message,
-    traceback) stay byte-identical to a run without batching.
-    """
-    if batch_worker is None:
-        return [execute_unit(worker, unit, retry) for unit in units]
-    started = perf_counter()
-    try:
-        payloads = batch_worker(list(units))
-        if len(payloads) != len(units):
-            payloads = None
-    except Exception:  # noqa: BLE001 - fall back for exact error records
-        payloads = None
-    if payloads is None:
-        # Outside the except block, so the per-unit workers re-raise
-        # with a clean exception context — their recorded tracebacks are
-        # byte-identical to a run that never attempted the batch.
-        return [execute_unit(worker, unit, retry) for unit in units]
-    share = (perf_counter() - started) / len(units)
-    records = []
-    for unit, payload in zip(units, payloads):
-        record = dict(unit)
-        record.update(status="ok", payload=payload, error=None, duration_s=share)
-        records.append(record)
-    return records
-
-
-def _execute_chunk(
-    worker: Worker,
-    units: Sequence[Dict[str, object]],
-    batch_worker: Optional[BatchWorker] = None,
-    retry=None,
+    worker: Worker, units: Sequence[Dict[str, object]], retry=None
 ) -> List[Dict[str, object]]:
     """Run a chunk of units inside one worker process (reduces IPC)."""
-    return execute_batch(worker, batch_worker, units, retry)
+    return [execute_unit(worker, unit, retry) for unit in units]
 
 
 def _crashed_record(unit: Dict[str, object], message: str) -> Dict[str, object]:
@@ -295,7 +246,6 @@ def _run_parallel(
     pending: List[UnitSpec],
     ctx: ExecutionContext,
     collector: _Collector,
-    batch_worker: Optional[BatchWorker],
     chunk_size: Optional[int],
 ) -> None:
     jobs, retry = ctx.jobs, ctx.retry
@@ -316,9 +266,7 @@ def _run_parallel(
     pool = make_pool(jobs)
     try:
         futures = {
-            pool.submit(
-                _execute_chunk, worker, [u.as_dict() for u in chunk], batch_worker, retry
-            ): chunk
+            pool.submit(execute_batch, worker, [u.as_dict() for u in chunk], retry): chunk
             for chunk in chunks
         }
         while futures:
@@ -368,11 +316,7 @@ def _run_parallel(
                     for chunk_ in survivors:
                         futures[
                             pool.submit(
-                                _execute_chunk,
-                                worker,
-                                [u.as_dict() for u in chunk_],
-                                batch_worker,
-                                retry,
+                                execute_batch, worker, [u.as_dict() for u in chunk_], retry
                             )
                         ] = chunk_
     finally:
@@ -461,9 +405,7 @@ def _run_parallel_deadline(
             while queue and len(inflight) < jobs:
                 unit = queue.popleft()
                 try:
-                    future = pool.submit(
-                        _execute_chunk, worker, [unit.as_dict()], None, retry
-                    )
+                    future = pool.submit(execute_unit, worker, unit.as_dict(), retry)
                 except BrokenProcessPool:
                     # A crash in an already-submitted unit broke the pool
                     # mid-refill.  Requeue this (never-started) unit and
@@ -480,8 +422,7 @@ def _run_parallel_deadline(
             for future in done:
                 unit, _started = inflight.pop(future)
                 try:
-                    for record in future.result():
-                        collector.add(record)
+                    collector.add(future.result())
                 except BrokenProcessPool:
                     crashed.append(unit)
             now = perf_counter()
@@ -498,8 +439,7 @@ def _run_parallel_deadline(
                         timed_out.append(unit)
                     elif future.done():
                         try:
-                            for record in future.result():
-                                collector.add(record)
+                            collector.add(future.result())
                         except (BrokenProcessPool, CancelledError):
                             queue.appendleft(unit)
                     else:
@@ -531,7 +471,6 @@ def run_campaign(
     worker: Worker,
     ctx: ExecutionContext = DEFAULT_CONTEXT,
     *,
-    batch_worker: Optional[BatchWorker] = None,
     chunk_size: Optional[int] = None,
 ) -> CampaignReport:
     """Execute every unit of ``campaign`` through ``worker`` under ``ctx``.
@@ -544,13 +483,6 @@ def run_campaign(
             layer honours ``jobs``, ``store``, ``progress``, ``cache``,
             ``timeout``, ``retry``, ``fault_plan`` and ``metrics``;
             ``refresh`` is applied by the callers above.
-        batch_worker: optional module-level callable claiming a whole
-            chunk of units at once (see :data:`BatchWorker`).  Must
-            produce exactly the payloads ``worker`` would, so the
-            aggregate ``summary.json`` is byte-identical with and
-            without it; any batch failure falls back to per-unit
-            execution (see :func:`execute_batch`).  Unit de-duplication
-            still keys on ``worker``'s identity.
         chunk_size: units per process-pool task; defaults to roughly
             four chunks per worker.
 
@@ -562,9 +494,6 @@ def run_campaign(
     worker_name = _worker_name(worker)
     if ctx.fault_plan is not None:
         worker = FaultyWorker(worker, ctx.fault_plan)
-        batch_worker = None
-    if ctx.timeout is not None:
-        batch_worker = None
     if ctx.cache is not None and ("<lambda>" in worker_name or "<locals>" in worker_name):
         # Dynamically defined workers share a qualname (every lambda at
         # one scope is "<lambda>"), so the cache could serve one
@@ -624,16 +553,10 @@ def run_campaign(
         # (single-worker) pool the watchdog can terminate.
         _run_parallel_deadline(worker, pending, ctx, collector, campaign.name)
     elif ctx.jobs == 1 or len(pending) <= 1:
-        if batch_worker is not None and len(pending) > 1:
-            for record in execute_batch(
-                worker, batch_worker, [unit.as_dict() for unit in pending], ctx.retry
-            ):
-                collector.add(record)
-        else:
-            for unit in pending:
-                collector.add(execute_unit(worker, unit.as_dict(), ctx.retry))
+        for unit in pending:
+            collector.add(execute_unit(worker, unit.as_dict(), ctx.retry))
     else:
-        _run_parallel(worker, pending, ctx, collector, batch_worker, chunk_size)
+        _run_parallel(worker, pending, ctx, collector, chunk_size)
 
     report.records.sort(key=lambda record: record.get("index", 0))
     if store is not None:

@@ -15,7 +15,7 @@ only ever receive relative views through
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import views as _views
 from .cyclic import (
@@ -210,11 +210,6 @@ class Configuration:
         return self._support
 
     @property
-    def support_set(self) -> FrozenSet[int]:
-        """Occupied nodes as a frozen set."""
-        return frozenset(self._support)
-
-    @property
     def num_occupied(self) -> int:
         """Number of occupied nodes (the paper's configuration size)."""
         return len(self._support)
@@ -248,13 +243,6 @@ class Configuration:
     # ------------------------------------------------------------------ #
     # structure: gap cycle, blocks, intervals
     # ------------------------------------------------------------------ #
-    def occupied_cw_from(self, start: int) -> Tuple[int, ...]:
-        """Occupied nodes in clockwise order, starting at occupied ``start``."""
-        if not self.is_occupied(start):
-            raise NotOccupiedError(start)
-        ordered = [node for node in Ring(self._n).iter_from(start, CW) if self.is_occupied(node)]
-        return tuple(ordered)
-
     def occupied_order(self, start: int, direction: int) -> Tuple[int, ...]:
         """Occupied nodes met when walking from occupied ``start`` in ``direction``."""
         if not self.is_occupied(start):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .cyclic import canonical_dihedral, reflect, rotate
+from .cyclic import canonical_dihedral, rotate
 from .ring import CCW, CW
 
 __all__ = [
@@ -146,8 +146,3 @@ def supermin_interval_indices(gaps: Sequence[int]) -> List[int]:
         if starts_cw == target or starts_ccw == target:
             out.append(i)
     return out
-
-
-def reversed_view(view: Sequence[int]) -> View:
-    """The paper's :math:`\\overline{W}`: same first interval, opposite direction."""
-    return reflect(tuple(view))

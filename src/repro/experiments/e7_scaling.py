@@ -20,63 +20,19 @@ from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supp
 from ..analysis.metrics import clearing_metrics, summarize
 from ..batchsim import BatchEngine
 from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
-from ..simulator.engine import Simulator
 from ..simulator.runner import run_gathering
 from ..tasks import SearchingMonitor
 from ..workloads.generators import random_rigid_configuration
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit", "run_units_batched"]
+__all__ = ["run", "run_unit"]
 
 
 def _align_moves(n: int, k: int, samples: int, seed: int) -> dict:
-    rng = random.Random(seed)
-    moves = []
-    for _ in range(samples):
-        configuration = random_rigid_configuration(n, k, rng)
-        engine = Simulator(AlignAlgorithm(), configuration)
-        trace = engine.run_until(lambda sim: sim.configuration.is_c_star(), 40 * n * k + 200)
-        moves.append(trace.total_moves)
-    return summarize(moves)
+    """Align moves to reach C*, one :class:`~repro.batchsim.BatchEngine` lane per sample.
 
-
-def _gathering_moves(n: int, k: int, samples: int, seed: int) -> dict:
-    rng = random.Random(seed + 1)
-    moves = []
-    for _ in range(samples):
-        configuration = random_rigid_configuration(n, k, rng)
-        trace, _ = run_gathering(GatheringAlgorithm(), configuration, max_steps=60 * n * k + 400)
-        moves.append(trace.total_moves)
-    return summarize(moves)
-
-
-def _clearing_cost(n: int, k: int, samples: int, seed: int, steps_factor: int) -> dict:
-    rng = random.Random(seed + 2)
-    costs = []
-    for _ in range(samples):
-        configuration = random_rigid_configuration(n, k, rng)
-        if ring_clearing_supported(n, k):
-            algorithm = RingClearingAlgorithm()
-        elif nminusthree_supported(n, k):
-            algorithm = NminusThreeAlgorithm()
-        else:
-            return {"mean": float("nan"), "min": 0.0, "max": 0.0, "stdev": 0.0}
-        searching = SearchingMonitor()
-        engine = Simulator(algorithm, configuration, monitors=[searching])
-        engine.run(steps_factor * n * k)
-        metrics = clearing_metrics(searching, trace=engine.trace)
-        if metrics.moves_to_full_clear is not None:
-            costs.append(metrics.moves_to_full_clear)
-    return summarize(costs)
-
-
-def _align_moves_batched(n: int, k: int, samples: int, seed: int) -> dict:
-    """Batched :func:`_align_moves`: one engine, one lane per sample.
-
-    The configurations are drawn from the same RNG stream as the
-    per-run path (the simulations themselves never touch that RNG), and
-    the batched engine's traces are byte-identical to the per-run ones,
-    so the returned statistics match :func:`_align_moves` exactly.
+    The lanes' traces are byte-identical to one
+    :class:`~repro.simulator.engine.Simulator` run per sample.
     """
     rng = random.Random(seed)
     configurations = [random_rigid_configuration(n, k, rng) for _ in range(samples)]
@@ -87,10 +43,23 @@ def _align_moves_batched(n: int, k: int, samples: int, seed: int) -> dict:
     return summarize([engine.lane(i).total_moves for i in range(samples)])
 
 
-def _clearing_cost_batched(
-    n: int, k: int, samples: int, seed: int, steps_factor: int
-) -> dict:
-    """Batched :func:`_clearing_cost` (one searching monitor per lane)."""
+def _gathering_moves(n: int, k: int, samples: int, seed: int) -> dict:
+    """Gathering moves, one run per sample.
+
+    Gathering's multiplicity-dependent decisions have no batched fast
+    path.
+    """
+    rng = random.Random(seed + 1)
+    moves = []
+    for _ in range(samples):
+        configuration = random_rigid_configuration(n, k, rng)
+        trace, _ = run_gathering(GatheringAlgorithm(), configuration, max_steps=60 * n * k + 400)
+        moves.append(trace.total_moves)
+    return summarize(moves)
+
+
+def _clearing_cost(n: int, k: int, samples: int, seed: int, steps_factor: int) -> dict:
+    """Moves to the first full clearing, one batched lane and searching monitor per sample."""
     if ring_clearing_supported(n, k):
         algorithm = RingClearingAlgorithm()
     elif nminusthree_supported(n, k):
@@ -119,8 +88,17 @@ def _json_safe(value):
     return value
 
 
-def _unit_payload(k, n, align_stats, gather_stats, cost_stats):
-    """Assemble one cell's payload (shared by both worker flavours)."""
+def run_unit(unit):
+    """Campaign worker: measure the scaling quantities of one ``(k, n)`` cell."""
+    k, n = unit["k"], unit["n"]
+    samples, seed = unit["samples"], unit["seed"]
+    align_stats = _align_moves(n, k, samples, seed)
+    gather_stats = (
+        _gathering_moves(n, k, samples, seed)
+        if gathering_supported(n, k)
+        else {"mean": float("nan")}
+    )
+    cost_stats = _clearing_cost(n, k, max(2, samples // 2), seed, unit["steps_factor"])
     cost_mean = _json_safe(cost_stats["mean"])
     return {
         "row": [
@@ -134,49 +112,6 @@ def _unit_payload(k, n, align_stats, gather_stats, cost_stats):
         ],
         "passed": True,
     }
-
-
-def run_unit(unit):
-    """Campaign worker: measure the scaling quantities of one ``(k, n)`` cell."""
-    k, n = unit["k"], unit["n"]
-    samples, seed = unit["samples"], unit["seed"]
-    align_stats = _align_moves(n, k, samples, seed)
-    gather_stats = (
-        _gathering_moves(n, k, samples, seed)
-        if gathering_supported(n, k)
-        else {"mean": float("nan")}
-    )
-    cost_stats = _clearing_cost(n, k, max(2, samples // 2), seed, unit["steps_factor"])
-    return _unit_payload(k, n, align_stats, gather_stats, cost_stats)
-
-
-def run_units_batched(units):
-    """Batch campaign worker: :func:`run_unit` payloads, batched engine.
-
-    Claims a whole chunk of cells at once (see
-    :func:`repro.campaign.execute_batch`).  The pure-global-rule
-    measures (Align convergence, ring-clearing cost) run every sample of
-    a cell as one lane of a shared :class:`~repro.batchsim.BatchEngine`;
-    gathering stays per-run (its multiplicity-dependent decisions have
-    no batched fast path).  Payloads are byte-identical to
-    :func:`run_unit`'s — any failure makes the executor fall back to the
-    per-unit worker, keeping error records identical too.
-    """
-    payloads = []
-    for unit in units:
-        k, n = unit["k"], unit["n"]
-        samples, seed = unit["samples"], unit["seed"]
-        align_stats = _align_moves_batched(n, k, samples, seed)
-        gather_stats = (
-            _gathering_moves(n, k, samples, seed)
-            if gathering_supported(n, k)
-            else {"mean": float("nan")}
-        )
-        cost_stats = _clearing_cost_batched(
-            n, k, max(2, samples // 2), seed, unit["steps_factor"]
-        )
-        payloads.append(_unit_payload(k, n, align_stats, gather_stats, cost_stats))
-    return payloads
 
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
@@ -194,9 +129,7 @@ def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> Expe
             "full clear moves / n",
         ),
     )
-    report = run_experiment_campaign(
-        "e7", variant, run_unit, ctx, batch_worker=run_units_batched
-    )
+    report = run_experiment_campaign("e7", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "expected shape: align moves / (n*k) stays bounded by a small constant; "

@@ -25,16 +25,19 @@ of one algorithm on one ``(k, n)`` cell under an exhaustive adversary
 **Fairness.**  A loop is accepted as *fair* when it contains a step
 activating every robot (SSYNC adversary), which makes every LIVELOCK
 verdict sound: repeating the loop forever activates every robot
-infinitely often.  Under the ``sequential`` adversary no step activates
-everybody, so the checker falls back to a coverage test (every occupied
-node of every loop state is activated by some in-loop step); because
-robots are anonymous, oblivious and co-located robots are
-interchangeable, such a loop can be scheduled fairly, but the witness is
-weaker — prefer the default SSYNC adversary for verdicts.  Conversely
-``SOLVED`` certifies the absence of such loops: like the game solver's
-``CANDIDATE_FOUND`` (see :mod:`repro.analysis.game`), it is exact for
-the adversary class explored and evidence (not proof) for the full
-asynchronous CORDA adversary.
+infinitely often.  Loops that are fair only through alternating partial
+activations (one robot on one step, another on the next) are not
+searched, so an SSYNC ``SOLVED`` means "no reachable fair loop
+containing a full-activation step".  The game solver
+(:mod:`repro.analysis.game`) uses the stronger per-robot rule: its
+adversary also wins with such alternating loops.  Under the
+``sequential`` adversary no step activates everybody, so the checker
+falls back to a coverage test (every occupied node of every loop state
+is activated by some in-loop step); because robots are anonymous,
+oblivious and co-located robots are interchangeable, such a loop can be
+scheduled fairly, but the witness is weaker — prefer the default SSYNC
+adversary for verdicts.  Either way ``SOLVED`` is evidence, not proof,
+for the full asynchronous CORDA adversary.
 
 **Engine.**  Exploration runs on the packed-state frontier engine
 (:mod:`repro.modelcheck.frontier`): states are single integers, dihedral

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms.align import AlignAlgorithm
 from repro.algorithms.ring_clearing import RingClearingAlgorithm
+from repro.analysis.enumeration import enumerate_configurations
 from repro.analysis.game import (
     GameVerdict,
     Option,
@@ -97,6 +98,36 @@ class TestGameSolverVerdicts:
         assignment = {cls: Option.IDLE for cls in solver.observation_classes}
         start = Configuration.from_occupied(6, [0, 1])
         assert solver._adversary_wins(start, assignment)
+
+
+class TestFairTrapRule:
+    """The adversary's fairness rule: a trap's steps together activate every robot."""
+
+    A, B = 1, 2
+
+    def test_alternating_partial_activations_form_a_trap(self):
+        # Robot 0 acts on A -> B and robot 1 on B -> A: no single step
+        # activates both, yet cycling forever activates each infinitely often.
+        edges = {self.A: [(self.B, 0b01)], self.B: [(self.A, 0b10)]}
+        assert SearchGameSolver._fair_trap_exists({self.A, self.B}, edges, 0b11)
+
+    def test_loop_never_activating_a_robot_is_not_a_trap(self):
+        edges = {self.A: [(self.B, 0b01)], self.B: [(self.A, 0b01)]}
+        assert not SearchGameSolver._fair_trap_exists({self.A, self.B}, edges, 0b11)
+
+    def test_alternating_loops_defeat_e6_candidate(self):
+        # Under a full-activation-step rule this (n=5, k=3) table survives
+        # and the E6 row (3, 5) would read candidate-found.
+        solver = SearchGameSolver(5, 3)
+        assignment = {
+            ((0, 0, 2), (2, 0, 0)): Option.IDLE,
+            ((0, 1, 1), (1, 1, 0)): Option.TOWARD_MAX,
+            ((0, 2, 0), (0, 2, 0)): Option.IDLE,
+            ((1, 0, 1), (1, 0, 1)): Option.IDLE,
+        }
+        assert set(assignment) == set(solver.observation_classes)
+        for start in enumerate_configurations(5, 3):
+            assert solver._adversary_wins(start, assignment), start
 
 
 class TestMetrics:

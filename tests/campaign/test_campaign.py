@@ -11,9 +11,11 @@ from repro.campaign import (
     build_campaign,
     build_cells_campaign,
     derive_seed,
+    execute_batch,
     run_campaign,
     run_experiment_campaign,
 )
+from repro.campaign.executor import execute_unit
 from repro.experiments.e1_configuration_census import run_unit as e1_run_unit
 
 
@@ -37,6 +39,10 @@ def crashing_worker(unit):
     if unit["k"] == 5 and unit["n"] == 12:
         os._exit(3)  # simulate a hard worker death (not an exception)
     return product_worker(unit)
+
+
+def _strip_durations(records):
+    return [{key: value for key, value in r.items() if key != "duration_s"} for r in records]
 
 
 class TestSpec:
@@ -185,6 +191,16 @@ class TestFailureReporting:
             ).failures
         }
 
+    def test_error_records_byte_identical_in_parallel_mode(self):
+        # Chunks run through ``execute_batch`` in the pool; the error
+        # records (status, message, traceback) must match the serial run.
+        serial = run_campaign(build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=1))
+        pooled = run_campaign(
+            build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=2), chunk_size=2,
+        )
+        assert pooled.summary_bytes() == serial.summary_bytes()
+        assert {r["status"] for r in pooled.records} == {"ok", "error"}
+
     def test_worker_process_crash_survived(self):
         # os._exit kills the worker process outright; the executor must
         # rebuild the pool, isolate the poisoned unit and keep the rest.
@@ -200,3 +216,16 @@ class TestFailureReporting:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(build_campaign("e1", "quick"), product_worker, ExecutionContext(jobs=0))
+
+
+class TestChunkRunner:
+    def test_execute_batch_matches_execute_unit(self):
+        units = [
+            {"index": i, "unit_id": f"u{i}", "k": k, "n": 7 + i, "samples": 1}
+            for i, k in enumerate([3, 5, 4, 5])
+        ]
+        batched = execute_batch(flaky_worker, units)
+        single = [execute_unit(flaky_worker, unit) for unit in units]
+        assert [r["status"] for r in batched] == ["ok", "error", "ok", "error"]
+        assert batched[1]["error"]["message"] == "boom on u1"
+        assert _strip_durations(batched) == _strip_durations(single)

@@ -1,11 +1,11 @@
 """Golden rows of the simulation-heavy experiments (E3, E4, E5, E7).
 
 Every quick-variant campaign unit of these experiments is recomputed
-through its worker (``run_unit``, and ``run_units_batched`` for E7) and
-compared exactly with ``tests/golden/experiment_rows_quick.json``.  The
-rows are what ``repro all`` prints and writes to ``summary.json``, so any
-change to the simulators, the task monitors or the experiment workers
-that moves a single number shows up here.
+through its ``run_unit`` worker and compared exactly with
+``tests/golden/experiment_rows_quick.json``.  The rows are what
+``repro all`` prints and writes to ``summary.json``, so any change to
+the simulators, the task monitors or the experiment workers that moves
+a single number shows up here.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -68,13 +68,6 @@ def golden():
 @pytest.mark.parametrize("experiment", sorted(WORKERS))
 def test_run_unit_rows_match_golden(experiment, golden):
     assert compute_rows(experiment) == golden[experiment]
-
-
-def test_e7_batched_worker_rows_match_golden(golden):
-    units = quick_units("e7")
-    payloads = e7_scaling.run_units_batched(units)
-    rows = {unit["unit_id"]: as_json(p) for unit, p in zip(units, payloads)}
-    assert rows == golden["e7"]
 
 
 def _per_run_baseline_finals(starts, budget):
