@@ -3,6 +3,8 @@
 import pytest
 
 from repro.algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
+from repro.campaign.spec import build_campaign
+from repro.experiments import e3_ring_clearing
 from repro.simulator.engine import Simulator
 from repro.tasks import ExplorationMonitor, SearchingMonitor
 from repro.workloads.generators import rigid_configurations
@@ -34,6 +36,23 @@ def test_ring_clearing_larger_ring(benchmark):
     assert exploration.all_robots_covered_ring(1)
 
 
+def _quick_unit(n, k):
+    """The E3 quick-campaign unit of cell ``(k, n)`` (worker input dict)."""
+    units = build_campaign("e3", "quick").units
+    return next(unit for unit in units if (unit.n, unit.k) == (n, k)).as_dict()
+
+
+def test_ring_clearing_campaign_cell(benchmark):
+    """One whole E3 cell: every start as a monitored batched lane."""
+    unit = _quick_unit(13, 8)
+    payload = benchmark(e3_ring_clearing.run_unit, unit)
+    assert payload["passed"]
+
+
+def _smoke_cell(n, k):
+    assert e3_ring_clearing.run_unit(_quick_unit(n, k))["passed"]
+
+
 def _smoke_perpetual(n, k):
     searching, exploration, trace = _perpetual_run(n, k)
     assert not trace.had_collision
@@ -48,6 +67,7 @@ def main():
         {
             "ring-clearing-n12-k7": lambda: _smoke_perpetual(12, 7),
             "ring-clearing-n14-k8": lambda: _smoke_perpetual(14, 8),
+            "cell-n13-k8": lambda: _smoke_cell(13, 8),
         },
     )
 

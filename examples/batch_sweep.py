@@ -60,7 +60,7 @@ def clearing_per_run(configurations, steps):
         searching = SearchingMonitor()
         engine = Simulator(RingClearingAlgorithm(), configuration, monitors=[searching])
         engine.run(steps)
-        cost = clearing_metrics(searching, trace=engine.trace).moves_to_full_clear
+        cost = clearing_metrics(searching).moves_to_full_clear
         if cost is not None:
             costs.append(cost)
     return summarize(costs)
@@ -69,12 +69,15 @@ def clearing_per_run(configurations, steps):
 def clearing_batched(configurations, steps):
     searchers = [SearchingMonitor() for _ in configurations]
     engine = BatchEngine(
-        RingClearingAlgorithm(), configurations, monitors_factory=lambda i: [searchers[i]]
+        RingClearingAlgorithm(),
+        configurations,
+        monitors_factory=lambda i: [searchers[i]],
+        record_events=False,
     )
     engine.run(steps)
     costs = []
-    for i, searching in enumerate(searchers):
-        cost = clearing_metrics(searching, trace=engine.lane_trace(i)).moves_to_full_clear
+    for searching in searchers:
+        cost = clearing_metrics(searching).moves_to_full_clear
         if cost is not None:
             costs.append(cost)
     return summarize(costs)

@@ -118,32 +118,19 @@ class ClearingMetrics:
 def clearing_metrics(
     searching: SearchingMonitor,
     exploration: Optional[ExplorationMonitor] = None,
-    trace: Optional[Trace] = None,
 ) -> ClearingMetrics:
     """Aggregate the searching (and optionally exploration) monitors."""
     counts = searching.clearing_counts()
     min_clearings = min(counts.values()) if counts else 0
     mean_clearings = statistics.fmean(counts.values()) if counts else 0.0
-    all_clear_steps = searching.all_clear_steps
-    moves_to_full_clear: Optional[float] = None
-    if all_clear_steps:
-        first_clear_step = all_clear_steps[0]
-        if trace is not None:
-            total = 0
-            moves_to_full_clear = 0.0
-            for event in trace.events:
-                if event.step > first_clear_step:
-                    break
-                total += len(event.moves)
-            moves_to_full_clear = float(total)
-        else:
-            moves_to_full_clear = float(max(first_clear_step + 1, 0))
+    first_clear_moves = searching.moves_to_first_all_clear
+    moves_to_full_clear = float(first_clear_moves) if first_clear_moves is not None else None
     cover_time = exploration.cover_time() if exploration is not None else -1
     min_visits = exploration.min_visits() if exploration is not None else 0
     return ClearingMetrics(
         min_clearings=min_clearings,
         mean_clearings=mean_clearings,
-        all_clear_count=len(all_clear_steps),
+        all_clear_count=len(searching.all_clear_steps),
         moves_to_full_clear=moves_to_full_clear,
         cover_time=cover_time,
         min_visits=min_visits,

@@ -11,9 +11,10 @@ expensive is shared across lanes:
   into a dictionary hit keyed on the lane's counts row — no snapshots,
   no per-view decision keys, no RNG draws;
 * other algorithms take the exact per-snapshot path of the incremental
-  engine (same per-lane presentation RNG, same
+  engine (same per-lane presentation RNG, same Look table and
   :class:`~repro.model.algorithm.DecisionCache` semantics), with the
-  decision cache and configuration pool shared across the whole batch;
+  Look table, decision cache and configuration pool shared across the
+  whole batch;
 * stop conditions are predicates over the configuration and are
   memoised per distinct occupancy row, so a convergence check costs one
   dictionary hit per step instead of a property chain.
@@ -44,14 +45,12 @@ from ..core.errors import (
     SchedulerError,
     SimulationLimitError,
 )
-from ..core.ring import CCW, CW
 from ..model.algorithm import Algorithm, DecisionCache, is_pure_global_rule
-from ..model.snapshot import Snapshot
 from ..scheduler.base import Activation, ActivationKind, Scheduler
 from ..scheduler.sequential import SequentialScheduler
 from ..scheduler.synchronous import SynchronousScheduler
 from ..simulator.batchplan import INVALID_TARGET, GlobalPlanTable
-from ..simulator.engine import ConfigurationPool
+from ..simulator.engine import ConfigurationPool, LookTable, look_direction
 from ..simulator.options import EngineOptions
 from ..simulator.trace import MoveRecord, Trace, TraceEvent
 from .backends import StdlibBackend
@@ -252,6 +251,10 @@ class BatchEngine:
         self.pool = ConfigurationPool(pool_size)
         self._decisions: Optional[DecisionCache] = (
             DecisionCache(options.decision_cache_size) if options.decision_cache else None
+        )
+        #: slow-path Look table keyed on the lane's row bytes, shared by all lanes.
+        self._look_table: Optional[LookTable] = (
+            LookTable(options.decision_cache_size) if options.decision_cache else None
         )
         self._plan_table: Optional[GlobalPlanTable] = (
             GlobalPlanTable(algorithm, self._n, pool=self.pool)
@@ -690,27 +693,28 @@ class BatchEngine:
             else:
                 lane.pending[robot_id] = target
             return
-        # Exact per-snapshot path: identical view construction, RNG
-        # consumption and decision-cache semantics as Simulator.
-        configuration = self.pool.configuration(lane.counts_tuple)
+        # Exact per-snapshot path: the same presentation draw, Look table
+        # and decision-cache semantics as Simulator.
         position = lane.positions[robot_id]
-        cw_view, ccw_view = configuration.views_of(position)
         first_is_cw = True if self._chirality else lane.rng.random() < 0.5
-        views = (cw_view, ccw_view) if first_is_cw else (ccw_view, cw_view)
-        on_multiplicity = (
-            self._multiplicity_detection and configuration.multiplicity(position) > 1
-        )
-        snapshot = Snapshot(n=self._n, views=views, on_multiplicity=on_multiplicity)
-        if self._decisions is not None:
-            decision = self._decisions.compute(self._algorithm, snapshot)
+        table = self._look_table
+        key = (lane.key, position, first_is_cw)
+        direction = None if table is None else table.get(key)
+        if direction is None:
+            direction = look_direction(
+                self._algorithm,
+                self._decisions,
+                self.pool.configuration(lane.counts_tuple),
+                position,
+                first_is_cw,
+                self._multiplicity_detection,
+            )
+            if table is not None:
+                table.put(key, direction)
+        if direction:
+            lane.pending[robot_id] = (position + direction) % self._n
         else:
-            decision = self._algorithm.compute(snapshot)
-        if decision.is_idle:
             lane.pending.pop(robot_id, None)
-            return
-        first_direction = CW if first_is_cw else CCW
-        direction = first_direction if decision.toward_view == 0 else -first_direction
-        lane.pending[robot_id] = (position + direction) % self._n
 
     def _execute_pending(
         self, lane: BatchLane, robot_ids: Sequence[int]

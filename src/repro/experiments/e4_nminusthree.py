@@ -14,17 +14,49 @@ from ..algorithms.nminusthree import (
     final_configurations,
     nminusthree_supported,
 )
+from ..batchsim import BatchEngine
 from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
-from ..simulator.engine import Simulator
-from ..tasks import ExplorationMonitor, SearchingMonitor
+from ..tasks import ExplorationMonitor, Monitor, SearchingMonitor
 from ..workloads.generators import rigid_configurations
 from .report import ExperimentResult
 
 __all__ = ["run", "run_unit"]
 
 
+class _FinalReached(Monitor):
+    """Whether a run ever shows a final block structure (Lemma 9's phase 1).
+
+    Checks the initial configuration and the configuration after every
+    step until one matches.  A non-exclusive configuration is left to
+    the engine, which raises :class:`CollisionError` right after this
+    callback.
+    """
+
+    def __init__(self, finals) -> None:
+        self.finals = finals
+        self.reached = False
+
+    def _check(self, configuration) -> None:
+        if not self.reached and configuration.is_exclusive:
+            self.reached = three_empty_structure(configuration).sorted_sizes in self.finals
+
+    def on_start(self, engine) -> None:
+        """Check the starting configuration."""
+        self._check(engine.configuration)
+
+    def on_step(self, engine, moves, configuration) -> None:
+        """Check the configuration after the step."""
+        self._check(configuration)
+
+
 def run_unit(unit):
-    """Campaign worker: verify Theorem 7 / Lemma 9 on one ``(k, n)`` cell."""
+    """Campaign worker: verify Theorem 7 / Lemma 9 on one ``(k, n)`` cell.
+
+    Every start is one lane of a single :class:`BatchEngine` with its
+    own monitors and no event log; a collision raises
+    :class:`CollisionError` (the default ``collision_policy="raise"``)
+    and fails the unit.
+    """
     k, n = unit["k"], unit["n"]
     if not nminusthree_supported(n, k):
         return {"row": [k, n, 0, "-", "-", "-", "unsupported"], "passed": True}
@@ -32,22 +64,22 @@ def run_unit(unit):
     if len(starts) > 12:
         starts = starts[:12]
     finals = set(final_configurations(k))
+    monitors = [
+        (_FinalReached(finals), SearchingMonitor(), ExplorationMonitor()) for _ in starts
+    ]
+    engine = BatchEngine(
+        NminusThreeAlgorithm(),
+        starts,
+        monitors_factory=lambda i: monitors[i],
+        record_events=False,
+    )
+    engine.run(unit["steps_factor"] * n * k)
     reach_final = searching_ok = exploration_ok = 0
     all_clear_events = 0
-    for configuration in starts:
-        searching = SearchingMonitor()
-        exploration = ExplorationMonitor()
-        engine = Simulator(
-            NminusThreeAlgorithm(), configuration, monitors=[searching, exploration]
-        )
-        engine.run(unit["steps_factor"] * n * k)
-        structures = [
-            three_empty_structure(c).sorted_sizes
-            for c in engine.trace.configurations()
-        ]
-        if any(s in finals for s in structures):
+    for final, searching, exploration in monitors:
+        if final.reached:
             reach_final += 1
-        if searching.every_edge_cleared(2) and not engine.trace.had_collision:
+        if searching.every_edge_cleared(2):
             searching_ok += 1
         if exploration.all_robots_covered_ring(2):
             exploration_ok += 1

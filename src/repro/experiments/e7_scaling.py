@@ -70,12 +70,15 @@ def _clearing_cost(n: int, k: int, samples: int, seed: int, steps_factor: int) -
     configurations = [random_rigid_configuration(n, k, rng) for _ in range(samples)]
     searchers = [SearchingMonitor() for _ in range(samples)]
     engine = BatchEngine(
-        algorithm, configurations, monitors_factory=lambda i: [searchers[i]]
+        algorithm,
+        configurations,
+        monitors_factory=lambda i: [searchers[i]],
+        record_events=False,
     )
     engine.run(steps_factor * n * k)
     costs = []
-    for i in range(samples):
-        metrics = clearing_metrics(searchers[i], trace=engine.lane_trace(i))
+    for searching in searchers:
+        metrics = clearing_metrics(searching)
         if metrics.moves_to_full_clear is not None:
             costs.append(metrics.moves_to_full_clear)
     return summarize(costs)

@@ -35,7 +35,13 @@ from ..scheduler.sequential import SequentialScheduler
 from .options import DEFAULT_CONFIG_POOL_SIZE, EngineOptions
 from .trace import MoveRecord, Trace, TraceEvent
 
-__all__ = ["Simulator", "ConfigurationPool", "DEFAULT_CONFIG_POOL_SIZE"]
+__all__ = [
+    "Simulator",
+    "ConfigurationPool",
+    "DEFAULT_CONFIG_POOL_SIZE",
+    "LookTable",
+    "look_direction",
+]
 
 #: Predicate over the engine used as a stop condition.
 StopCondition = Callable[["Simulator"], bool]
@@ -43,6 +49,61 @@ StopCondition = Callable[["Simulator"], bool]
 #: Sentinel distinguishing "not passed" from any real keyword value, so
 #: explicitly passed keywords can override an ``options`` bundle.
 _UNSET = object()
+
+
+def look_direction(
+    algorithm: Algorithm,
+    decisions: Optional[DecisionCache],
+    configuration: Configuration,
+    node: int,
+    first_is_cw: bool,
+    multiplicity_detection: bool,
+) -> int:
+    """One exact Look + Compute: the global direction of the robot on ``node``.
+
+    Builds the robot's :class:`Snapshot` with the clockwise view first
+    when ``first_is_cw``, asks ``algorithm`` (through ``decisions`` when
+    given) and maps the decision back to the ring: :data:`CW`,
+    :data:`CCW`, or ``0`` when the robot idles.
+    """
+    cw_view, ccw_view = configuration.views_of(node)
+    views = (cw_view, ccw_view) if first_is_cw else (ccw_view, cw_view)
+    snapshot = Snapshot(
+        n=configuration.n,
+        views=views,
+        on_multiplicity=multiplicity_detection and configuration.multiplicity(node) > 1,
+    )
+    if decisions is not None:
+        decision = decisions.compute(algorithm, snapshot)
+    else:
+        decision = algorithm.compute(snapshot)
+    if decision.is_idle:
+        return 0
+    first_direction = CW if first_is_cw else CCW
+    return first_direction if decision.toward_view == 0 else -first_direction
+
+
+class LookTable(dict):
+    """Memo of whole Looks: ``(occupancy, node, first_is_cw) -> direction``.
+
+    The direction is a :func:`look_direction` result.  The occupancy and
+    the node fix the robot's snapshot up to the presentation order, so
+    the table rests on the same purity contract as
+    :class:`~repro.model.algorithm.DecisionCache`.  It is cleared when
+    it reaches ``maxsize`` entries.
+    """
+
+    __slots__ = ("maxsize",)
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def put(self, key: tuple, direction: int) -> None:
+        """Remember one Look's direction, clearing the table when full."""
+        if len(self) >= self.maxsize:
+            self.clear()
+        self[key] = direction
 
 
 class ConfigurationPool:
@@ -120,12 +181,15 @@ class Simulator:
             only used by baselines and illustrative examples.
         decision_cache: memoise ``algorithm.compute`` per distinct
             snapshot behind a bounded LRU (robots are oblivious, so the
-            decision is a pure function of the snapshot).  On by default;
-            disable to force one ``compute`` per Look, e.g. when timing
-            an algorithm itself.  Traces are identical either way.
-        decision_cache_size: bound of the decision LRU (ignored when the
-            cache is disabled).  Any positive bound yields identical
-            traces — only the hit rate changes.
+            decision is a pure function of the snapshot), and each whole
+            Look per ``(counts, node, presentation order)`` in a Look
+            table in front of it.  On by default; disable to force one
+            ``compute`` per Look, e.g. when timing an algorithm itself.
+            Traces are identical either way.
+        decision_cache_size: bound of the decision LRU and of the Look
+            table (ignored when the cache is disabled; a full Look table
+            is cleared).  Any positive bound yields identical traces —
+            only the hit rate changes.
         config_pool_size: bound of the configuration-pool LRU.  Any
             positive bound yields identical traces; a larger pool keeps
             more memoised derived state alive across revisits.
@@ -222,6 +286,11 @@ class Simulator:
         self._cached_version = 0
         self._decision_cache: Optional[DecisionCache] = (
             DecisionCache(options.decision_cache_size) if options.decision_cache else None
+        )
+        # Keyed on the counts tuple; it exists exactly when the decision
+        # cache does, whose purity contract it shares, and has its bound.
+        self._look_table: Optional[LookTable] = (
+            LookTable(options.decision_cache_size) if options.decision_cache else None
         )
         self._trace = Trace(
             initial_configuration=configuration,
@@ -331,35 +400,37 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # phase primitives
     # ------------------------------------------------------------------ #
-    def _snapshot_for(self, robot_id: int) -> Tuple[Snapshot, int]:
-        """Build the snapshot for a robot; return it with the global direction of ``views[0]``."""
+    def _look_and_compute(self, robot_id: int) -> Optional[int]:
+        """Run Look + Compute for one robot; store and return the pending target.
+
+        The presentation order is drawn first, so the RNG sequence does
+        not depend on whether the Look table answers.
+        """
         robot = self._robots[robot_id]
         configuration = self.configuration
-        cw_view, ccw_view = configuration.views_of(robot.position)
+        position = robot.position
         first_is_cw = True if self._chirality else self._rng.random() < 0.5
-        views = (cw_view, ccw_view) if first_is_cw else (ccw_view, cw_view)
-        on_multiplicity = (
-            self._multiplicity_detection and configuration.multiplicity(robot.position) > 1
-        )
-        snapshot = Snapshot(n=self._ring.n, views=views, on_multiplicity=on_multiplicity)
-        return snapshot, (CW if first_is_cw else CCW)
-
-    def _look_and_compute(self, robot_id: int) -> Optional[int]:
-        """Run Look + Compute for one robot; store and return the pending target."""
-        robot = self._robots[robot_id]
-        snapshot, first_direction = self._snapshot_for(robot_id)
-        if self._decision_cache is not None:
-            decision = self._decision_cache.compute(self._algorithm, snapshot)
-        else:
-            decision = self._algorithm.compute(snapshot)
+        table = self._look_table
+        key = (configuration.counts, position, first_is_cw)
+        direction = None if table is None else table.get(key)
+        if direction is None:
+            direction = look_direction(
+                self._algorithm,
+                self._decision_cache,
+                configuration,
+                position,
+                first_is_cw,
+                self._multiplicity_detection,
+            )
+            if table is not None:
+                table.put(key, direction)
         robot.looks += 1
-        if decision.is_idle:
+        if not direction:
             robot.idles += 1
             robot.pending_target = None
             self._pending.discard(robot_id)
             return None
-        direction = first_direction if decision.toward_view == 0 else -first_direction
-        target = (robot.position + direction) % self._ring.n
+        target = (position + direction) % self._ring.n
         robot.pending_target = target
         self._pending.add(robot_id)
         return target

@@ -18,7 +18,7 @@ clear — the raw data used to verify perpetual clearing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.configuration import Configuration
 from ..core.ring import Edge, Ring, edge
@@ -335,7 +335,10 @@ class SearchingMonitor(Monitor):
     * :attr:`clear_history` — for every edge, the list of steps at which
       the edge was clear (step ``-1`` denotes the initial configuration);
     * :attr:`all_clear_steps` — steps at which the whole ring was
-      simultaneously clear.
+      simultaneously clear;
+    * :attr:`moves_to_first_all_clear` — robot moves executed up to and
+      including the first all-clear step (``0`` when the start is
+      already all-clear, ``None`` while the ring never was).
     """
 
     def __init__(self) -> None:
@@ -344,7 +347,9 @@ class SearchingMonitor(Monitor):
         self._mask = 0
         self._support_masks: Dict[Tuple[int, ...], int] = {}
         self._runs: List[List[int]] = []
+        self._moves = 0
         self.all_clear_steps: List[int] = []
+        self.moves_to_first_all_clear: Optional[int] = None
 
     @property
     def state(self) -> ClearEdgeView:
@@ -370,7 +375,9 @@ class SearchingMonitor(Monitor):
         self._dynamics = ring_search_dynamics(n)
         self._support_masks = {}
         self._runs = []
+        self._moves = 0
         self.all_clear_steps = []
+        self.moves_to_first_all_clear = None
         self._mask = self._dynamics.initial_clear(self._support_mask(engine.configuration))
         self._record(-1)
 
@@ -384,6 +391,7 @@ class SearchingMonitor(Monitor):
         dynamics = self._dynamics
         if dynamics is None:
             raise RuntimeError("SearchingMonitor used before the simulation started")
+        self._moves += len(moves)
         traversed = 0
         for move in moves:
             if move.source != move.target:
@@ -401,6 +409,8 @@ class SearchingMonitor(Monitor):
         else:
             runs.append([step, step, mask])
         if mask == self._dynamics.all_edges:
+            if not self.all_clear_steps:
+                self.moves_to_first_all_clear = self._moves
             self.all_clear_steps.append(step)
 
     # ------------------------------------------------------------------ #

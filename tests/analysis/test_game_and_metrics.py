@@ -170,7 +170,7 @@ class TestMetrics:
         exploration = ExplorationMonitor()
         engine = Simulator(RingClearingAlgorithm(), cfg, monitors=[searching, exploration])
         engine.run(2500)
-        metrics = clearing_metrics(searching, exploration, engine.trace)
+        metrics = clearing_metrics(searching, exploration)
         assert metrics.min_clearings > 0
         assert metrics.mean_clearings >= metrics.min_clearings
         assert metrics.all_clear_count >= 2

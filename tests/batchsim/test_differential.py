@@ -118,6 +118,47 @@ class TestByteIdentity:
         assert batched == reference
 
 
+@pytest.mark.parametrize(
+    "cache_options",
+    [
+        {"decision_cache": True},
+        {"decision_cache": False},
+        {"decision_cache": True, "decision_cache_size": 2},
+    ],
+    ids=["cache-on", "cache-off", "cache-size-2"],
+)
+@pytest.mark.parametrize("scheduler_name", ["round_robin", "asynchronous"])
+class TestGreedyBaselineLanes:
+    """E5's greedy strawman: slow-path lanes sharing one Look table."""
+
+    def test_traces_byte_identical(self, cache_options, scheduler_name):
+        from repro.algorithms.baselines import GreedyGatherBaseline
+        from repro.experiments.e5_gathering import _BASELINE_OPTIONS
+        from repro.workloads.generators import rigid_configurations
+
+        options = _BASELINE_OPTIONS.with_overrides(**cache_options)
+        scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
+        configurations = rigid_configurations(11, 5)[:8]
+        steps = 200
+        reference = [
+            per_run_outcome(
+                GreedyGatherBaseline, configuration, scheduler_factory(i), options, steps
+            )
+            for i, configuration in enumerate(configurations)
+        ]
+        engine = BatchEngine(
+            GreedyGatherBaseline(),
+            configurations,
+            scheduler_factory=scheduler_factory,
+            options=options,
+        )
+        engine.run(steps)
+        assert [
+            (None, None, engine.lane_trace(i).canonical_bytes())
+            for i in range(engine.num_lanes)
+        ] == reference
+
+
 class TestAbortParity:
     def test_collision_abort_matches(self):
         """Sweep under FSYNC collides; type, message and trace must match."""
@@ -328,9 +369,10 @@ class TestMonitors:
         )
         engine.run(steps)
 
-        reference = clearing_metrics(per_run_monitor, trace=simulator.trace)
-        batched = clearing_metrics(batch_monitors[0], trace=engine.lane_trace(0))
+        reference = clearing_metrics(per_run_monitor)
+        batched = clearing_metrics(batch_monitors[0])
         assert batched == reference
+        assert reference.moves_to_full_clear is not None
 
 
 class TestRecordingFlag:

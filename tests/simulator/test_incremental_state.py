@@ -122,23 +122,44 @@ def trace_fingerprint(trace):
     return "\n".join(parts).encode()
 
 
+#: Engine models the cache tests run under: the exclusive default (with
+#: collisions recorded, not raised) and E5's greedy-baseline model.
+CACHE_TEST_OPTIONS = {
+    "exclusive": {"collision_policy": "record"},
+    "baseline": {"exclusive": False, "multiplicity_detection": True},
+}
+
+
 class TestDecisionCache:
+    @pytest.mark.parametrize("options_name", sorted(CACHE_TEST_OPTIONS))
     @pytest.mark.parametrize("scheduler_name", ["sequential", "synchronous", "asynchronous"])
     @pytest.mark.parametrize("algorithm_factory", [AlignAlgorithm, GreedyGatherBaseline])
-    def test_cached_and_uncached_traces_byte_identical(self, scheduler_name, algorithm_factory):
+    def test_cached_and_uncached_traces_byte_identical(
+        self, scheduler_name, algorithm_factory, options_name
+    ):
+        """The decision cache and the Look table never change a trace.
+
+        Covers the default bound, a bound of 2 (the Look table is cleared
+        over and over) and no cache at all; the asynchronous scheduler
+        splits LOOK and MOVE steps.
+        """
         traces = []
-        for use_cache in (True, False):
+        for cache_options in (
+            {"decision_cache": True},
+            {"decision_cache": True, "decision_cache_size": 2},
+            {"decision_cache": False},
+        ):
             engine = Simulator(
                 algorithm_factory(),
                 RIGID_START,
                 scheduler=make_scheduler(scheduler_name, seed=7),
                 presentation_seed=42,
-                collision_policy="record",
-                decision_cache=use_cache,
+                **CACHE_TEST_OPTIONS[options_name],
+                **cache_options,
             )
             engine.run(120)
             traces.append(trace_fingerprint(engine.trace))
-        assert traces[0] == traces[1]
+        assert traces[0] == traces[1] == traces[2]
 
     def test_cache_hits_on_repeated_views(self):
         engine = Simulator(

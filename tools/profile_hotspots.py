@@ -1,7 +1,12 @@
-"""cProfile top-N over one model-checker cell (or one game-solver instance).
+"""cProfile top-N over one model-checker cell, game-solver instance or campaign unit.
 
 The profiling harness behind the packed-state frontier work: point it at
 a cell, read the hottest frames, decide what to attack next.
+
+``--experiment eN`` profiles ``run_unit`` of one unit of that
+experiment's quick campaign: the unit of cell ``(--k, --n)`` when both
+are given, else the unit with the largest step budget
+(``steps_factor * n * k``).
 
 ``--frontier`` profiles the *warm* frontier loop: one unprofiled run
 first populates the persistent per-cell caches (expansion plans,
@@ -16,17 +21,22 @@ Examples::
     PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13
     PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13 --frontier
     PYTHONPATH=src python tools/profile_hotspots.py --game --k 3 --n 6 --top 15
+    PYTHONPATH=src python tools/profile_hotspots.py --experiment e5
+    PYTHONPATH=src python tools/profile_hotspots.py --experiment e3 --k 6 --n 11
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib
 import pstats
 import sys
 from time import perf_counter
 
 from repro.analysis.game import searching_game_verdict
+from repro.campaign import build_campaign
+from repro.experiments import EXPERIMENTS
 from repro.modelcheck import check_cell
 from repro.modelcheck.results import DEFAULT_MAX_STATES
 from repro.modelcheck.tasks import TASKS
@@ -41,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default="searching",
         choices=sorted(TASKS),
-        help="verification task (default: searching); ignored with --game",
+        help="verification task (default: searching); ignored with --game/--experiment",
     )
-    parser.add_argument("--k", type=int, required=True, help="number of robots")
-    parser.add_argument("--n", type=int, required=True, help="ring size")
+    parser.add_argument("--k", type=int, help="number of robots")
+    parser.add_argument("--n", type=int, help="ring size")
     parser.add_argument(
         "--adversary", choices=["ssync", "sequential"], default="ssync"
     )
@@ -54,6 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--game", action="store_true",
         help="profile the E6 adversary game solver on (k, n) instead",
+    )
+    parser.add_argument(
+        "--experiment", choices=sorted(EXPERIMENTS), default=None,
+        help=(
+            "profile run_unit of one quick-campaign unit of this experiment "
+            "instead: cell (--k, --n) if given, else the largest budget"
+        ),
     )
     parser.add_argument(
         "--frontier", action="store_true",
@@ -81,11 +98,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def quick_unit(experiment, k=None, n=None):
+    """The quick-campaign unit of cell ``(k, n)``, or the one with the largest budget."""
+    units = build_campaign(experiment, "quick").units
+    if k is None and n is None:
+        return max(units, key=lambda unit: unit.steps_factor * unit.n * unit.k)
+    for unit in units:
+        if (unit.k, unit.n) == (k, n):
+            return unit
+    raise ValueError(f"{experiment} quick campaign has no unit for k={k} n={n}")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.game and args.frontier:
-        build_parser().error("--frontier profiles the model checker, not --game")
-    if args.game:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.game or args.experiment) and args.frontier:
+        parser.error("--frontier profiles the model checker only")
+    if args.game and args.experiment:
+        parser.error("choose one of --game and --experiment")
+    cell_args = (args.k is not None) + (args.n is not None)
+    if cell_args == 1 or (cell_args == 0 and not args.experiment):
+        parser.error("--k and --n are required (both may be omitted with --experiment)")
+    if args.experiment:
+        try:
+            unit = quick_unit(args.experiment, args.k, args.n)
+        except ValueError as error:
+            parser.error(str(error))
+        run_unit = importlib.import_module(EXPERIMENTS[args.experiment].__module__).run_unit
+        payload = unit.as_dict()
+
+        def workload():
+            return run_unit(payload)
+        label = f"{args.experiment} quick unit {unit.unit_id}"
+    elif args.game:
         def workload():
             return searching_game_verdict(args.n, args.k)
         label = f"game solver k={args.k} n={args.n}"
@@ -122,8 +167,11 @@ def main(argv=None) -> int:
     profiler.disable()
     elapsed = perf_counter() - started
 
-    outcome = getattr(result, "verdict", None)
-    outcome_text = getattr(outcome, "value", outcome)
+    if args.experiment:
+        outcome_text = "passed" if result.get("passed") else "failed"
+    else:
+        outcome = getattr(result, "verdict", None)
+        outcome_text = getattr(outcome, "value", outcome)
     print(f"# {label}: {outcome_text} in {elapsed:.3f}s (profiled)", file=sys.stderr)
     stats = pstats.Stats(profiler)
     if args.out:
