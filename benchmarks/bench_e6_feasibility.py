@@ -27,13 +27,18 @@ def test_game_solver_eight_node_two_robots(benchmark):
     assert result.verdict is GameVerdict.IMPOSSIBLE
 
 
+def _feasibility_tables_n300():
+    """Every task's table up to n=300 (~60k cells): long enough to gate."""
+    return [feasibility_table(task, 300) for task in ("exploration", "gathering", "searching")]
+
+
 def main():
     from _harness import emit
 
     emit(
         "e6",
         {
-            "feasibility-table-n24": lambda: feasibility_table("searching", 24),
+            "feasibility-tables-n300": _feasibility_tables_n300,
             "game-solver-n6-k3": lambda: searching_game_verdict(6, 3),
         },
     )

@@ -3,15 +3,17 @@
 Times the hot paths of the model checker's frontier exploration and the
 E6 adversary game solver, and records:
 
-* ``verify-searching-rc-7x14`` and ``frontier-searching-6x15`` — warm
-  cells (the persistent per-cell plan caches are filled by the first
-  repeat), so the gated medians pin down engine mechanics: BFS,
-  canonicalisation and the livelock search with its pre-proof;
+* ``verify-searching-rc-7x14-warm-x64`` and
+  ``frontier-searching-6x15-warm-x64`` — warm cells (the persistent
+  per-cell plan caches are filled by the first call), each run
+  :data:`WARM_REPEATS` times per timed run so the row lasts long enough
+  to gate; the medians pin down engine mechanics: BFS, canonicalisation
+  and the livelock search with its pre-proof;
 * ``verify-gathering-8x18`` — one gathering cell from an empty cell
   cache on every repeat, so the row pays plan computation the way a
   cold ``repro verify`` process does;
 * ``states_per_second`` — explored states over the median wall time of
-  the warm rows;
+  one warm cell (a warm row's median over :data:`WARM_REPEATS`);
 * the speedups against the pre-rewrite committed baselines, carried
   over from the packed-state rewrite.
 
@@ -117,16 +119,33 @@ WARM_CELLS = {
     "frontier-searching-6x15": _frontier_6x15,
 }
 
+#: A warm cell takes ~5 ms, under ``tools/bench_compare.py``'s
+#: ``MIN_COMPARABLE_S``; each warm row runs its cell this many times.
+WARM_REPEATS = 64
+
+
+def _repeated(cell):
+    def workload():
+        for _ in range(WARM_REPEATS):
+            cell()
+
+    return workload
+
 
 def main():
     from _harness import emit, safe_rate
 
-    workloads = dict(WARM_CELLS)
+    workloads = {
+        f"{cell}-warm-x{WARM_REPEATS}": _repeated(workload)
+        for cell, workload in WARM_CELLS.items()
+    }
     workloads["verify-gathering-8x18"] = _gathering_8x18_cold
     path = emit("modelcheck", workloads)
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     medians = {name: data["median_s"] for name, data in document["workloads"].items()}
+    for cell in WARM_CELLS:
+        medians[cell] = medians[f"{cell}-warm-x{WARM_REPEATS}"] / WARM_REPEATS
     cell_states = {cell: workload().num_states for cell, workload in WARM_CELLS.items()}
     # Measured for the speedup table only (the game solver is gated via BENCH_e6).
     medians["verify-searching-rc-6x13"] = _median_seconds(_searching_6x13)

@@ -6,7 +6,7 @@ The paper's experiments E1-E8 are embarrassingly parallel over their
 deterministically seeded :class:`~repro.campaign.spec.UnitSpec` units —
 and executes it serially or on a process pool with identical results
 (see :mod:`repro.campaign.executor`), optionally persisting progress to
-a resumable JSONL result store (see :mod:`repro.campaign.store`, which
+a resumable result store (see :mod:`repro.campaign.store`, which
 documents the on-disk format).
 
 Every execution knob (worker processes, result store, unit cache,

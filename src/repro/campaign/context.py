@@ -50,7 +50,8 @@ class ExecutionContext:
         jobs: worker processes for campaign-backed runs (parallelism
             *across* units); ``1`` runs in-process.
         store: campaign result store (instance or root directory):
-            enables resume and writes JSONL shards plus ``summary.json``.
+            enables resume through a per-campaign unit cache and writes
+            ``summary.json``; needs a module-level campaign worker.
             With a store, :func:`~repro.runs.execute.execute` skips the
             whole-run cache so the store's artifacts are actually written
             (unit-level de-duplication still applies).

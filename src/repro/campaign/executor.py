@@ -13,8 +13,8 @@ guaranteed:
   ``os._exit``) breaks the pool, which the executor rebuilds before
   retrying the affected units one by one, so a single poisoned unit is
   recorded as ``"crashed"`` without losing the rest of the campaign.
-* **Resumability** — with a result store attached, units whose latest
-  stored record is a success are not re-executed.
+* **Resumability** — with a result store attached, units already in
+  the campaign's unit cache are not re-executed.
 
 On top of those, three resilience controls, all fields of the
 :class:`~repro.campaign.context.ExecutionContext` (none of them changes
@@ -55,7 +55,7 @@ from ..faults.deadline import terminate_pool
 from ..faults.plan import FaultyWorker
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .spec import Campaign, UnitSpec
-from .store import ResultStore
+from .store import ResultStore, fsync_file
 
 __all__ = ["CampaignReport", "run_campaign", "execute_unit", "execute_batch"]
 
@@ -214,24 +214,23 @@ def make_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 class _Collector:
-    """Routes finished records to the report, store, cache and callback."""
+    """Routes finished records to the report, unit caches and callback."""
 
     def __init__(
-        self, report: CampaignReport, ctx: ExecutionContext, worker_name: str
+        self, report: CampaignReport, ctx: ExecutionContext, worker_name: str, units
     ) -> None:
         self._report = report
         self._ctx = ctx
         self._worker_name = worker_name
+        self._units = units
         self._done = len(report.records)
 
     def add(self, record: Dict[str, object]) -> None:
         ctx = self._ctx
         self._report.records.append(record)
-        if ctx.store is not None:
-            ctx.store.append(self._report.campaign.name, record)
-        if ctx.cache is not None and record.get("status") == "ok":
-            key = ctx.cache.unit_key(self._worker_name, _unit_fields(record))
-            ctx.cache.put(key, {"status": "ok", "payload": record.get("payload")})
+        if record.get("status") == "ok":
+            _put_unit(self._units, self._worker_name, record, durable=True)
+            _put_unit(ctx.cache, self._worker_name, record)
         if ctx.metrics is not None:
             ctx.metrics.inc(
                 "campaign_units_total", status=str(record.get("status", "?"))
@@ -239,6 +238,15 @@ class _Collector:
         self._done += 1
         if ctx.progress is not None:
             ctx.progress(self._done, self._report.campaign.num_units, record)
+
+
+def _put_unit(cache, worker_name: str, record: Dict[str, object], durable=False) -> None:
+    """Write an ``ok`` record to a unit cache, if any; ``durable`` fsyncs it."""
+    if cache is not None:
+        key = cache.unit_key(worker_name, _unit_fields(record))
+        path = cache.put(key, {"status": "ok", "payload": record.get("payload")})
+        if durable:
+            fsync_file(path)
 
 
 def _run_parallel(
@@ -374,7 +382,6 @@ def _run_parallel_deadline(
     pending: List[UnitSpec],
     ctx: ExecutionContext,
     collector: _Collector,
-    campaign_name: str,
 ) -> None:
     """Pool execution with a per-unit deadline watchdog.
 
@@ -383,9 +390,7 @@ def _run_parallel_deadline(
     *running* — its submission time is its start time, and the watchdog
     can attribute an overrun to the right unit.  On an overrun the whole
     pool is terminated (there is no way to kill a single busy worker
-    through :class:`~concurrent.futures.ProcessPoolExecutor`), the
-    overdue unit's interim ``"timeout"`` record is appended to the store
-    (shards keep the timeline; the aggregate keeps only final records),
+    through :class:`~concurrent.futures.ProcessPoolExecutor`),
     innocent in-flight units are requeued, and the overdue unit is
     retried once in isolation under a fresh deadline.
     """
@@ -450,11 +455,6 @@ def _run_parallel_deadline(
                 pool.shutdown(wait=False)
                 pool = make_pool(jobs)
             for unit in timed_out:
-                if ctx.store is not None:
-                    # Interim record: the shard timeline shows the kill;
-                    # the isolation retry's final record supersedes it
-                    # (both in the aggregate and on resume).
-                    ctx.store.append(campaign_name, _timeout_record(unit.as_dict(), timeout))
                 _retry_in_isolation_with_deadline(
                     worker, unit, ctx, collector, first_attempt_timed_out=True
                 )
@@ -494,64 +494,54 @@ def run_campaign(
     worker_name = _worker_name(worker)
     if ctx.fault_plan is not None:
         worker = FaultyWorker(worker, ctx.fault_plan)
-    if ctx.cache is not None and ("<lambda>" in worker_name or "<locals>" in worker_name):
-        # Dynamically defined workers share a qualname (every lambda at
-        # one scope is "<lambda>"), so the cache could serve one
-        # worker's payloads as another's.  Their identity is ambiguous —
-        # disable de-duplication rather than risk wrong results.
-        warnings.warn(
-            f"unit de-duplication cache disabled: worker {worker_name!r} is "
-            "dynamically defined and has no stable identity; use a "
-            "module-level function to enable caching",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        ctx = replace(ctx, cache=None)
+    if "<lambda>" in worker_name or "<locals>" in worker_name:
+        # Dynamically defined workers share a qualname (every lambda at one
+        # scope is "<lambda>"): a store refuses them, and the cache is
+        # disabled rather than serve one worker's payloads as another's.
+        if ctx.store is not None:
+            raise ValueError(f"a result store needs a module-level worker, not {worker_name!r}")
+        if ctx.cache is not None:
+            warnings.warn(
+                f"unit de-duplication cache disabled: worker {worker_name!r} is "
+                "dynamically defined and has no stable identity; use a "
+                "module-level function to enable caching",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            ctx = replace(ctx, cache=None)
     store, cache, metrics = ctx.store, ctx.cache, ctx.metrics
 
+    # Resume is de-duplication: the store's units first, then the cache.
+    # A served record is rebuilt around *this* campaign's unit fields, so
+    # the summary stays byte-identical; a cache hit is also stored.
+    units = store.units(campaign.name) if store is not None else None
+    sources = [(units, report.resumed, "resumed"), (cache, report.cached, "cached")]
     pending: List[UnitSpec] = []
-    if store is not None:
-        restored = store.latest_records(campaign.name)
-        for unit in campaign.units:
-            record = restored.get(unit.unit_id)
-            if record is not None and record.get("status") == "ok":
-                report.records.append(record)
-                report.resumed.append(unit.unit_id)
-                if metrics is not None:
-                    metrics.inc("campaign_units_total", status="resumed")
-            else:
-                pending.append(unit)
-    else:
-        pending = list(campaign.units)
-
-    if cache is not None and pending:
-        # De-duplicate against previously executed identical units.  A
-        # cache-served record is rebuilt around *this* campaign's unit
-        # fields, so only the deterministic result part is shared and the
-        # aggregate summary stays byte-identical with a fresh run.
-        still_pending: List[UnitSpec] = []
-        for unit in pending:
-            unit_dict = unit.as_dict()
-            document = cache.get(cache.unit_key(worker_name, unit_dict))
+    for unit in campaign.units:
+        unit_dict = unit.as_dict()
+        for source, served, label in sources:
+            if source is None:
+                continue
+            document = source.get(source.unit_key(worker_name, unit_dict))
             if isinstance(document, dict) and document.get("status") == "ok":
                 record = dict(unit_dict)
                 record.update(status="ok", payload=document.get("payload"), error=None)
                 record["duration_s"] = 0.0
                 report.records.append(record)
-                report.cached.append(unit.unit_id)
+                served.append(unit.unit_id)
                 if metrics is not None:
-                    metrics.inc("campaign_units_total", status="cached")
-                if store is not None:
-                    store.append(campaign.name, record)
-            else:
-                still_pending.append(unit)
-        pending = still_pending
+                    metrics.inc("campaign_units_total", status=label)
+                if source is cache:
+                    _put_unit(units, worker_name, record, durable=True)
+                break
+        else:
+            pending.append(unit)
 
-    collector = _Collector(report, ctx, worker_name)
+    collector = _Collector(report, ctx, worker_name, units)
     if ctx.timeout is not None and pending:
         # Deadlines require killability, so even jobs=1 runs through a
         # (single-worker) pool the watchdog can terminate.
-        _run_parallel_deadline(worker, pending, ctx, collector, campaign.name)
+        _run_parallel_deadline(worker, pending, ctx, collector)
     elif ctx.jobs == 1 or len(pending) <= 1:
         for unit in pending:
             collector.add(execute_unit(worker, unit.as_dict(), ctx.retry))

@@ -4,32 +4,14 @@ Layout (documented here because this *is* the interchange format)::
 
     <root>/
       <campaign-name>/              e.g. e7-quick/
-        shard-0000.jsonl            append-only unit records
-        shard-0001.jsonl            (rotated every ``shard_size`` records)
-        ...
+        units/<key[:2]>/<key>.json  one ResultCache entry per finished unit
         summary.json                deterministic aggregate (see below)
 
-**Shards** hold one JSON object per line, appended as units finish, in
-completion order (which differs between serial and parallel runs).  A
-record carries the full unit spec plus::
-
-    {"unit_id": ..., "index": ..., "status": "ok"|"error"|"crashed",
-     "payload": <worker dict or null>, "error": <info dict or null>,
-     "duration_s": <float>}
-
-``status == "error"`` means the worker raised (the traceback is kept in
-``error``); ``"crashed"`` means the worker *process* died (signal,
-``os._exit``) and the unit could not be completed even in isolation;
-``"timeout"`` means the unit overran its deadline and was killed, even
-in isolation.  A torn *trailing* line (interrupted write) is silently
-ignored on load, which is what makes interrupt-and-resume safe.  A
-corrupt record anywhere *else* (bit rot, concurrent writers, editor
-accidents) is **quarantined**: the bad line is copied to
-``quarantine.log`` next to the shards, a warning names it, and loading
-continues — so a resumed run simply re-executes the affected unit
-instead of dying on the whole campaign.  When a unit appears in several
-shards (e.g. an error that succeeded after a resume) the *last* record
-wins.
+**units/** is a :class:`~repro.runs.cache.ResultCache` keyed like the
+unit de-duplication cache (worker identity, the unit's semantic fields,
+package version).  Every successful unit is written there atomically and
+fsync'd as it finishes, so resuming a campaign is plain de-duplication;
+a corrupt or non-``ok`` entry is a miss, and only that unit re-runs.
 
 **summary.json** is the aggregate: campaign metadata plus all unit
 records sorted by grid index, with the non-deterministic bookkeeping
@@ -42,13 +24,15 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
-from typing import Dict, List, Optional
+import tempfile
+from typing import TYPE_CHECKING, Dict, List
 
-from ..faults.errors import KillPoint
 from .spec import Campaign
 
-__all__ = ["ResultStore"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..runs.cache import ResultCache
+
+__all__ = ["ResultStore", "fsync_file"]
 
 #: Record fields excluded from the deterministic aggregate summary.
 _NON_DETERMINISTIC_FIELDS = ("duration_s",)
@@ -58,175 +42,47 @@ def _clean(record: Dict[str, object]) -> Dict[str, object]:
     return {k: v for k, v in record.items() if k not in _NON_DETERMINISTIC_FIELDS}
 
 
+def fsync_file(path: str) -> None:
+    """Flush an already written file's contents to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class ResultStore:
-    """Append-only JSONL shards plus a deterministic aggregate summary.
+    """Per-campaign unit caches plus a deterministic aggregate summary.
 
     Args:
         root: directory holding one sub-directory per campaign.
-        shard_size: number of records per shard file.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` arming the
-            write path's injection sites (``store.append:<campaign>:
-            <unit_id>``, supporting ``torn_write``/``slow_io``/``kill``)
-            — chaos-testing context only, never part of normal use.
+        fault_plan: optional :class:`~repro.faults.FaultPlan` handed to
+            every unit cache, arming its write path's kill-points
+            (``cache.put.{enter,tmp_written,replaced}:<key>``) —
+            chaos-testing context only, never part of normal use.
     """
 
-    def __init__(
-        self, root: str, shard_size: int = 64, fault_plan=None
-    ) -> None:
-        if shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
+    def __init__(self, root: str, fault_plan=None) -> None:
         self.root = root
-        self.shard_size = shard_size
         self.fault_plan = fault_plan
-        self._counts: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------ #
-    # paths
-    # ------------------------------------------------------------------ #
     def campaign_dir(self, campaign_name: str) -> str:
-        """Directory holding the shards and summary of one campaign."""
+        """Directory holding the unit cache and summary of one campaign."""
         return os.path.join(self.root, campaign_name)
 
     def summary_path(self, campaign_name: str) -> str:
         """Path of the aggregate summary file."""
         return os.path.join(self.campaign_dir(campaign_name), "summary.json")
 
-    def _shard_path(self, campaign_name: str, shard: int) -> str:
-        return os.path.join(self.campaign_dir(campaign_name), f"shard-{shard:04d}.jsonl")
+    def units(self, campaign_name: str) -> "ResultCache":
+        """The unit cache of one campaign (resume source and sink)."""
+        # Imported lazily: repro.runs itself imports this package.
+        from ..runs.cache import ResultCache
 
-    def _shard_paths(self, campaign_name: str) -> List[str]:
-        directory = self.campaign_dir(campaign_name)
-        if not os.path.isdir(directory):
-            return []
-        names = sorted(
-            name
-            for name in os.listdir(directory)
-            if name.startswith("shard-") and name.endswith(".jsonl")
+        return ResultCache(
+            os.path.join(self.campaign_dir(campaign_name), "units"),
+            fault_plan=self.fault_plan,
         )
-        return [os.path.join(directory, name) for name in names]
-
-    # ------------------------------------------------------------------ #
-    # reading
-    # ------------------------------------------------------------------ #
-    def quarantine_path(self, campaign_name: str) -> str:
-        """Path of the campaign's corrupt-record quarantine file."""
-        return os.path.join(self.campaign_dir(campaign_name), "quarantine.log")
-
-    def _quarantine(self, campaign_name: str, origin: str, line: str) -> None:
-        """Copy one corrupt record line to the quarantine file, once.
-
-        The shard itself is append-only and is never rewritten, so the
-        same bad line resurfaces on every load; the quarantine file is
-        de-duplicated by content to stay readable.
-        """
-        path = self.quarantine_path(campaign_name)
-        entry = f"{origin}\t{line}\n"
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                if entry in handle.read():
-                    return
-        except OSError:
-            pass
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(entry)
-
-    def iter_records(self, campaign_name: str) -> List[Dict[str, object]]:
-        """All raw records across shards, tolerant of corrupt lines.
-
-        A torn *trailing* line (no newline at end-of-file: an
-        interrupted final write) is dropped silently — that is the
-        normal crash-and-resume signature.  Any other undecodable or
-        non-object line is *quarantined* with a warning (see
-        :meth:`quarantine_path`) and skipped, so one rotten byte cannot
-        take the campaign's whole history down; the affected unit simply
-        has no record and is re-executed on resume.
-        """
-        records: List[Dict[str, object]] = []
-        for path in self._shard_paths(campaign_name):
-            with open(path, "r", encoding="utf-8") as handle:
-                raw_lines = handle.readlines()
-            for lineno, raw in enumerate(raw_lines, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                record: Optional[Dict[str, object]] = None
-                try:
-                    loaded = json.loads(line)
-                    if isinstance(loaded, dict):
-                        record = loaded
-                except json.JSONDecodeError:
-                    pass
-                if record is not None:
-                    records.append(record)
-                    continue
-                if lineno == len(raw_lines) and not raw.endswith("\n"):
-                    # Torn trailing line: interrupted mid-write; a
-                    # resumed run recomputes that unit.
-                    continue
-                origin = f"{os.path.basename(path)}:{lineno}"
-                self._quarantine(campaign_name, origin, line)
-                warnings.warn(
-                    f"result store: quarantined corrupt record at {origin} of "
-                    f"campaign {campaign_name!r}; the affected unit will be "
-                    "re-run on resume",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return records
-
-    def latest_records(self, campaign_name: str) -> Dict[str, Dict[str, object]]:
-        """Last record per unit id (later shards/lines override earlier ones)."""
-        latest: Dict[str, Dict[str, object]] = {}
-        for record in self.iter_records(campaign_name):
-            unit_id = record.get("unit_id")
-            if isinstance(unit_id, str):
-                latest[unit_id] = record
-        return latest
-
-    def completed_unit_ids(self, campaign_name: str) -> List[str]:
-        """Units whose latest record is a success (skipped on resume)."""
-        return [
-            unit_id
-            for unit_id, record in self.latest_records(campaign_name).items()
-            if record.get("status") == "ok"
-        ]
-
-    # ------------------------------------------------------------------ #
-    # writing
-    # ------------------------------------------------------------------ #
-    def append(self, campaign_name: str, record: Dict[str, object]) -> None:
-        """Append one record to the campaign's current shard (flushes).
-
-        With a fault plan attached, the injection site
-        ``store.append:<campaign>:<unit_id>`` may fire here: a
-        ``torn_write`` durably writes *half* the line and then raises
-        :class:`~repro.faults.KillPoint` — exactly the on-disk state a
-        power cut mid-append leaves — which :meth:`iter_records`' torn-
-        trailing-line tolerance must recover from.
-        """
-        directory = self.campaign_dir(campaign_name)
-        os.makedirs(directory, exist_ok=True)
-        if campaign_name not in self._counts:
-            self._counts[campaign_name] = len(self.iter_records(campaign_name))
-        count = self._counts[campaign_name]
-        path = self._shard_path(campaign_name, count // self.shard_size)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        action = None
-        if self.fault_plan is not None:
-            site = f"store.append:{campaign_name}:{record.get('unit_id')}"
-            action = self.fault_plan.fire(
-                site, supported=("torn_write", "slow_io", "kill")
-            )
-        with open(path, "a", encoding="utf-8") as handle:
-            if action == "torn_write":
-                handle.write(line[: max(1, len(line) // 2)])
-                handle.flush()
-                os.fsync(handle.fileno())
-                raise KillPoint(f"store.append:{campaign_name}:{record.get('unit_id')}")
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._counts[campaign_name] = count + 1
 
     # ------------------------------------------------------------------ #
     # aggregate summary
@@ -263,10 +119,17 @@ class ResultStore:
     def write_summary(
         self, campaign: Campaign, records: List[Dict[str, object]]
     ) -> str:
-        """Write ``summary.json`` for the campaign; returns its path."""
-        os.makedirs(self.campaign_dir(campaign.name), exist_ok=True)
+        """Write ``summary.json`` atomically (temp file, then ``os.replace``,
+        so a killed write never leaves a torn summary); returns its path."""
+        directory = self.campaign_dir(campaign.name)
+        os.makedirs(directory, exist_ok=True)
         path = self.summary_path(campaign.name)
-        payload = self.summary_bytes(campaign, records)
-        with open(path, "wb") as handle:
-            handle.write(payload)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(self.summary_bytes(campaign, records))
+            os.replace(tmp_path, path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
         return path

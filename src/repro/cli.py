@@ -260,7 +260,7 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         "--store",
         default=None,
         metavar="DIR",
-        help="result-store directory (enables resume and writes JSONL shards + summary.json)",
+        help="result-store directory (enables resume and writes per-unit results + summary.json)",
     )
     parser.add_argument(
         "--progress",
@@ -321,7 +321,8 @@ def _validate_campaign_arguments(
         if os.path.abspath(store) == os.path.abspath(cache):
             parser.error(
                 "the result-store and result-cache directories must differ "
-                "(the JSONL store and the content-addressed cache have incompatible layouts)"
+                "(the cache would count <dir>/<campaign>/summary.json as one of its "
+                "entries, and eviction or clearing would delete it)"
             )
 
 

@@ -5,11 +5,11 @@ package turns the same adversarial mindset on the execution stack
 itself.  It provides:
 
 * :class:`~repro.faults.plan.FaultPlan` — a seeded, deterministic map
-  from named injection sites (campaign units, store/cache write paths,
-  the service's run loop) to fault classes: worker **crash**
-  (``os._exit``), worker **hang**, raised **transient** error, **torn
-  write** at named kill-points, and **slow I/O**.  Every site fires at
-  most once (durable markers), so recovery is observable.
+  from named injection sites (campaign units, cache write paths, the
+  service's run loop) to fault classes: worker **crash** (``os._exit``),
+  worker **hang**, raised **transient** error, simulated death (**kill**)
+  at named kill-points, and **slow I/O**.  Every site fires at most once
+  (durable markers), so recovery is observable.
 * :class:`~repro.faults.retry.RetryPolicy` — bounded attempts,
   exponential backoff, deterministic jitter, transient-vs-permanent
   classification built on the ``retryable`` error flag.

@@ -6,7 +6,6 @@ it is.  Sites are stable strings named after the code location and the
 work item, e.g.::
 
     unit:e7-quick:u003-k005-n012        campaign unit execution
-    store.append:e7-quick:u003-...      result-store record write
     cache.put.tmp_written:<key>         cache atomic-write kill-point
     execute:verify:<run_id prefix>      the execute() front door
     service.run:<run_id prefix>         the HTTP service's worker
@@ -47,11 +46,9 @@ from .errors import KillPoint, TransientFaultError
 
 __all__ = ["FAULT_KINDS", "FaultPlan", "FaultyWorker", "demo_worker"]
 
-#: Every fault class a plan can inject.  ``crash``/``hang``/
-#: ``transient``/``slow_io`` are *performed* by the plan itself;
-#: ``torn_write`` and ``kill`` are returned to the call site, which owns
-#: the torn-state semantics (what "half a write" means there).
-FAULT_KINDS = ("crash", "hang", "transient", "torn_write", "slow_io", "kill")
+#: Every fault class a plan can inject; :meth:`FaultPlan.fire` performs
+#: each of them itself.
+FAULT_KINDS = ("crash", "hang", "transient", "slow_io", "kill")
 
 #: Fault kinds the plan performs generically inside :meth:`FaultPlan.fire`.
 _GENERIC_KINDS = ("crash", "hang", "transient", "slow_io")
@@ -193,8 +190,7 @@ class FaultPlan:
         (after the marker is durable), ``hang`` sleeps ``hang_s``,
         ``transient`` raises :class:`TransientFaultError`, ``slow_io``
         sleeps ``slow_s`` and returns.  ``kill`` raises
-        :class:`KillPoint`.  ``torn_write`` is returned *unperformed* —
-        the call site owns what a torn write means for its format.
+        :class:`KillPoint`.
         """
         kind = self.decide(site, supported)
         if kind is None or not self._arm(site):
@@ -209,9 +205,7 @@ class FaultPlan:
         if kind == "slow_io":
             time.sleep(self.slow_s)
             return kind
-        if kind == "kill":
-            raise KillPoint(site)
-        return kind  # torn_write: the caller implements the semantics
+        raise KillPoint(site)  # the one kind left: kill
 
     def kill_point(self, site: str) -> None:
         """Named kill-point: die here iff the plan targets this site."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -15,7 +16,9 @@ from repro.campaign import (
     run_campaign,
     run_experiment_campaign,
 )
-from repro.campaign.executor import execute_unit
+from repro.campaign import executor as executor_module
+from repro.campaign import store as store_module
+from repro.campaign.executor import _worker_name, execute_unit
 from repro.experiments.e1_configuration_census import run_unit as e1_run_unit
 
 
@@ -33,6 +36,17 @@ def flaky_worker(unit):
     if unit["k"] == 5:
         raise ValueError(f"boom on {unit['unit_id']}")
     return product_worker(unit)
+
+
+#: Switched by the resume test: the same worker (same cache identity)
+#: fails on k == 5 in the first run and tags its payload in the second.
+_RESUMED_RUN = False
+
+
+def resumable_worker(unit):
+    if not _RESUMED_RUN:
+        return flaky_worker(unit)
+    return tagged_worker(unit)
 
 
 def crashing_worker(unit):
@@ -116,17 +130,19 @@ class TestDeterminism:
 
 
 class TestResume:
-    def test_resume_skips_completed_units(self, tmp_path):
+    def test_resume_skips_completed_units(self, tmp_path, monkeypatch):
         store = ResultStore(str(tmp_path))
         first = run_experiment_campaign(
-            "e7", "quick", flaky_worker, ExecutionContext(jobs=1, store=store),
+            "e7", "quick", resumable_worker, ExecutionContext(jobs=1, store=store),
         )
         failed = {r["unit_id"] for r in first.failures}
         assert failed  # k == 5 units errored
-        # Second run with a distinguishable worker: only the failed units
-        # are re-executed, completed ones come back verbatim from disk.
+        # Second run of the same worker, now tagging its payloads: only
+        # the failed units are re-executed, completed ones come back
+        # verbatim from disk.
+        monkeypatch.setattr(sys.modules[__name__], "_RESUMED_RUN", True)
         second = run_experiment_campaign(
-            "e7", "quick", tagged_worker,
+            "e7", "quick", resumable_worker,
             ExecutionContext(jobs=1, store=ResultStore(str(tmp_path))),
         )
         assert set(second.resumed) == {
@@ -137,28 +153,82 @@ class TestResume:
             assert record["payload"]["row"][2] == expected
         assert not second.failures
 
-    def test_resume_tolerates_torn_shard_line(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+    @pytest.mark.parametrize("corruption", ["truncated", "empty", "non-object", "error-status"])
+    def test_corrupt_entry_reruns_only_that_unit(self, tmp_path, corruption):
         campaign = build_campaign("e1", "quick")
+        clean = run_campaign(
+            campaign, product_worker, ExecutionContext(store=str(tmp_path / "clean"))
+        )
+        store = ResultStore(str(tmp_path / "store"))
         run_campaign(campaign, product_worker, ExecutionContext(store=store))
-        shard = os.path.join(store.campaign_dir(campaign.name), "shard-0000.jsonl")
-        with open(shard, "a", encoding="utf-8") as handle:
-            handle.write('{"unit_id": "k004-n0')  # interrupted mid-write
-        fresh = ResultStore(str(tmp_path))
-        assert len(fresh.completed_unit_ids(campaign.name)) == campaign.num_units
-        resumed = run_campaign(campaign, tagged_worker, ExecutionContext(store=fresh))
-        assert len(resumed.resumed) == campaign.num_units
+        units = store.units(campaign.name)
+        victim = campaign.units[2]
+        path = units._path(units.unit_key(_worker_name(product_worker), victim.as_dict()))
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        damaged = {
+            "truncated": text[: len(text) // 2],
+            "empty": "",
+            "non-object": json.dumps([1, 2, 3]),
+            "error-status": json.dumps({"status": "error", "payload": None}),
+        }[corruption]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(damaged)
+        resumed = run_campaign(campaign, product_worker, ExecutionContext(store=store))
+        assert set(resumed.resumed) == {u.unit_id for u in campaign.units} - {victim.unit_id}
+        with open(clean.summary_path, "rb") as f1, open(resumed.summary_path, "rb") as f2:
+            assert f1.read() == f2.read()
+        # The re-run unit was written back: a third run resumes everything.
+        again = run_campaign(campaign, product_worker, ExecutionContext(store=store))
+        assert len(again.resumed) == campaign.num_units
 
-    def test_shards_rotate(self, tmp_path):
-        store = ResultStore(str(tmp_path), shard_size=2)
+    def test_different_worker_identity_reruns_every_unit(self, tmp_path):
         campaign = build_campaign("e1", "quick")
-        run_campaign(campaign, product_worker, ExecutionContext(store=store))
-        shards = [
-            name
-            for name in os.listdir(store.campaign_dir(campaign.name))
-            if name.startswith("shard-")
-        ]
-        assert len(shards) == 3  # 6 units / 2 per shard
+        run_campaign(campaign, product_worker, ExecutionContext(store=str(tmp_path)))
+        other = run_campaign(campaign, tagged_worker, ExecutionContext(store=str(tmp_path)))
+        assert other.resumed == []
+        assert all(r["payload"]["row"][2] == "second-run" for r in other.records)
+
+    def test_cache_hit_is_written_to_the_store(self, tmp_path):
+        campaign = build_campaign("e1", "quick")
+        cache = str(tmp_path / "cache")
+        run_campaign(campaign, product_worker, ExecutionContext(cache=cache))
+        store = str(tmp_path / "store")
+        served = run_campaign(campaign, product_worker, ExecutionContext(store=store, cache=cache))
+        assert len(served.cached) == campaign.num_units and served.resumed == []
+        # Without the cache, the next run resumes every unit from the store.
+        resumed = run_campaign(campaign, product_worker, ExecutionContext(store=store))
+        assert len(resumed.resumed) == campaign.num_units and resumed.cached == []
+        assert resumed.summary_bytes() == served.summary_bytes()
+
+    @pytest.mark.parametrize("knobs", [{"jobs": 2}, {"timeout": 60.0}], ids=["pool", "deadline"])
+    def test_pool_paths_store_every_unit(self, tmp_path, knobs):
+        campaign = build_campaign("e1", "quick")
+        first = run_campaign(campaign, product_worker, ExecutionContext(store=str(tmp_path), **knobs))
+        resumed = run_campaign(campaign, product_worker, ExecutionContext(store=str(tmp_path)))
+        assert len(resumed.resumed) == campaign.num_units
+        assert resumed.summary_bytes() == first.summary_bytes()
+
+    def test_store_unit_writes_are_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(executor_module, "fsync_file", synced.append)
+        campaign = build_campaign("e1", "quick")
+        cache = str(tmp_path / "cache")
+        run_campaign(campaign, product_worker, ExecutionContext(cache=cache))
+        assert synced == []  # the shared cache is not fsync'd
+        store = ResultStore(str(tmp_path / "store"))
+        run_campaign(campaign, product_worker, ExecutionContext(store=store, cache=cache))
+        units_dir = os.path.join(store.campaign_dir(campaign.name), "units")
+        assert len(synced) == campaign.num_units
+        assert all(path.startswith(units_dir + os.sep) for path in synced)
+
+    def test_dynamically_defined_worker_rejects_a_store(self, tmp_path):
+        with pytest.raises(ValueError, match="<lambda>"):
+            run_campaign(
+                build_campaign("e1", "quick"),
+                lambda unit: product_worker(unit),
+                ExecutionContext(store=str(tmp_path)),
+            )
 
     def test_summary_document_strips_durations(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -168,8 +238,24 @@ class TestResume:
             summary = json.load(handle)
         assert summary["num_completed"] == campaign.num_units
         assert all("duration_s" not in unit for unit in summary["units"])
-        # ... but the shards do keep the timing for humans to inspect.
-        assert all("duration_s" in r for r in store.iter_records(campaign.name))
+
+    def test_failed_summary_write_keeps_the_old_summary(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path))
+        campaign = build_campaign("e1", "quick")
+        report = run_campaign(campaign, product_worker, ExecutionContext(store=store))
+        with open(report.summary_path, "rb") as handle:
+            before = handle.read()
+
+        def failing_replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(store_module.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            store.write_summary(campaign, report.records[:2])
+        with open(report.summary_path, "rb") as handle:
+            assert handle.read() == before
+        # ... and the temp file does not linger.
+        assert sorted(os.listdir(store.campaign_dir(campaign.name))) == ["summary.json", "units"]
 
 
 class TestFailureReporting:

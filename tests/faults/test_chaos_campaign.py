@@ -92,25 +92,25 @@ def test_slow_io_faults_recover_byte_identical(tmp_path):
     assert faulted == clean
 
 
-def test_torn_write_then_resume_byte_identical(tmp_path):
-    """A torn store append kills the run; a resume heals it completely."""
-    clean = _run_summary(tmp_path, "torn", "clean")
+@pytest.mark.parametrize("stage", ["enter", "tmp_written", "replaced"])
+def test_killed_store_write_then_resume_byte_identical(tmp_path, stage):
+    """A kill inside a store unit write ends the run; a resume heals it."""
+    clean = _run_summary(tmp_path, "kill", "clean")
     plan = FaultPlan(
         seed=SEED,
-        sites={"store.append:chaos-torn:u003*": "torn_write"},
+        sites={f"cache.put.{stage}:*": "kill"},
         state_dir=str(tmp_path / "state"),
     )
-    campaign = _campaign("torn")
+    campaign = _campaign("kill")
     store = ResultStore(str(tmp_path / "faulted"), fault_plan=plan)
     with pytest.raises(KillPoint):
         run_campaign(campaign, demo_worker, ExecutionContext(store=store))
-    # The dying write left a torn trailing line behind.
-    shard = os.path.join(store.campaign_dir(campaign.name), "shard-0000.jsonl")
-    with open(shard, "r", encoding="utf-8") as handle:
-        assert not handle.read().endswith("\n")
+    assert not os.path.exists(store.summary_path(campaign.name))
     # Restart: a fresh, fault-free store resumes and completes the run.
+    # Only a kill after the atomic replace leaves the first unit stored.
     resumed = ResultStore(str(tmp_path / "faulted"))
-    run_campaign(campaign, demo_worker, ExecutionContext(store=resumed))
+    report = run_campaign(campaign, demo_worker, ExecutionContext(store=resumed))
+    assert len(report.resumed) == (1 if stage == "replaced" else 0)
     with open(resumed.summary_path(campaign.name), "rb") as handle:
         assert handle.read() == clean
 

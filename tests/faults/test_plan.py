@@ -46,9 +46,9 @@ def test_explicit_site_pattern_beats_rates():
 
 
 def test_unsupported_kind_does_not_fire():
-    plan = FaultPlan(sites={"store.append:*": "crash"})
-    # The store's append site does not support crash faults.
-    assert plan.decide("store.append:demo:u001", supported=("torn_write", "kill")) is None
+    plan = FaultPlan(sites={"cache.put.enter:*": "crash"})
+    # The cache's write-path sites do not support crash faults.
+    assert plan.decide("cache.put.enter:abc", supported=("kill", "slow_io")) is None
 
 
 def test_fire_once_with_local_markers():
@@ -82,20 +82,14 @@ def test_kill_point_raises_base_exception():
 
 def test_slow_io_fires_and_returns(tmp_path):
     plan = FaultPlan(
-        sites={"store.append:*": "slow_io"}, slow_s=0.0, state_dir=str(tmp_path)
+        sites={"cache.put.enter:*": "slow_io"}, slow_s=0.0, state_dir=str(tmp_path)
     )
-    assert plan.fire("store.append:demo:u001") == "slow_io"
-    assert plan.fire("store.append:demo:u001") is None
-
-
-def test_torn_write_is_returned_unperformed():
-    plan = FaultPlan(sites={"store.append:*": "torn_write"})
-    kind = plan.fire("store.append:demo:u001", supported=("torn_write",))
-    assert kind == "torn_write"
+    assert plan.fire("cache.put.enter:abc") == "slow_io"
+    assert plan.fire("cache.put.enter:abc") is None
 
 
 def test_fault_kinds_registry_is_stable():
-    assert FAULT_KINDS == ("crash", "hang", "transient", "torn_write", "slow_io", "kill")
+    assert FAULT_KINDS == ("crash", "hang", "transient", "slow_io", "kill")
 
 
 def test_marker_files_use_hashed_names(tmp_path):
