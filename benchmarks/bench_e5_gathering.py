@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.algorithms.gathering import GatheringAlgorithm
+from repro.algorithms.gathering import GatheringAlgorithm, gathering_supported
 from repro.campaign.spec import build_campaign
 from repro.experiments import e5_gathering
 from repro.simulator.runner import run_gathering
@@ -54,6 +54,29 @@ def test_gathering_campaign_cell(benchmark):
     assert payload["passed"]
 
 
+def _quick_baseline_cells():
+    """``(starts, budget)`` of every supported cell of the E5 quick campaign."""
+    cells = []
+    for unit in build_campaign("e5", "quick").units:
+        if gathering_supported(unit.n, unit.k):
+            starts = e5_gathering._starting_configurations(
+                unit.n, unit.k, unit.samples, unit.seed
+            )
+            cells.append((starts, 30 * unit.n * unit.k + 200))  # run_unit's budget
+    return cells
+
+
+def test_greedy_baseline_quick_campaign(benchmark):
+    """The greedy strawman of the whole quick campaign, as batched lanes."""
+    cells = _quick_baseline_cells()
+
+    def run_baselines():
+        return [e5_gathering._baseline_gathered(starts, budget) for starts, budget in cells]
+
+    gathered = benchmark(run_baselines)
+    assert 0 < sum(gathered) < sum(len(starts) for starts, _ in cells)
+
+
 def _smoke_cell(n, k):
     assert e5_gathering.run_unit(_quick_unit(n, k))["passed"]
 
@@ -70,15 +93,22 @@ def _smoke_scaling(n, k):
     assert trace.final_configuration.num_occupied == 1
 
 
+def _smoke_greedy_baseline(cells):
+    for starts, budget in cells:
+        e5_gathering._baseline_gathered(starts, budget)
+
+
 def main():
     from _harness import emit
 
+    cells = _quick_baseline_cells()
     emit(
         "e5",
         {
             "gathering-exhaustive-n10-k5": lambda: _smoke_exhaustive(10, 5),
             "gathering-scaling-n24-k8": lambda: _smoke_scaling(24, 8),
             "cell-n11-k6": lambda: _smoke_cell(11, 6),
+            "greedy-baseline-quick": lambda: _smoke_greedy_baseline(cells),
         },
     )
 

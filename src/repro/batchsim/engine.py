@@ -15,6 +15,10 @@ expensive is shared across lanes:
   :class:`~repro.model.algorithm.DecisionCache` semantics), with the
   Look table, decision cache and configuration pool shared across the
   whole batch;
+* every round-robin lane, monitored or not, runs in one hot loop, and
+  a lane with no monitors and no event log fast-forwards whole periods
+  of a periodic orbit (a Look-table lane only periods in which no Look
+  depended on the presentation order);
 * stop conditions are predicates over the configuration and are
   memoised per distinct occupancy row, so a convergence check costs one
   dictionary hit per step instead of a property chain.
@@ -25,10 +29,11 @@ trace produced by ``Simulator(algorithm, initials[i],
 scheduler=scheduler_factory(i), options=options)`` executing the same
 run — the differential suite in ``tests/batchsim/`` enforces this under
 every scheduler.  The engine may *skip* presentation
-RNG draws on the fast path (traces record moves, not draws; pure
+RNG draws on the plan-table path (traces record moves, not draws; pure
 global-rule decisions are presentation-independent), which is exactly
 why the certification is done on serialised traces rather than on RNG
-states.
+states.  Look-table lanes draw exactly as the per-run engine does, one
+draw per skipped step included.
 """
 
 from __future__ import annotations
@@ -188,8 +193,9 @@ class BatchLane:
         self.events: List[tuple] = []
         self.monitors = None
         self.view: Optional[BatchLaneView] = None
-        #: round-boundary state memory for periodic-orbit fast-forward.
-        self.orbit: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
+        #: round-boundary state memory for periodic-orbit fast-forward:
+        #: normalised positions -> (step, total_moves, base node, ties).
+        self.orbit: Dict[Tuple[int, ...], Tuple[int, int, int, int]] = {}
 
 
 class BatchEngine:
@@ -212,8 +218,9 @@ class BatchEngine:
         options: shared :class:`EngineOptions` bundle (defaults applied
             as in the incremental engine).
         monitors_factory: optional ``lane_index -> iterable of monitors``;
-            monitored lanes materialise move records and configurations
-            every step (exact but slower).
+            every monitor sees every step of its lane, as under the
+            incremental engine, so monitored lanes never fast-forward
+            periodic orbits.
         record_events: record per-step events enabling
             :meth:`lane_trace`.  Disable for throughput when only the
             aggregate counters (``total_moves``, ``step_count``,
@@ -449,13 +456,12 @@ class BatchEngine:
     # lane stepping
     # ------------------------------------------------------------------ #
     def _run_lane(self, lane: BatchLane, max_steps: int, memo: "_StopMemo") -> str:
-        if (
-            lane.driver == _DRIVER_RR
-            and lane.monitors is None
-            and self._plan_table is not None
-        ):
-            return self._run_lane_rr_fast(lane, max_steps, memo)
-        return self._run_lane_general(lane, max_steps, memo)
+        if lane.driver != _DRIVER_RR:
+            return self._run_lane_general(lane, max_steps, memo)
+        # Remembered round-boundary states were stop-checked under an
+        # earlier run's predicate (or none), so every run starts afresh.
+        lane.orbit.clear()
+        return self._run_lane_rr(lane, max_steps, memo)
 
     def _plan_for_key(self, key: bytes, lane: BatchLane) -> Dict[int, object]:
         counts = self._tuples.get(key)
@@ -466,21 +472,100 @@ class BatchEngine:
         self._plans[key] = plan
         return plan
 
-    def _run_lane_rr_fast(
+    def _direction(
+        self, key: bytes, counts: Tuple[int, ...], node: int, first_is_cw: bool
+    ) -> int:
+        """One exact Look through the shared Look table (:func:`look_direction`)."""
+        table = self._look_table
+        look_key = (key, node, first_is_cw)
+        direction = None if table is None else table.get(look_key)
+        if direction is None:
+            direction = look_direction(
+                self._algorithm,
+                self._decisions,
+                self.pool.configuration(counts),
+                node,
+                first_is_cw,
+                self._multiplicity_detection,
+            )
+            if table is not None:
+                table.put(look_key, direction)
+        return direction
+
+    def _orbit_skip(
+        self,
+        lane: BatchLane,
+        key: bytes,
+        counts_tuple: Tuple[int, ...],
+        step: int,
+        total_moves: int,
+        ties: int,
+        remaining: int,
+    ) -> Optional[Tuple[int, int, bytes, Tuple[int, ...]]]:
+        """Remember a round-boundary state, or skip whole periods of its orbit.
+
+        Called when robot 0 is next in round-robin order: every CYCLE
+        step leaves ``pending`` empty, so the rotation-normalised
+        positions are the lane's complete state.  On a revisit with the
+        same tie count, the period since the remembered visit repeats,
+        rotated, for as long as the budget lasts, so ``full`` periods are
+        applied at once and positions and row are rotated in place.  A
+        revisit after a tie is remembered afresh instead.
+
+        Returns ``None`` (simulate on), or ``(steps skipped, moves
+        skipped, key, counts tuple)`` after the skip.
+        """
+        positions = lane.positions
+        n = self._n
+        base = positions[0]
+        norm = tuple((p - base) % n for p in positions)
+        prev = lane.orbit.get(norm)
+        if prev is None or prev[3] != ties:
+            lane.orbit[norm] = (step, total_moves, base, ties)
+            return None
+        prev_step, prev_moves, prev_base, _ = prev
+        period = step - prev_step
+        full = remaining // period if period > 0 else 0
+        if full <= 0:
+            return None
+        rotation = ((base - prev_base) * full) % n
+        if rotation:
+            for i in range(len(positions)):
+                positions[i] = (positions[i] + rotation) % n
+            rotated = tuple(counts_tuple[(i - rotation) % n] for i in range(n))
+            row = lane.row
+            for i in range(n):
+                row[i] = rotated[i]
+            key = row.tobytes()
+            counts_tuple = self._tuples.setdefault(key, rotated)
+        return full * period, full * (total_moves - prev_moves), key, counts_tuple
+
+    def _run_lane_rr(
         self, lane: BatchLane, max_steps: int, memo: "_StopMemo"
     ) -> str:
-        """Hot loop: round-robin sequential scheduler, global-plan decisions.
+        """Hot loop: every lane under the round-robin sequential scheduler.
 
-        Everything per-step is a handful of dict hits and integer ops;
-        per-lane state lives in locals and is written back in ``finally``
-        so an aborting exception (collision, planner precondition) leaves
-        the lane consistent with the steps it actually executed.  The
-        stop predicate is evaluated only when the configuration changes
-        (idle steps cannot change its value), and — when events are not
-        being recorded — round-boundary states are remembered so a lane
-        that enters a periodic orbit (every perpetual task does) has its
-        remaining full periods fast-forwarded arithmetically instead of
-        simulated.
+        A pure global-rule algorithm decides by the shared plan table (a
+        handful of dict hits per step, no presentation draws); any other
+        algorithm decides by the shared Look table after the per-run
+        presentation draw.  Per-lane state lives in locals and is
+        written back in ``finally`` so an aborting exception (collision,
+        planner precondition) leaves the lane consistent with the steps
+        it actually executed.  The stop predicate is evaluated only when
+        the configuration changes (idle steps cannot change its value).
+        Monitors see every step before a collision raises, with
+        ``step_count`` current; the pooled configuration they receive is
+        looked up only after a move.
+
+        Unmonitored lanes that record no events remember their
+        round-boundary states, so a lane that enters a periodic orbit
+        (every perpetual task does) has its remaining full periods
+        fast-forwarded arithmetically (:meth:`_orbit_skip`).  A
+        Look-table lane that draws presentations also counts its *ties*
+        — Looks whose two presentation orders give different directions
+        — and skips only tie-free periods, which no draw can change; it
+        still draws once per skipped step, so its RNG state stays equal
+        to the per-run engine's.
         """
         positions = lane.positions
         k = len(positions)
@@ -493,10 +578,14 @@ class BatchEngine:
         total_moves = lane.total_moves
         mult = lane.mult_nodes
         events = lane.events
+        monitors = lane.monitors
+        view = lane.view
         record = self._record_events
         exclusive = self._exclusive
         collision_raise = self._collision_raise
-        plans = self._plans
+        plans = self._plans if self._plan_table is not None else None
+        direction_of = self._direction
+        draw = lane.rng.random if plans is None and not self._chirality else None
         tuples = self._tuples
         pool_configuration = self.pool.configuration
         cycle = ActivationKind.CYCLE
@@ -504,66 +593,66 @@ class BatchEngine:
         stop_satisfied = memo.satisfied
         # Fast-forwarding replays configurations that are *rotations* of
         # already-visited (stop-checked) ones, so it needs the predicate
-        # to be absent or declared rotation-invariant.
-        orbit = (
-            lane.orbit
-            if not record and (not stop_active or memo.declared_invariant)
-            else None
+        # to be absent or declared rotation-invariant.  A Look-table lane
+        # needs the table to count ties cheaply, and counts them only
+        # when it draws (under chirality no Look has a second order).
+        fast_forward = (
+            monitors is None
+            and not record
+            and (not stop_active or memo.declared_invariant)
+            and (plans is not None or self._look_table is not None)
         )
+        count_ties = fast_forward and draw is not None
+        ties = 0
         plan = None
+        configuration: Optional[Configuration] = None
         stop_current: Optional[bool] = None
         reason = "max-steps"
         steps_done = 0
         try:
             while steps_done < max_steps:
                 robot = rr % k
-                if robot == 0 and orbit is not None:
-                    base = positions[0]
-                    norm = tuple((p - base) % n for p in positions)
-                    prev = orbit.get(norm)
-                    if prev is None:
-                        orbit[norm] = (step, total_moves, base)
-                    else:
-                        prev_step, prev_moves, prev_base = prev
-                        period = step - prev_step
-                        full = (
-                            (max_steps - steps_done) // period if period > 0 else 0
-                        )
-                        if full > 0:
-                            rotation = ((base - prev_base) * full) % n
-                            step += full * period
-                            rr += full * period
-                            steps_done += full * period
-                            total_moves += full * (total_moves - prev_moves)
-                            if rotation:
-                                for i in range(k):
-                                    positions[i] = (positions[i] + rotation) % n
-                                rotated = tuple(
-                                    counts_tuple[(i - rotation) % n]
-                                    for i in range(n)
-                                )
-                                for i in range(n):
-                                    row[i] = rotated[i]
-                                key = row.tobytes()
-                                counts_tuple = tuples.setdefault(key, rotated)
-                                plan = None
-                            continue
+                if robot == 0 and fast_forward:
+                    skip = self._orbit_skip(
+                        lane, key, counts_tuple, step, total_moves, ties,
+                        max_steps - steps_done,
+                    )
+                    if skip is not None:
+                        skipped, moved, key, counts_tuple = skip
+                        step += skipped
+                        rr += skipped
+                        steps_done += skipped
+                        total_moves += moved
+                        if draw is not None:
+                            for _ in range(skipped):
+                                draw()
+                        plan = None
+                        continue
                 rr += 1
-                if plan is None:
-                    plan = plans.get(key)
-                    if plan is None:
-                        lane.key = key
-                        plan = self._plan_for_key(key, lane)
-                        counts_tuple = tuples[key]
                 position = positions[robot]
-                target = plan.get(position)
+                if plans is not None:
+                    if plan is None:
+                        plan = plans.get(key)
+                        if plan is None:
+                            lane.key = key
+                            plan = self._plan_for_key(key, lane)
+                            counts_tuple = tuples[key]
+                    target = plan.get(position)
+                    if target is INVALID_TARGET:
+                        raise AlgorithmPreconditionError(
+                            f"planner asked the robot at node {position} to move to "
+                            "a non-adjacent node"
+                        )
+                else:
+                    first_is_cw = True if draw is None else draw() < 0.5
+                    direction = direction_of(key, counts_tuple, position, first_is_cw)
+                    if count_ties and direction != direction_of(
+                        key, counts_tuple, position, not first_is_cw
+                    ):
+                        ties += 1
+                    target = (position + direction) % n if direction else None
                 if target is None:
                     moves: tuple = ()
-                elif target is INVALID_TARGET:
-                    raise AlgorithmPreconditionError(
-                        f"planner asked the robot at node {position} to move to "
-                        "a non-adjacent node"
-                    )
                 else:
                     row[position] -= 1
                     row[target] += 1
@@ -583,6 +672,7 @@ class BatchEngine:
                     moves = ((robot, position, target),)
                     plan = None
                     stop_current = None
+                    configuration = None
                 collision = exclusive and mult > 0
                 if record:
                     events.append(
@@ -590,6 +680,15 @@ class BatchEngine:
                     )
                 step += 1
                 steps_done += 1
+                if monitors is not None:
+                    lane.step_count = step
+                    if configuration is None:
+                        lane.key = key
+                        lane.counts_tuple = counts_tuple
+                        configuration = pool_configuration(counts_tuple)
+                    records = (MoveRecord(*moves[0]),) if moves else ()
+                    for monitor in monitors:
+                        monitor.on_step(view, records, configuration)
                 if collision and collision_raise:
                     raise CollisionError(
                         f"exclusivity violated at step {step - 1}: configuration "
@@ -611,7 +710,7 @@ class BatchEngine:
         return reason
 
     # ------------------------------------------------------------------ #
-    # general path (any scheduler, monitors, slow-path algorithms)
+    # general path (synchronous and scheduler-driven lanes)
     # ------------------------------------------------------------------ #
     def _run_lane_general(
         self, lane: BatchLane, max_steps: int, memo: "_StopMemo"
@@ -625,14 +724,9 @@ class BatchEngine:
 
     def _step_lane(self, lane: BatchLane) -> None:
         """One scheduler step of one lane (exact Simulator semantics)."""
-        driver = lane.driver
-        if driver == _DRIVER_RR:
+        if lane.driver == _DRIVER_SYNC:
             kind = ActivationKind.CYCLE
-            robots: Tuple[int, ...] = (lane.rr % len(lane.positions),)
-            lane.rr += 1
-        elif driver == _DRIVER_SYNC:
-            kind = ActivationKind.CYCLE
-            robots = lane.all_robots
+            robots: Tuple[int, ...] = lane.all_robots
         else:
             activation: Activation = lane.scheduler.next_activation(lane.view)
             kind = activation.kind
@@ -697,20 +791,7 @@ class BatchEngine:
         # and decision-cache semantics as Simulator.
         position = lane.positions[robot_id]
         first_is_cw = True if self._chirality else lane.rng.random() < 0.5
-        table = self._look_table
-        key = (lane.key, position, first_is_cw)
-        direction = None if table is None else table.get(key)
-        if direction is None:
-            direction = look_direction(
-                self._algorithm,
-                self._decisions,
-                self.pool.configuration(lane.counts_tuple),
-                position,
-                first_is_cw,
-                self._multiplicity_detection,
-            )
-            if table is not None:
-                table.put(key, direction)
+        direction = self._direction(lane.key, lane.counts_tuple, position, first_is_cw)
         if direction:
             lane.pending[robot_id] = (position + direction) % self._n
         else:

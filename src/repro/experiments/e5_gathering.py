@@ -44,10 +44,15 @@ _BASELINE_OPTIONS = EngineOptions(
 def _baseline_gathered(starts, budget: int) -> int:
     """How many starts the greedy baseline gathers within ``budget`` steps.
 
-    Every start is one lane of a single :class:`BatchEngine`.  The
-    baseline is not a global-rule algorithm, so each lane takes the
-    exact per-snapshot path, with its presentation RNG seeded as the
-    per-run :class:`~repro.simulator.engine.Simulator` seeds it.
+    Every start is one round-robin lane of a single
+    :class:`BatchEngine`.  The baseline is not a global-rule algorithm,
+    so each lane decides through the shared Look table, with its
+    presentation RNG seeded as the per-run
+    :class:`~repro.simulator.engine.Simulator` seeds it.  Without an
+    event log, a lane that settles into a periodic orbit free of
+    presentation ties (gathered, or stuck in a cycle) has the rest of
+    its budget fast-forwarded; its positions and RNG state still equal
+    the per-run engine's.
     """
     engine = BatchEngine(
         GreedyGatherBaseline(), starts, options=_BASELINE_OPTIONS, record_events=False

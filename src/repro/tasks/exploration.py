@@ -56,6 +56,8 @@ class ExplorationMonitor(Monitor):
         configuration: Configuration,
     ) -> None:
         """Credit each executed move as a visit of its target node."""
+        if not moves:
+            return
         step = engine.step_count - 1
         for move in moves:
             self.visit_counts[move.robot_id][move.target] += 1

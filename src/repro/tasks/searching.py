@@ -345,6 +345,7 @@ class SearchingMonitor(Monitor):
         self._ring: Ring | None = None
         self._dynamics: RingSearchDynamics | None = None
         self._mask = 0
+        self._configuration: Optional[Configuration] = None
         self._support_masks: Dict[Tuple[int, ...], int] = {}
         self._runs: List[List[int]] = []
         self._moves = 0
@@ -378,7 +379,8 @@ class SearchingMonitor(Monitor):
         self._moves = 0
         self.all_clear_steps = []
         self.moves_to_first_all_clear = None
-        self._mask = self._dynamics.initial_clear(self._support_mask(engine.configuration))
+        self._configuration = engine.configuration
+        self._mask = self._dynamics.initial_clear(self._support_mask(self._configuration))
         self._record(-1)
 
     def on_step(
@@ -388,6 +390,12 @@ class SearchingMonitor(Monitor):
         configuration: Configuration,
     ) -> None:
         """Propagate contamination through the executed moves and record it."""
+        if not moves and configuration is self._configuration:
+            # The mask is already advance(support, ...) of this very
+            # support, and advance(s, advance(s, m)) == advance(s, m):
+            # guarded edges and whole intervals are a fixed point.
+            self._record(engine.step_count - 1)
+            return
         dynamics = self._dynamics
         if dynamics is None:
             raise RuntimeError("SearchingMonitor used before the simulation started")
@@ -399,6 +407,7 @@ class SearchingMonitor(Monitor):
         self._mask = dynamics.advance(
             self._support_mask(configuration), self._mask | traversed
         )
+        self._configuration = configuration
         self._record(engine.step_count - 1)
 
     def _record(self, step: int) -> None:

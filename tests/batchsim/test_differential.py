@@ -17,12 +17,14 @@ from repro.algorithms import (
     AlignAlgorithm,
     GatheringAlgorithm,
     IdleAlgorithm,
+    NminusThreeAlgorithm,
     RingClearingAlgorithm,
     SweepAlgorithm,
 )
+from repro.algorithms.baselines import GreedyGatherBaseline
 from repro.batchsim import BatchEngine
 from repro.core.configuration import Configuration
-from repro.core.errors import SimulationLimitError
+from repro.core.errors import CollisionError, SimulationLimitError
 from repro.scheduler import (
     Activation,
     ActivationKind,
@@ -35,7 +37,8 @@ from repro.scheduler import (
 )
 from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
-from repro.workloads.generators import random_rigid_configuration
+from repro.tasks import ExplorationMonitor, GatheringMonitor, SearchingMonitor
+from repro.workloads.generators import random_rigid_configuration, rigid_configurations
 
 SCHEDULER_FACTORIES = {
     "round_robin": lambda i: SequentialScheduler(),
@@ -118,7 +121,7 @@ class TestByteIdentity:
         assert batched == reference
 
 
-@pytest.mark.parametrize(
+CACHE_OPTIONS = pytest.mark.parametrize(
     "cache_options",
     [
         {"decision_cache": True},
@@ -127,14 +130,15 @@ class TestByteIdentity:
     ],
     ids=["cache-on", "cache-off", "cache-size-2"],
 )
+
+
+@CACHE_OPTIONS
 @pytest.mark.parametrize("scheduler_name", ["round_robin", "asynchronous"])
 class TestGreedyBaselineLanes:
     """E5's greedy strawman: slow-path lanes sharing one Look table."""
 
     def test_traces_byte_identical(self, cache_options, scheduler_name):
-        from repro.algorithms.baselines import GreedyGatherBaseline
         from repro.experiments.e5_gathering import _BASELINE_OPTIONS
-        from repro.workloads.generators import rigid_configurations
 
         options = _BASELINE_OPTIONS.with_overrides(**cache_options)
         scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
@@ -339,6 +343,42 @@ class TestOrbitFastForward:
             simulator.robot(j).position for j in range(k)
         )
 
+    def test_orbit_memory_starts_empty_every_run(self):
+        """A stop predicate is asked about every state its own run visits.
+
+        The first run remembers round-boundary states its predicate-free
+        budget never checked; the second run must not fast-forward
+        through them past the configurations its predicate matches.
+        """
+        n, k = 12, 6
+        rng = random.Random(3)
+        configurations = [random_rigid_configuration(n, k, rng) for _ in range(4)]
+        classes = set()
+        for configuration in configurations:
+            simulator = Simulator(RingClearingAlgorithm(), configuration)
+            simulator.run(400)
+            classes.add(simulator.configuration.canonical_key())
+
+        def stop(configuration):
+            return configuration.canonical_key() in classes
+
+        reference = []
+        for configuration in configurations:
+            simulator = Simulator(RingClearingAlgorithm(), configuration)
+            simulator.run(300)
+            simulator.run(2000, stop=lambda e: stop(e.configuration))
+            reference.append((simulator.step_count, simulator.trace.stopped_reason))
+        engine = BatchEngine(
+            RingClearingAlgorithm(), configurations, record_events=False
+        )
+        engine.run(300)
+        engine.run(2000, stop_configuration=stop, stop_invariant=True)
+        assert [
+            (engine.lane(i).step_count, engine.lane(i).stopped_reason)
+            for i in range(engine.num_lanes)
+        ] == reference
+        assert {reason for _, reason in reference} == {"stop-condition"}
+
 
 class TestMonitors:
     def test_searching_monitor_matches_per_run(self):
@@ -399,3 +439,195 @@ class TestPackedStates:
         assert packed == codec.pack_many(
             [engine.lane(i).counts_tuple for i in range(3)]
         )
+
+
+def _task_monitors():
+    return (SearchingMonitor(), ExplorationMonitor(), GatheringMonitor())
+
+
+def _monitor_record(monitors):
+    """Everything the experiments read off one lane's monitors."""
+    searching, exploration, gathering = monitors
+    return (
+        [tuple(run) for run in searching._runs],
+        searching.all_clear_steps,
+        searching.moves_to_first_all_clear,
+        exploration.visit_counts,
+        exploration.visit_steps,
+        gathering.occupied_history,
+        gathering.gathered_at_step,
+        gathering.max_multiplicity_seen,
+        gathering.broke_apart_after_gathering,
+    )
+
+
+class TestMonitoredRoundRobinLanes:
+    """Monitored round-robin lanes run in the hot loop, step for step."""
+
+    @pytest.mark.parametrize(
+        "algorithm_factory, n, k",
+        [(RingClearingAlgorithm, 13, 5), (NminusThreeAlgorithm, 10, 7)],
+        ids=["ring-clearing", "nminusthree"],
+    )
+    def test_monitors_match_per_run(self, algorithm_factory, n, k):
+        configurations = rigid_configurations(n, k)[:4]
+        steps = 8 * n * k
+        reference = []
+        for configuration in configurations:
+            monitors = _task_monitors()
+            simulator = Simulator(
+                algorithm_factory(), configuration, monitors=list(monitors)
+            )
+            simulator.run(steps)
+            reference.append(
+                (_monitor_record(monitors), simulator.step_count, simulator.trace.total_moves)
+            )
+        lane_monitors = [_task_monitors() for _ in configurations]
+        engine = BatchEngine(
+            algorithm_factory(),
+            configurations,
+            monitors_factory=lambda i: lane_monitors[i],
+            record_events=False,
+        )
+
+        def general_path(*args):
+            raise AssertionError("a monitored round-robin lane left the hot loop")
+
+        engine._step_lane = general_path
+        engine.run(steps)
+        assert [
+            (_monitor_record(monitors), engine.lane(i).step_count, engine.lane(i).total_moves)
+            for i, monitors in enumerate(lane_monitors)
+        ] == reference
+        assert all(searching.all_clear_steps for searching, _, _ in lane_monitors)
+
+    def test_collision_reaches_monitors_before_raising(self):
+        """Gathering under exclusivity collides; monitors saw that step."""
+        options = EngineOptions(multiplicity_detection=True)
+        for configuration in sample_configurations(12, 5, 4):
+            monitors = _task_monitors()
+            simulator = Simulator(
+                GatheringAlgorithm(), configuration, options=options, monitors=list(monitors)
+            )
+            with pytest.raises(CollisionError) as per_run:
+                simulator.run(200)
+            lane_monitors = _task_monitors()
+            engine = BatchEngine(
+                GatheringAlgorithm(),
+                [configuration],
+                options=options,
+                monitors_factory=lambda i: lane_monitors,
+                record_events=False,
+            )
+            with pytest.raises(CollisionError) as batched:
+                engine.run(200)
+            assert str(batched.value) == str(per_run.value)
+            assert engine.lane(0).step_count == simulator.step_count
+            assert _monitor_record(lane_monitors) == _monitor_record(monitors)
+
+
+def _per_run_state(algorithm_factory, configuration, options, steps):
+    simulator = Simulator(algorithm_factory(), configuration, options=options)
+    simulator.run(steps)
+    return (
+        tuple(simulator.robot(j).position for j in range(simulator.num_robots)),
+        simulator.step_count,
+        simulator.trace.total_moves,
+        simulator.configuration.counts,
+        simulator._rng.getstate(),
+    )
+
+
+def _lane_states(engine):
+    return [
+        (
+            tuple(lane.positions),
+            lane.step_count,
+            lane.total_moves,
+            lane.counts_tuple,
+            lane.rng.getstate(),
+        )
+        for lane in map(engine.lane, range(engine.num_lanes))
+    ]
+
+
+class TestLookTableFastForward:
+    """Look-table round-robin lanes skip only presentation-free periods.
+
+    Without an event log the aggregates, the final positions and the
+    presentation RNG state must all equal the per-run engine's.
+    """
+
+    @CACHE_OPTIONS
+    @pytest.mark.parametrize("chirality", [False, True], ids=["draws", "chirality"])
+    def test_greedy_lanes_match_per_run(self, cache_options, chirality):
+        from repro.experiments.e5_gathering import _BASELINE_OPTIONS
+
+        options = _BASELINE_OPTIONS.with_overrides(chirality=chirality, **cache_options)
+        n, k = 11, 5
+        steps = 30 * n * k + 200
+        configurations = rigid_configurations(n, k)
+        reference = [
+            _per_run_state(GreedyGatherBaseline, configuration, options, steps)
+            for configuration in configurations
+        ]
+        engine = BatchEngine(
+            GreedyGatherBaseline(), configurations, options=options, record_events=False
+        )
+        engine.run(steps)
+        assert _lane_states(engine) == reference
+
+    @pytest.mark.parametrize("chirality", [False, True], ids=["draws", "chirality"])
+    def test_orbits_with_ties_match_per_run(self, chirality):
+        """Sweep's moves depend on the presentation at nearly every Look."""
+        options = EngineOptions(chirality=chirality)
+        configurations = sample_configurations(12, 5, 4)
+        steps = 600
+        reference = [
+            _per_run_state(SweepAlgorithm, configuration, options, steps)
+            for configuration in configurations
+        ]
+        if not chirality:
+            reseeded = [
+                _per_run_state(
+                    SweepAlgorithm,
+                    configuration,
+                    options.with_overrides(presentation_seed=1),
+                    steps,
+                )[:4]
+                for configuration in configurations
+            ]
+            assert reseeded != [state[:4] for state in reference], "no Look was a tie"
+        engine = BatchEngine(
+            SweepAlgorithm(), configurations, options=options, record_events=False
+        )
+        engine.run(steps)
+        assert _lane_states(engine) == reference
+
+    def test_skip_actually_engaged(self):
+        """Guard against silently losing the optimisation."""
+        from repro.experiments.e5_gathering import _BASELINE_OPTIONS
+
+        n, k = 11, 5
+        steps = 30 * n * k + 200
+        configurations = rigid_configurations(n, k)
+        engine = BatchEngine(
+            GreedyGatherBaseline(),
+            configurations,
+            options=_BASELINE_OPTIONS,
+            record_events=False,
+        )
+        looks = 0
+        direction = engine._direction
+
+        def counting_direction(*args):
+            nonlocal looks
+            looks += 1
+            return direction(*args)
+
+        engine._direction = counting_direction
+        engine.run(steps)
+        assert all(engine.lane(i).step_count == steps for i in range(engine.num_lanes))
+        # Two Looks per simulated step (both presentation orders), yet
+        # far fewer than one per budgeted step.
+        assert 0 < looks < len(configurations) * steps // 10

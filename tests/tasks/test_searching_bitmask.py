@@ -25,7 +25,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
 from repro.simulator.trace import MoveRecord
 from repro.tasks.base import Monitor
-from repro.tasks.searching import SearchingMonitor, SearchState
+from repro.tasks.searching import RingSearchDynamics, SearchingMonitor, SearchState
 from repro.workloads.generators import rigid_configurations
 
 
@@ -219,3 +219,17 @@ def test_queries_before_start():
     assert monitor.last_clear_step() == {}
     assert monitor.every_edge_cleared(3)
     assert monitor.all_clear_steps == []
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_advance_is_a_fixed_point_per_support(n):
+    """``advance(s, advance(s, m)) == advance(s, m)`` for every support and mask.
+
+    :meth:`SearchingMonitor.on_step` relies on it to skip the advance on
+    an idle step whose configuration is the one it last saw.
+    """
+    dynamics = RingSearchDynamics(n)
+    for support in range(1 << n):
+        for mask in range(1 << n):
+            once = dynamics.advance(support, mask)
+            assert dynamics.advance(support, once) == once
