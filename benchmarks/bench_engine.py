@@ -13,6 +13,7 @@ from repro.algorithms.ring_clearing import RingClearingAlgorithm
 from repro.analysis.enumeration import census, count_configurations
 from repro.core.configuration import Configuration
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 
 #: Steps per timed engine run; large enough to dominate setup cost.
 ENGINE_STEPS = 3000
@@ -37,7 +38,7 @@ PRE_REWRITE_BASELINE = {
 def sweep_engine():
     """Cheap-compute workload: the engine itself is the hot path."""
     initial = Configuration.from_gaps((4,) * 12)  # n=60, k=12
-    engine = Simulator(SweepAlgorithm(), initial, chirality=True)
+    engine = Simulator(SweepAlgorithm(), initial, options=EngineOptions(chirality=True))
     engine.run(ENGINE_STEPS)
     return engine
 

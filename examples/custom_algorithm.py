@@ -13,7 +13,7 @@ Usage::
     python examples/custom_algorithm.py
 """
 
-from repro import Configuration, Simulator
+from repro import Configuration, EngineOptions, Simulator
 from repro.model import Algorithm, Decision, Snapshot
 from repro.scheduler import AsynchronousScheduler, SequentialScheduler, SynchronousScheduler
 from repro.tasks import ExplorationMonitor, SearchingMonitor
@@ -43,7 +43,7 @@ def run_once(scheduler, label: str) -> None:
         start,
         scheduler=scheduler,
         monitors=[searching, exploration],
-        collision_policy="record",
+        options=EngineOptions(collision_policy="record"),
     )
     engine.run(400)
     final = engine.configuration

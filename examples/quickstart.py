@@ -8,7 +8,7 @@ Usage::
 import random
 import sys
 
-from repro import AlignAlgorithm, Simulator
+from repro import AlignAlgorithm, EngineOptions, Simulator
 from repro.workloads.generators import random_rigid_configuration
 
 
@@ -19,7 +19,7 @@ def main(n: int = 14, k: int = 6, seed: int = 3) -> None:
     print(f"  {start.ascii_art()}   supermin view = {start.supermin_view()}")
     print()
 
-    engine = Simulator(AlignAlgorithm(), start, presentation_seed=seed)
+    engine = Simulator(AlignAlgorithm(), start, options=EngineOptions(presentation_seed=seed))
     trace = engine.run_until(lambda sim: sim.configuration.is_c_star(), 40 * n * k)
 
     print("configurations along the run (one line per executed move):")

@@ -2,9 +2,9 @@
 
 One :class:`BatchEngine` advances a batch of independent simulations
 ("lanes") of the *same* algorithm on the *same* ring size under the
-*same* scheduler policy.  The batch state is a ``(batch, n)`` occupancy
-matrix of stdlib rows (:mod:`repro.batchsim.backends`); everything
-expensive is shared across lanes:
+*same* scheduler policy.  The batch state is one ``array('i')``
+occupancy row per lane (its ``tobytes()`` is the lane's dict key);
+everything expensive is shared across lanes:
 
 * for pure global-rule algorithms, one
   :class:`~repro.simulator.batchplan.GlobalPlanTable` turns every Look
@@ -39,6 +39,7 @@ draw per skipped step included.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.configuration import Configuration
@@ -58,7 +59,6 @@ from ..simulator.batchplan import INVALID_TARGET, GlobalPlanTable
 from ..simulator.engine import ConfigurationPool, LookTable, look_direction
 from ..simulator.options import EngineOptions
 from ..simulator.trace import MoveRecord, Trace, TraceEvent
-from .backends import StdlibBackend
 
 __all__ = ["BatchEngine", "BatchLane", "BatchLaneView"]
 
@@ -273,7 +273,8 @@ class BatchEngine:
         #: counts-row bytes -> plain counts tuple (shared across lanes).
         self._tuples: Dict[bytes, Tuple[int, ...]] = {}
 
-        self._backend = StdlibBackend([c.counts for c in initials])
+        #: one mutable ``array('i')`` counts row per lane.
+        self._rows: List[array] = [array("i", c.counts) for c in initials]
         self._lanes: List[BatchLane] = []
         for index, configuration in enumerate(initials):
             if self._exclusive and not configuration.is_exclusive:
@@ -291,7 +292,7 @@ class BatchEngine:
             lane.scheduler.reset()
             lane.driver = self._select_driver(lane.scheduler)
             lane.all_robots = tuple(range(len(positions)))
-            lane.row = self._backend.row(index)
+            lane.row = self._rows[index]
             counts = configuration.counts
             lane.counts_tuple = counts
             lane.key = lane.row.tobytes()
@@ -360,7 +361,7 @@ class BatchEngine:
         """
         max_count = max(max(lane.counts_tuple) for lane in self._lanes)
         codec = packed_codec(self._n, max(1, max_count))
-        return self._backend.pack_all(codec)
+        return codec.pack_many(self._rows)
 
     def lane_trace(self, index: int) -> Trace:
         """Materialise lane ``index``'s full :class:`Trace`.
@@ -466,7 +467,7 @@ class BatchEngine:
     def _plan_for_key(self, key: bytes, lane: BatchLane) -> Dict[int, object]:
         counts = self._tuples.get(key)
         if counts is None:
-            counts = self._backend.counts(lane.index)
+            counts = tuple(lane.row)
             self._tuples[key] = counts
         plan = self._plan_table.plan_for_counts(counts)
         self._plans[key] = plan
@@ -661,7 +662,7 @@ class BatchEngine:
                     counts_tuple = tuples.get(key)
                     if counts_tuple is None:
                         lane.key = key
-                        counts_tuple = self._backend.counts(lane.index)
+                        counts_tuple = tuple(row)
                         tuples[key] = counts_tuple
                     total_moves += 1
                     if exclusive:
@@ -831,7 +832,7 @@ class BatchEngine:
         lane.key = key
         counts = self._tuples.get(key)
         if counts is None:
-            counts = self._backend.counts(lane.index)
+            counts = tuple(row)
             self._tuples[key] = counts
         lane.counts_tuple = counts
         return tuple(moves)

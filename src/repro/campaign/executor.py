@@ -1,9 +1,9 @@
-"""Chunked, crash-tolerant campaign execution.
+"""Crash-tolerant campaign execution.
 
 The executor runs the units of a :class:`~repro.campaign.spec.Campaign`
-through a worker callable, either serially (``jobs == 1``) or on a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Three properties are
-guaranteed:
+through a worker callable, either serially in-process (``jobs == 1``,
+no deadline) or on a :class:`concurrent.futures.ProcessPoolExecutor`
+that takes one unit per task.  Three properties are guaranteed:
 
 * **Determinism** — every unit depends only on its own spec (including
   its stable seed), and results are aggregated in grid order, so serial
@@ -11,8 +11,9 @@ guaranteed:
 * **Crash tolerance** — a worker *exception* is caught in the worker and
   returned as an ``"error"`` record; a worker *process death* (signal,
   ``os._exit``) breaks the pool, which the executor rebuilds before
-  retrying the affected units one by one, so a single poisoned unit is
-  recorded as ``"crashed"`` without losing the rest of the campaign.
+  requeueing the bystanders and retrying each broken unit once in
+  isolation, so a single poisoned unit is recorded as ``"crashed"``
+  without losing the rest of the campaign.
 * **Resumability** — with a result store attached, units already in
   the campaign's unit cache are not re-executed.
 
@@ -20,11 +21,11 @@ On top of those, three resilience controls, all fields of the
 :class:`~repro.campaign.context.ExecutionContext` (none of them changes
 what a successful record contains):
 
-* **Per-unit deadlines** (``timeout``) — a watchdog over the process
-  pool kills a unit that overruns its deadline (the worker process is
+* **Per-unit deadlines** (``timeout``) — a watchdog over the same pool
+  kills a unit that overruns its deadline (the worker process is
   *terminated*, not merely abandoned), retries it once in isolation
   under a fresh deadline, and records ``"timeout"`` only if it overruns
-  again — mirroring how crashes are isolated today.
+  again — the crash isolation above, with a clock.
 * **Transient retry** (``retry``) — a :class:`~repro.faults.RetryPolicy`
   re-attempts transiently failed units inside the worker process with
   deterministic backoff before an ``"error"`` record is emitted.
@@ -155,7 +156,12 @@ def execute_unit(
 def execute_batch(
     worker: Worker, units: Sequence[Dict[str, object]], retry=None
 ) -> List[Dict[str, object]]:
-    """Run a chunk of units inside one worker process (reduces IPC)."""
+    """Run several units in order, each through :func:`execute_unit`.
+
+    The executor does not call this: it submits one unit per pool task.
+    It stays as the list form of :func:`execute_unit` because the
+    ``perfbench`` tracer wraps it by name.
+    """
     return [execute_unit(worker, unit, retry) for unit in units]
 
 
@@ -189,12 +195,6 @@ def _timeout_record(unit: Dict[str, object], timeout: float) -> Dict[str, object
         duration_s=timeout,
     )
     return record
-
-
-def _chunked(
-    items: Sequence[UnitSpec], chunk_size: int
-) -> List[List[UnitSpec]]:
-    return [list(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
 def make_pool(jobs: int) -> ProcessPoolExecutor:
@@ -249,95 +249,13 @@ def _put_unit(cache, worker_name: str, record: Dict[str, object], durable=False)
             fsync_file(path)
 
 
-def _run_parallel(
-    worker: Worker,
-    pending: List[UnitSpec],
-    ctx: ExecutionContext,
-    collector: _Collector,
-    chunk_size: Optional[int],
-) -> None:
-    jobs, retry = ctx.jobs, ctx.retry
-    if chunk_size is None:
-        # Aim for ~4 chunks per worker to balance scheduling slack
-        # against per-chunk pickling overhead.
-        chunk_size = max(1, len(pending) // (jobs * 4) or 1)
-    # Longest-processing-time-first: simulation cost grows with the
-    # step budget (samples * steps_factor * n * k), so scheduling the
-    # heaviest cells first keeps the makespan near the optimum instead
-    # of leaving the largest unit to run alone at the tail.
-    pending = sorted(
-        pending,
-        key=lambda u: u.samples * u.steps_factor * u.n * max(u.k, 1),
-        reverse=True,
-    )
-    chunks = _chunked(pending, chunk_size)
-    pool = make_pool(jobs)
-    try:
-        futures = {
-            pool.submit(execute_batch, worker, [u.as_dict() for u in chunk], retry): chunk
-            for chunk in chunks
-        }
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                chunk = futures.pop(future, None)
-                if chunk is None:
-                    # Already re-assigned while recovering from a broken
-                    # pool earlier in this batch.
-                    continue
-                try:
-                    for record in future.result():
-                        collector.add(record)
-                except BrokenProcessPool:
-                    # The pool is poisoned: rebuild it, then isolate the
-                    # crashing unit by retrying the chunk one unit at a
-                    # time.  Chunks that already finished keep their
-                    # results; only genuinely in-flight chunks re-run.
-                    survivors = []
-                    for other in list(futures):
-                        other_chunk = futures.pop(other)
-                        harvested = False
-                        if other.done():
-                            try:
-                                for record in other.result():
-                                    collector.add(record)
-                                harvested = True
-                            except BrokenProcessPool:
-                                pass
-                        if not harvested:
-                            survivors.append(other_chunk)
-                    pool.shutdown(wait=False)
-                    pool = make_pool(jobs)
-                    for unit in chunk:
-                        isolated = pool.submit(execute_unit, worker, unit.as_dict(), retry)
-                        try:
-                            collector.add(isolated.result())
-                        except BrokenProcessPool:
-                            collector.add(
-                                _crashed_record(
-                                    unit.as_dict(),
-                                    "worker process died while executing this unit",
-                                )
-                            )
-                            pool.shutdown(wait=False)
-                            pool = make_pool(jobs)
-                    for chunk_ in survivors:
-                        futures[
-                            pool.submit(
-                                execute_batch, worker, [u.as_dict() for u in chunk_], retry
-                            )
-                        ] = chunk_
-    finally:
-        pool.shutdown(wait=True)
-
-
-#: Watchdog poll interval: the granularity at which overdue units are
-#: detected (a hung unit is reaped within ``timeout + _WATCHDOG_POLL_S``
-#: plus kill latency).
+#: Watchdog poll interval under a deadline: the granularity at which
+#: overdue units are detected (a hung unit is reaped within
+#: ``timeout + _WATCHDOG_POLL_S`` plus kill latency).
 _WATCHDOG_POLL_S = 0.05
 
 
-def _retry_in_isolation_with_deadline(
+def _retry_in_isolation(
     worker: Worker,
     unit: UnitSpec,
     ctx: ExecutionContext,
@@ -345,56 +263,66 @@ def _retry_in_isolation_with_deadline(
     *,
     first_attempt_timed_out: bool,
 ) -> None:
-    """One isolated retry of a killed/crashed unit under a fresh deadline.
+    """One isolated retry of a crashed (or killed) unit.
 
-    The unit gets a dedicated single-worker pool so a second overrun or
-    crash poisons nothing else.  If it overruns again it is recorded as
-    ``"timeout"``; if the worker dies again, ``"crashed"`` — exactly the
-    crash-isolation contract, extended with a clock.
+    The unit gets a dedicated single-worker pool so a second crash or
+    overrun poisons nothing else.  If the worker dies again the unit is
+    recorded as ``"crashed"``; under a deadline, a fresh one applies and
+    a second overrun is recorded as ``"timeout"``.
     """
     timeout = ctx.timeout
     pool = make_pool(1)
+    future = pool.submit(execute_unit, worker, unit.as_dict(), ctx.retry)
     try:
-        future = pool.submit(execute_unit, worker, unit.as_dict(), ctx.retry)
-        try:
-            collector.add(future.result(timeout=timeout))
-        except FuturesTimeoutError:
-            terminate_pool(pool)
+        collector.add(future.result(timeout=timeout))
+    except FuturesTimeoutError:
+        terminate_pool(pool)
+        collector.add(_timeout_record(unit.as_dict(), timeout))
+    except BrokenProcessPool:
+        if first_attempt_timed_out:
+            # Terminated mid-kill rather than by its own doing —
+            # still a deadline casualty, not a crash.
             collector.add(_timeout_record(unit.as_dict(), timeout))
-        except BrokenProcessPool:
-            if first_attempt_timed_out:
-                # Terminated mid-kill rather than by its own doing —
-                # still a deadline casualty, not a crash.
-                collector.add(_timeout_record(unit.as_dict(), timeout))
-            else:
-                collector.add(
-                    _crashed_record(
-                        unit.as_dict(),
-                        "worker process died while executing this unit",
-                    )
+        else:
+            collector.add(
+                _crashed_record(
+                    unit.as_dict(),
+                    "worker process died while executing this unit",
                 )
+            )
     finally:
-        pool.shutdown(wait=False)
+        # Join a finished pool so no manager thread outlives it (one
+        # still running at interpreter exit can fail there); never block
+        # on a unit still running after an interrupt.
+        pool.shutdown(wait=future.done())
 
 
-def _run_parallel_deadline(
+def _run_pool(
     worker: Worker,
     pending: List[UnitSpec],
     ctx: ExecutionContext,
     collector: _Collector,
 ) -> None:
-    """Pool execution with a per-unit deadline watchdog.
+    """Process-pool execution, one unit per task, with crash isolation.
 
-    Units are submitted one per task, windowed to the pool width, so
+    Units are submitted longest-first and windowed to the pool width, so
     every in-flight future corresponds to a unit that is genuinely
-    *running* — its submission time is its start time, and the watchdog
-    can attribute an overrun to the right unit.  On an overrun the whole
-    pool is terminated (there is no way to kill a single busy worker
-    through :class:`~concurrent.futures.ProcessPoolExecutor`),
-    innocent in-flight units are requeued, and the overdue unit is
-    retried once in isolation under a fresh deadline.
+    *running*: its submission time is its start time.  A worker death
+    breaks the pool; it is rebuilt, innocent in-flight units are
+    requeued, and each broken unit is retried once in isolation.
+
+    With a deadline (``ctx.timeout``) a watchdog also polls the
+    in-flight units.  On an overrun the whole pool is terminated (there
+    is no way to kill a single busy worker through
+    :class:`~concurrent.futures.ProcessPoolExecutor`) and the overdue
+    unit is retried in isolation under a fresh deadline.
     """
     jobs, timeout, retry = ctx.jobs, ctx.timeout, ctx.retry
+    poll = None if timeout is None else _WATCHDOG_POLL_S
+    # Longest-processing-time-first: simulation cost grows with the
+    # step budget (samples * steps_factor * n * k), so scheduling the
+    # heaviest cells first keeps the makespan near the optimum instead
+    # of leaving the largest unit to run alone at the tail.
     queue = deque(
         sorted(
             pending,
@@ -420,9 +348,7 @@ def _run_parallel_deadline(
                     pool_broken = True
                     break
                 inflight[future] = (unit, perf_counter())
-            done, _ = wait(
-                list(inflight), timeout=_WATCHDOG_POLL_S, return_when=FIRST_COMPLETED
-            )
+            done, _ = wait(list(inflight), timeout=poll, return_when=FIRST_COMPLETED)
             crashed: List[UnitSpec] = []
             for future in done:
                 unit, _started = inflight.pop(future)
@@ -432,7 +358,9 @@ def _run_parallel_deadline(
                     crashed.append(unit)
             now = perf_counter()
             timed_out: List[UnitSpec] = []
-            overdue = any(now - started > timeout for _, started in inflight.values())
+            overdue = timeout is not None and any(
+                now - started > timeout for _, started in inflight.values()
+            )
             if overdue:
                 # Terminate every worker (a busy pool worker cannot be
                 # interrupted individually), sort the casualties from
@@ -455,23 +383,22 @@ def _run_parallel_deadline(
                 pool.shutdown(wait=False)
                 pool = make_pool(jobs)
             for unit in timed_out:
-                _retry_in_isolation_with_deadline(
+                _retry_in_isolation(
                     worker, unit, ctx, collector, first_attempt_timed_out=True
                 )
             for unit in crashed:
-                _retry_in_isolation_with_deadline(
+                _retry_in_isolation(
                     worker, unit, ctx, collector, first_attempt_timed_out=False
                 )
     finally:
-        pool.shutdown(wait=False)
+        # As in _retry_in_isolation: join only when nothing is running.
+        pool.shutdown(wait=not inflight)
 
 
 def run_campaign(
     campaign: Campaign,
     worker: Worker,
     ctx: ExecutionContext = DEFAULT_CONTEXT,
-    *,
-    chunk_size: Optional[int] = None,
 ) -> CampaignReport:
     """Execute every unit of ``campaign`` through ``worker`` under ``ctx``.
 
@@ -483,8 +410,6 @@ def run_campaign(
             layer honours ``jobs``, ``store``, ``progress``, ``cache``,
             ``timeout``, ``retry``, ``fault_plan`` and ``metrics``;
             ``refresh`` is applied by the callers above.
-        chunk_size: units per process-pool task; defaults to roughly
-            four chunks per worker.
 
     Returns:
         The report with records sorted by grid index.  When a store is
@@ -538,15 +463,13 @@ def run_campaign(
             pending.append(unit)
 
     collector = _Collector(report, ctx, worker_name, units)
-    if ctx.timeout is not None and pending:
+    if pending and (ctx.timeout is not None or (ctx.jobs > 1 and len(pending) > 1)):
         # Deadlines require killability, so even jobs=1 runs through a
         # (single-worker) pool the watchdog can terminate.
-        _run_parallel_deadline(worker, pending, ctx, collector)
-    elif ctx.jobs == 1 or len(pending) <= 1:
+        _run_pool(worker, pending, ctx, collector)
+    else:
         for unit in pending:
             collector.add(execute_unit(worker, unit.as_dict(), ctx.retry))
-    else:
-        _run_parallel(worker, pending, ctx, collector, chunk_size)
 
     report.records.sort(key=lambda record: record.get("index", 0))
     if store is not None:

@@ -46,10 +46,6 @@ __all__ = [
 #: Predicate over the engine used as a stop condition.
 StopCondition = Callable[["Simulator"], bool]
 
-#: Sentinel distinguishing "not passed" from any real keyword value, so
-#: explicitly passed keywords can override an ``options`` bundle.
-_UNSET = object()
-
 
 def look_direction(
     algorithm: Algorithm,
@@ -161,38 +157,14 @@ class Simulator:
         ring_size: required when ``initial`` is a position sequence.
         scheduler: activation policy; defaults to a round-robin
             sequential scheduler.
-        options: an :class:`~repro.simulator.options.EngineOptions`
-            bundle carrying all the model/tuning knobs below in one
-            value object.  Individual keywords, when passed explicitly,
-            override the corresponding bundle field.
-        exclusive: enforce the exclusivity property (at most one robot
-            per node).  Violations raise :class:`CollisionError` unless
-            ``collision_policy`` is ``"record"``.
-        multiplicity_detection: grant the robots local (weak)
-            multiplicity detection — their snapshots then report whether
-            their own node hosts more than one robot.
+        options: the engine's model and tuning knobs
+            (exclusivity, multiplicity detection, presentation seed,
+            collision policy, chirality, decision cache and pool
+            bounds) as one :class:`~repro.simulator.options.EngineOptions`
+            bundle; defaults to ``EngineOptions()``.  A violated
+            exclusivity raises :class:`CollisionError` unless the
+            collision policy is ``"record"``.
         monitors: task monitors to notify after every step.
-        presentation_seed: seed of the adversary choosing in which order
-            the two directed views are presented to each robot.
-        collision_policy: ``"raise"`` (default) or ``"record"``.
-        chirality: when ``True`` the clockwise view is always presented
-            first, effectively granting the robots a common sense of
-            direction.  This is *stronger* than the min-CORDA model and is
-            only used by baselines and illustrative examples.
-        decision_cache: memoise ``algorithm.compute`` per distinct
-            snapshot behind a bounded LRU (robots are oblivious, so the
-            decision is a pure function of the snapshot), and each whole
-            Look per ``(counts, node, presentation order)`` in a Look
-            table in front of it.  On by default; disable to force one
-            ``compute`` per Look, e.g. when timing an algorithm itself.
-            Traces are identical either way.
-        decision_cache_size: bound of the decision LRU and of the Look
-            table (ignored when the cache is disabled; a full Look table
-            is cleared).  Any positive bound yields identical traces —
-            only the hit rate changes.
-        config_pool_size: bound of the configuration-pool LRU.  Any
-            positive bound yields identical traces; a larger pool keeps
-            more memoised derived state alive across revisits.
 
     The engine owns its state incrementally: an occupancy count array, a
     node-to-robots index and a monotonically bumped *state version* are
@@ -211,31 +183,9 @@ class Simulator:
         ring_size: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
         options: Optional[EngineOptions] = None,
-        exclusive=_UNSET,
-        multiplicity_detection=_UNSET,
         monitors: Iterable = (),
-        presentation_seed=_UNSET,
-        collision_policy=_UNSET,
-        chirality=_UNSET,
-        decision_cache=_UNSET,
-        decision_cache_size=_UNSET,
-        config_pool_size=_UNSET,
     ) -> None:
-        overrides = {
-            name: value
-            for name, value in (
-                ("exclusive", exclusive),
-                ("multiplicity_detection", multiplicity_detection),
-                ("presentation_seed", presentation_seed),
-                ("collision_policy", collision_policy),
-                ("chirality", chirality),
-                ("decision_cache", decision_cache),
-                ("decision_cache_size", decision_cache_size),
-                ("config_pool_size", config_pool_size),
-            )
-            if value is not _UNSET
-        }
-        options = (options or EngineOptions()).with_overrides(**overrides)
+        options = options if options is not None else EngineOptions()
         self._options = options
         exclusive = options.exclusive
         if isinstance(initial, Configuration):

@@ -1,22 +1,21 @@
 """Engine option bundle shared by every execution path.
 
-Historically the engine's tuning and model knobs (``exclusive``,
+The engine's model and tuning knobs (``exclusive``,
 ``multiplicity_detection``, ``presentation_seed``, ``collision_policy``,
 ``chirality``, ``decision_cache``, ``decision_cache_size``,
-``config_pool_size``) were threaded as eight separate keyword arguments
-through :class:`~repro.simulator.engine.Simulator`, the
+``config_pool_size``) travel as one frozen, JSON-serialisable
+:class:`EngineOptions` value — the only way to pass them to
+:class:`~repro.simulator.engine.Simulator`, the
 :mod:`~repro.simulator.runner` helpers, the demo CLI and the experiment
-modules.  :class:`EngineOptions` collapses that keyword tunnel into one
-frozen, JSON-serialisable value object: build it once, hand the same
-object to any layer, embed it verbatim in a
-:class:`~repro.runs.spec.RunSpec` — its canonical JSON form is part of
-the content-addressed result-cache key.
+modules.  Build it once, hand the same object to any layer, embed it
+verbatim in a :class:`~repro.runs.spec.RunSpec`: its canonical JSON form
+is part of the content-addressed result-cache key.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from ..model.algorithm import DEFAULT_DECISION_CACHE_SIZE
 
@@ -36,18 +35,24 @@ class EngineOptions:
         multiplicity_detection: grant robots local (weak) multiplicity
             detection.
         presentation_seed: seed of the adversary choosing the order in
-            which the two directed views are presented to each robot.
+            which the two directed views are presented to each robot
+            (an integer: a run is a pure function of its options).
         collision_policy: ``"raise"`` (default) or ``"record"``.
         chirality: present the clockwise view first, granting a common
             sense of direction (stronger than min-CORDA; baselines only).
-        decision_cache: memoise ``algorithm.compute`` per snapshot.
-        decision_cache_size: bound of the decision LRU.
-        config_pool_size: bound of the configuration-pool LRU.
+        decision_cache: memoise ``algorithm.compute`` per snapshot, and
+            each whole Look per ``(counts, node, presentation order)``;
+            disable to force one ``compute`` per Look.  Traces are
+            identical either way.
+        decision_cache_size: bound of the decision LRU and of the Look
+            table (any positive bound yields identical traces).
+        config_pool_size: bound of the configuration-pool LRU (any
+            positive bound yields identical traces).
     """
 
     exclusive: bool = True
     multiplicity_detection: bool = False
-    presentation_seed: Optional[int] = 0
+    presentation_seed: int = 0
     collision_policy: str = "raise"
     chirality: bool = False
     decision_cache: bool = True
@@ -65,12 +70,13 @@ class EngineOptions:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.presentation_seed is not None and (
-            not isinstance(self.presentation_seed, int)
-            or isinstance(self.presentation_seed, bool)
+        # No ``None``: ``random.Random(None)`` seeds from the OS, so one
+        # content-addressed run id would name a different trace per run.
+        if not isinstance(self.presentation_seed, int) or isinstance(
+            self.presentation_seed, bool
         ):
             raise ValueError(
-                f"presentation_seed must be an integer or None, got {self.presentation_seed!r}"
+                f"presentation_seed must be an integer, got {self.presentation_seed!r}"
             )
         if self.collision_policy not in ("raise", "record"):
             raise ValueError("collision_policy must be 'raise' or 'record'")

@@ -17,6 +17,7 @@ from repro.core.configuration import Configuration
 from repro.core.errors import AlgorithmPreconditionError
 from repro.scheduler import AsynchronousScheduler, SemiSynchronousScheduler
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 
 
 def rigid_configurations(n, k):
@@ -156,7 +157,9 @@ class TestAlignInvariants:
 
 
 def run_align_to_c_star(cfg, scheduler=None, seed=0):
-    engine = Simulator(AlignAlgorithm(), cfg, scheduler=scheduler, presentation_seed=seed)
+    engine = Simulator(
+        AlignAlgorithm(), cfg, scheduler=scheduler, options=EngineOptions(presentation_seed=seed)
+    )
     budget = 20 * cfg.n * cfg.k + 100
     trace = engine.run_until(lambda sim: sim.configuration.is_c_star(), budget)
     return trace

@@ -15,6 +15,7 @@ from repro.core.configuration import Configuration
 from repro.core.errors import AlgorithmPreconditionError
 from repro.scheduler import AsynchronousScheduler, SemiSynchronousScheduler
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 from repro.simulator.runner import run_gathering
 from repro.tasks import GatheringMonitor
 
@@ -132,9 +133,7 @@ class TestBaselineComparison:
             engine = Simulator(
                 GreedyGatherBaseline(),
                 cfg,
-                exclusive=False,
-                multiplicity_detection=True,
-                presentation_seed=0,
+                options=EngineOptions(exclusive=False, multiplicity_detection=True, presentation_seed=0),
             )
             engine.run(600)
             if engine.configuration.num_occupied == 1:

@@ -19,6 +19,7 @@ from repro.core.configuration import Configuration
 from repro.core.errors import UnsupportedParametersError
 from repro.scheduler import AsynchronousScheduler
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 from repro.tasks import ExplorationMonitor, SearchingMonitor
 
 
@@ -46,7 +47,7 @@ def verify_perpetual(algorithm, cfg, steps, min_clear=2, min_visits=2, scheduler
         cfg,
         scheduler=scheduler,
         monitors=[searching, exploration],
-        presentation_seed=seed,
+        options=EngineOptions(presentation_seed=seed),
     )
     engine.run(steps)
     assert not engine.trace.had_collision

@@ -278,21 +278,18 @@ class TestFailureReporting:
         }
 
     def test_error_records_byte_identical_in_parallel_mode(self):
-        # Chunks run through ``execute_batch`` in the pool; the error
-        # records (status, message, traceback) must match the serial run.
+        # Units run one per task in the pool (no deadline, no watchdog);
+        # the error records (status, message, traceback) must match the
+        # serial run.
         serial = run_campaign(build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=1))
-        pooled = run_campaign(
-            build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=2), chunk_size=2,
-        )
+        pooled = run_campaign(build_campaign("e7", "quick"), flaky_worker, ExecutionContext(jobs=2))
         assert pooled.summary_bytes() == serial.summary_bytes()
         assert {r["status"] for r in pooled.records} == {"ok", "error"}
 
     def test_worker_process_crash_survived(self):
         # os._exit kills the worker process outright; the executor must
         # rebuild the pool, isolate the poisoned unit and keep the rest.
-        report = run_campaign(
-            build_campaign("e7", "quick"), crashing_worker, ExecutionContext(jobs=2), chunk_size=2,
-        )
+        report = run_campaign(build_campaign("e7", "quick"), crashing_worker, ExecutionContext(jobs=2))
         assert len(report.records) == report.campaign.num_units
         crashed = [r for r in report.records if r["status"] == "crashed"]
         assert [r["unit_id"] for r in crashed] == ["u000-k005-n012"]
@@ -304,7 +301,7 @@ class TestFailureReporting:
             run_campaign(build_campaign("e1", "quick"), product_worker, ExecutionContext(jobs=0))
 
 
-class TestChunkRunner:
+class TestExecuteBatch:
     def test_execute_batch_matches_execute_unit(self):
         units = [
             {"index": i, "unit_id": f"u{i}", "k": k, "n": 7 + i, "samples": 1}

@@ -28,6 +28,7 @@ from repro.experiments import (
     e7_scaling,
 )
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -77,9 +78,7 @@ def _per_run_baseline_finals(starts, budget):
         engine = Simulator(
             GreedyGatherBaseline(),
             configuration,
-            exclusive=False,
-            multiplicity_detection=True,
-            presentation_seed=1,
+            options=EngineOptions(exclusive=False, multiplicity_detection=True, presentation_seed=1),
         )
         engine.run(budget)
         finals.append((engine.configuration.counts, engine.trace.total_moves))

@@ -88,6 +88,14 @@ class TestSimulateSpec:
         with pytest.raises(ValueError):
             spec_from_jsonable({"kind": "simulate", "n": 12.0, "k": 5})
 
+    @pytest.mark.parametrize("kind", ["simulate", "batch_sweep"])
+    def test_null_presentation_seed_rejected(self, kind):
+        """A null seed would give one run id a different trace per run."""
+        document = {"kind": kind, "algorithm": "sweep", "n": 11, "k": 4,
+                    "engine": {"presentation_seed": None}}
+        with pytest.raises(ValueError, match="presentation_seed must be an integer"):
+            spec_from_jsonable(document)
+
 
 class TestVerifyAndExperimentSpecs:
     def test_verify_roundtrip(self):

@@ -23,6 +23,7 @@ from repro.scheduler.sequential import RoundRobinScheduler
 from repro.scheduler.synchronous import SemiSynchronousScheduler, SynchronousScheduler
 from repro.simulator.branching import IDLE, BranchingDriver
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 
 CONFIGURATION = Configuration.from_occupied(9, (0, 1, 3, 6))
 
@@ -83,7 +84,7 @@ class TestTransitionRelationConsistency:
             AlignAlgorithm(),
             CONFIGURATION,
             scheduler=SemiSynchronousScheduler(seed=seed, fairness_bound=5),
-            presentation_seed=seed,
+            options=EngineOptions(presentation_seed=seed),
         )
         for _ in range(40):
             before = engine.configuration.counts
@@ -101,9 +102,7 @@ class TestTransitionRelationConsistency:
             GatheringAlgorithm(),
             initial,
             scheduler=SemiSynchronousScheduler(seed=seed, fairness_bound=5),
-            exclusive=False,
-            multiplicity_detection=True,
-            presentation_seed=seed,
+            options=EngineOptions(exclusive=False, multiplicity_detection=True, presentation_seed=seed),
         )
         for _ in range(60):
             before = engine.configuration.counts
@@ -122,7 +121,7 @@ class TestTransitionRelationConsistency:
             AlignAlgorithm(),
             CONFIGURATION,
             scheduler=AsynchronousScheduler(seed=seed),
-            presentation_seed=seed,
+            options=EngineOptions(presentation_seed=seed),
         )
         for _ in range(60):
             before = engine.configuration.counts

@@ -16,6 +16,7 @@ from repro.scheduler import (
     SynchronousScheduler,
 )
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 
 
 def make_engine(algorithm=None, scheduler=None, n=8, occupied=(0, 2, 5), **kwargs):
@@ -147,7 +148,7 @@ class TestAsynchronousScheduler:
             scheduler=scheduler,
             n=10,
             occupied=(0, 4, 7),
-            collision_policy="record",
+            options=EngineOptions(collision_policy="record"),
         )
         engine.run(200)
         # Under the sweep algorithm with a fair async adversary every robot
@@ -164,7 +165,7 @@ class TestAsynchronousScheduler:
                 scheduler=scheduler,
                 n=10,
                 occupied=(0, 4, 7),
-                collision_policy="record",
+                options=EngineOptions(collision_policy="record"),
             )
             engine.run(100)
             return engine.positions

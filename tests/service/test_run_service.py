@@ -142,6 +142,8 @@ class TestServiceRobustness:
         for document in (
             {"kind": "verify", "task": "searching", "cells": [3, 6]},
             {"kind": "simulate", "engine": {"decision_cache_size": "big"}},
+            {"kind": "simulate", "algorithm": "sweep", "n": 11, "k": 4, "steps": 300,
+             "seed": 5, "engine": {"presentation_seed": None}},
         ):
             request = urllib.request.Request(
                 f"{server}/v1/runs",

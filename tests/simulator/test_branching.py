@@ -201,12 +201,13 @@ class TestEngineConsistency:
         driver's option set for its node.
         """
         from repro.simulator.engine import Simulator
+        from repro.simulator.options import EngineOptions
 
         configuration = Configuration.from_occupied(9, (0, 1, 3, 6))
         driver = BranchingDriver(AlignAlgorithm(), 9)
         options = driver.node_options(configuration.counts)
         for seed in range(20):
-            engine = Simulator(AlignAlgorithm(), configuration, presentation_seed=seed)
+            engine = Simulator(AlignAlgorithm(), configuration, options=EngineOptions(presentation_seed=seed))
             event = engine.step()
             for move in event.moves:
                 direction = (move.target - move.source) % 9

@@ -45,7 +45,10 @@ class TestConstruction:
 
     def test_from_positions(self):
         engine = Simulator(
-            IdleAlgorithm(), [1, 1, 4], ring_size=7, exclusive=False, multiplicity_detection=True
+            IdleAlgorithm(),
+            [1, 1, 4],
+            ring_size=7,
+            options=EngineOptions(exclusive=False, multiplicity_detection=True),
         )
         assert engine.num_robots == 3
         assert engine.configuration.multiplicity(1) == 2
@@ -62,7 +65,7 @@ class TestConstruction:
     def test_collision_policy_validated(self):
         cfg = Configuration.from_occupied(8, [0, 3, 5])
         with pytest.raises(ValueError):
-            Simulator(IdleAlgorithm(), cfg, collision_policy="ignore")
+            Simulator(IdleAlgorithm(), cfg, options=EngineOptions(collision_policy="ignore"))
 
 
 class TestStepping:
@@ -83,7 +86,7 @@ class TestStepping:
 
     def test_sweep_moves_with_chirality(self):
         cfg = Configuration.from_occupied(6, [0, 3])
-        engine = Simulator(SweepAlgorithm(), cfg, chirality=True)
+        engine = Simulator(SweepAlgorithm(), cfg, options=EngineOptions(chirality=True))
         event = engine.step()  # robot 0 moves clockwise to node 1
         assert len(event.moves) == 1
         assert event.moves[0].source == 0
@@ -93,7 +96,7 @@ class TestStepping:
         # The first sequentially-activated robot blindly moves clockwise onto
         # its occupied neighbour.
         cfg = Configuration.from_occupied(5, [0, 1, 3])
-        engine = Simulator(AlwaysMoveFirstView(), cfg, chirality=True)
+        engine = Simulator(AlwaysMoveFirstView(), cfg, options=EngineOptions(chirality=True))
         with pytest.raises(CollisionError):
             engine.run(5)
 
@@ -102,8 +105,7 @@ class TestStepping:
         engine = Simulator(
             AlwaysMoveFirstView(),
             cfg,
-            chirality=True,
-            collision_policy="record",
+            options=EngineOptions(chirality=True, collision_policy="record"),
         )
         engine.run(1)
         assert engine.trace.had_collision
@@ -111,7 +113,10 @@ class TestStepping:
     def test_async_scheduler_produces_look_and_move_events(self):
         cfg = Configuration.from_occupied(10, [0, 4, 7])
         engine = Simulator(
-            SweepAlgorithm(), cfg, scheduler=AsynchronousScheduler(seed=1), chirality=True
+            SweepAlgorithm(),
+            cfg,
+            scheduler=AsynchronousScheduler(seed=1),
+            options=EngineOptions(chirality=True),
         )
         engine.run(50)
         kinds = {event.kind.value for event in engine.trace.events}
@@ -128,7 +133,7 @@ class TestStepping:
             Activation.move([0]),
         ]
         engine = Simulator(
-            SweepAlgorithm(), cfg, scheduler=ScriptedScheduler(script), chirality=True
+            SweepAlgorithm(), cfg, scheduler=ScriptedScheduler(script), options=EngineOptions(chirality=True)
         )
         engine.run(3)
         assert engine.positions == (1, 5, 7)
@@ -266,8 +271,7 @@ class TestSnapshotDelivery:
             Capture(),
             [2, 2, 6],
             ring_size=9,
-            exclusive=False,
-            multiplicity_detection=True,
+            options=EngineOptions(exclusive=False, multiplicity_detection=True),
         )
         engine.run(3)
         assert True in captured["mult"] and False in captured["mult"]
@@ -283,7 +287,10 @@ class TestSnapshotDelivery:
                 return Decision.idle()
 
         engine = Simulator(
-            Capture(), [2, 2, 6], ring_size=9, exclusive=False, multiplicity_detection=False
+            Capture(),
+            [2, 2, 6],
+            ring_size=9,
+            options=EngineOptions(exclusive=False, multiplicity_detection=False),
         )
         engine.run(3)
         assert not any(captured)
@@ -299,7 +306,7 @@ class TestSnapshotDelivery:
                 return Decision.idle()
 
         cfg = Configuration.from_occupied(9, [0, 1, 2, 4])
-        engine = Simulator(Capture(), cfg, presentation_seed=123)
+        engine = Simulator(Capture(), cfg, options=EngineOptions(presentation_seed=123))
         engine.run(40)
         assert len(set(firsts)) > 1
 
@@ -308,13 +315,13 @@ class TestEngineSizeKnobs:
     def test_invalid_bounds_rejected(self):
         cfg = Configuration.from_occupied(8, [0, 3, 5])
         with pytest.raises(ValueError):
-            Simulator(IdleAlgorithm(), cfg, config_pool_size=0)
+            Simulator(IdleAlgorithm(), cfg, options=EngineOptions(config_pool_size=0))
         with pytest.raises(ValueError):
-            Simulator(IdleAlgorithm(), cfg, decision_cache_size=0)
+            Simulator(IdleAlgorithm(), cfg, options=EngineOptions(decision_cache_size=0))
 
     def test_decision_cache_size_forwarded(self):
         cfg = Configuration.from_occupied(8, [0, 3, 5])
-        engine = Simulator(IdleAlgorithm(), cfg, decision_cache_size=2)
+        engine = Simulator(IdleAlgorithm(), cfg, options=EngineOptions(decision_cache_size=2))
         assert engine.decision_cache.maxsize == 2
 
     def test_runner_forwards_bounds(self):

@@ -1,5 +1,7 @@
 """Tests for EngineOptions and the runner helpers' ``options=`` keyword."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import EngineOptions
@@ -31,6 +33,11 @@ class TestEngineOptions:
         with pytest.raises(ValueError):
             EngineOptions.from_jsonable({"chirality": True, "verbosity": 9})
 
+    def test_null_presentation_seed_rejected(self):
+        # A None seed would draw from OS entropy: one run id, many traces.
+        with pytest.raises(ValueError, match="presentation_seed must be an integer"):
+            EngineOptions(presentation_seed=None)
+
     def test_with_overrides_revalidates(self):
         options = EngineOptions()
         assert options.with_overrides(chirality=True).chirality
@@ -49,24 +56,12 @@ class TestEngineIntegration:
         assert engine.options == options
         assert engine.decision_cache is None
 
-    def test_explicit_keyword_overrides_bundle(self):
-        engine = Simulator(
-            AlignAlgorithm(),
-            _start(),
-            options=EngineOptions(decision_cache=False),
-            decision_cache=True,
-        )
-        assert engine.options.decision_cache is True
-        assert engine.decision_cache is not None
-
-    def test_options_and_keywords_trace_identically(self):
-        baseline = Simulator(AlignAlgorithm(), _start(), presentation_seed=3)
-        bundled = Simulator(
-            AlignAlgorithm(), _start(), options=EngineOptions(presentation_seed=3)
-        )
-        baseline.run(60)
-        bundled.run(60)
-        assert baseline.trace.canonical_bytes() == bundled.trace.canonical_bytes()
+    @pytest.mark.parametrize("name", [f.name for f in fields(EngineOptions)])
+    def test_engine_knob_keywords_are_gone(self, name):
+        # Every engine knob travels only inside ``options=``.
+        value = getattr(EngineOptions(), name)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Simulator(AlignAlgorithm(), _start(), **{name: value})
 
 
 class TestRunnerKeywords:

@@ -26,6 +26,7 @@ from repro.scheduler.asynchronous import AsynchronousScheduler
 from repro.scheduler.sequential import SequentialScheduler
 from repro.scheduler.synchronous import SemiSynchronousScheduler
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 from repro.workloads.generators import iter_rigid_configurations
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "golden")
@@ -63,10 +64,12 @@ def run_cell(name, **engine_overrides):
         cell["algorithm"](),
         configuration,
         scheduler=cell["scheduler"](),
-        presentation_seed=cell["seed"],
-        exclusive=not cell["gathering"],
-        multiplicity_detection=cell["gathering"],
-        **engine_overrides,
+        options=EngineOptions(
+            presentation_seed=cell["seed"],
+            exclusive=not cell["gathering"],
+            multiplicity_detection=cell["gathering"],
+            **engine_overrides,
+        ),
     )
     engine.run(cell["steps"])
     return engine.trace.canonical_bytes()

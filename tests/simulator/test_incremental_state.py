@@ -21,6 +21,7 @@ from repro.scheduler import (
     SynchronousScheduler,
 )
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 
 RIGID_START = Configuration.from_occupied(12, [0, 2, 5, 6, 9])
 
@@ -58,7 +59,7 @@ class TestIncrementalStateEquivalence:
             AlignAlgorithm(),
             RIGID_START,
             scheduler=make_scheduler(scheduler_name, seed),
-            presentation_seed=seed,
+            options=EngineOptions(presentation_seed=seed),
         )
         versions = [engine.state_version]
         for _ in range(80):
@@ -74,16 +75,16 @@ class TestIncrementalStateEquivalence:
             GatheringAlgorithm(),
             Configuration.from_occupied(11, [0, 1, 2, 3, 5]),
             scheduler=make_scheduler("asynchronous", seed),
-            exclusive=False,
-            multiplicity_detection=True,
-            presentation_seed=seed,
+            options=EngineOptions(exclusive=False, multiplicity_detection=True, presentation_seed=seed),
         )
         for _ in range(60):
             engine.step()
         assert_incremental_state_consistent(engine)
 
     def test_state_checked_after_every_step(self):
-        engine = Simulator(SweepAlgorithm(), Configuration.from_gaps((3,) * 5), chirality=True)
+        engine = Simulator(
+            SweepAlgorithm(), Configuration.from_gaps((3,) * 5), options=EngineOptions(chirality=True)
+        )
         for _ in range(50):
             engine.step()
             assert_incremental_state_consistent(engine)
@@ -153,9 +154,9 @@ class TestDecisionCache:
                 algorithm_factory(),
                 RIGID_START,
                 scheduler=make_scheduler(scheduler_name, seed=7),
-                presentation_seed=42,
-                **CACHE_TEST_OPTIONS[options_name],
-                **cache_options,
+                options=EngineOptions(
+                    presentation_seed=42, **CACHE_TEST_OPTIONS[options_name], **cache_options
+                ),
             )
             engine.run(120)
             traces.append(trace_fingerprint(engine.trace))
@@ -163,7 +164,7 @@ class TestDecisionCache:
 
     def test_cache_hits_on_repeated_views(self):
         engine = Simulator(
-            SweepAlgorithm(), Configuration.from_gaps((4,) * 6), chirality=True
+            SweepAlgorithm(), Configuration.from_gaps((4,) * 6), options=EngineOptions(chirality=True)
         )
         engine.run(60)
         cache = engine.decision_cache
@@ -172,7 +173,7 @@ class TestDecisionCache:
         assert cache.misses <= len(cache) + cache.maxsize
 
     def test_cache_disabled_means_no_cache(self):
-        engine = Simulator(AlignAlgorithm(), RIGID_START, decision_cache=False)
+        engine = Simulator(AlignAlgorithm(), RIGID_START, options=EngineOptions(decision_cache=False))
         assert engine.decision_cache is None
         engine.run(10)
 
@@ -180,7 +181,9 @@ class TestDecisionCache:
         from repro.model.algorithm import DecisionCache
 
         cache = DecisionCache(maxsize=2)
-        engine = Simulator(SweepAlgorithm(), Configuration.from_gaps((4,) * 6), chirality=True)
+        engine = Simulator(
+            SweepAlgorithm(), Configuration.from_gaps((4,) * 6), options=EngineOptions(chirality=True)
+        )
         # Route the engine through the tiny cache to exercise eviction.
         engine._decision_cache = cache
         engine.run(40)

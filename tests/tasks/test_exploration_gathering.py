@@ -4,6 +4,7 @@ from repro.core.configuration import Configuration
 from repro.algorithms.baselines import IdleAlgorithm, SweepAlgorithm
 from repro.algorithms.gathering import GatheringAlgorithm
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 from repro.simulator.runner import run_gathering
 from repro.tasks import CompositeMonitor, ExplorationMonitor, GatheringMonitor
 
@@ -30,7 +31,7 @@ class TestExplorationMonitor:
         """The paper's example: a unidirectional sweep explores but never clears."""
         cfg = Configuration.from_occupied(8, [0, 3])
         monitor = ExplorationMonitor()
-        engine = Simulator(SweepAlgorithm(), cfg, monitors=[monitor], chirality=True)
+        engine = Simulator(SweepAlgorithm(), cfg, monitors=[monitor], options=EngineOptions(chirality=True))
         engine.run(200)
         assert monitor.all_robots_covered_ring(minimum=3)
         assert monitor.robot_covered_ring(0, minimum=3)
@@ -40,7 +41,7 @@ class TestExplorationMonitor:
     def test_visit_steps_are_increasing(self):
         cfg = Configuration.from_occupied(8, [0, 3])
         monitor = ExplorationMonitor()
-        engine = Simulator(SweepAlgorithm(), cfg, monitors=[monitor], chirality=True)
+        engine = Simulator(SweepAlgorithm(), cfg, monitors=[monitor], options=EngineOptions(chirality=True))
         engine.run(100)
         for robot in range(2):
             for node, steps in monitor.visit_steps[robot].items():
@@ -74,8 +75,7 @@ class TestGatheringMonitor:
             IdleAlgorithm(),
             [4, 4, 4],
             ring_size=9,
-            exclusive=False,
-            multiplicity_detection=True,
+            options=EngineOptions(exclusive=False, multiplicity_detection=True),
             monitors=[monitor],
         )
         assert monitor.gathered_at_step == -1
@@ -88,7 +88,7 @@ class TestCompositeMonitor:
         exploration = ExplorationMonitor()
         gathering = GatheringMonitor()
         composite = CompositeMonitor([exploration, gathering])
-        engine = Simulator(SweepAlgorithm(), cfg, monitors=[composite], chirality=True)
+        engine = Simulator(SweepAlgorithm(), cfg, monitors=[composite], options=EngineOptions(chirality=True))
         engine.run(50)
         assert composite.monitors == [exploration, gathering]
         assert exploration.coverage_fraction() > 0.5

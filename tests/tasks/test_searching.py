@@ -4,6 +4,7 @@ from repro.core.configuration import Configuration
 from repro.core.ring import Ring
 from repro.algorithms.baselines import SweepAlgorithm
 from repro.simulator.engine import Simulator
+from repro.simulator.options import EngineOptions
 from repro.simulator.trace import MoveRecord
 from repro.tasks.searching import SearchingMonitor, SearchState
 
@@ -117,7 +118,7 @@ class TestSearchingMonitor:
     def test_monitor_records_initial_guarded_edges(self):
         cfg = Configuration.from_occupied(8, [0, 1, 2])
         monitor = SearchingMonitor()
-        Simulator(SweepAlgorithm(), cfg, monitors=[monitor], chirality=True)
+        Simulator(SweepAlgorithm(), cfg, monitors=[monitor], options=EngineOptions(chirality=True))
         counts = monitor.clearing_counts()
         assert counts[(0, 1)] == 1
         assert counts[(1, 2)] == 1
@@ -126,7 +127,7 @@ class TestSearchingMonitor:
     def test_monitor_tracks_history_during_run(self):
         cfg = Configuration.from_occupied(8, [0, 1, 2])
         monitor = SearchingMonitor()
-        engine = Simulator(SweepAlgorithm(), cfg, monitors=[monitor], chirality=True)
+        engine = Simulator(SweepAlgorithm(), cfg, monitors=[monitor], options=EngineOptions(chirality=True))
         engine.run(40)
         assert monitor.every_edge_cleared(0)
         assert isinstance(monitor.edges_never_cleared(), tuple)

@@ -198,7 +198,9 @@ def test_bitmask_monitor_is_the_per_run_monitor_on_a_lane():
 def test_non_adjacent_move_raises_the_ring_error():
     configuration = Configuration.from_occupied(8, [0, 1, 2])
     monitor = SearchingMonitor()
-    engine = Simulator(SweepAlgorithm(), configuration, monitors=[monitor], chirality=True)
+    engine = Simulator(
+        SweepAlgorithm(), configuration, monitors=[monitor], options=EngineOptions(chirality=True)
+    )
     with pytest.raises(ValueError) as expected:
         Ring(8).edge_between(0, 3)
     after = Configuration.from_occupied(8, [1, 2, 3])

@@ -11,6 +11,7 @@ import repro
 from repro import (
     AlignAlgorithm,
     Configuration,
+    EngineOptions,
     GatheringAlgorithm,
     NminusThreeAlgorithm,
     RingClearingAlgorithm,
@@ -51,8 +52,8 @@ class TestUnifiedApproach:
 
     def test_phase_one_is_shared(self):
         """Ring Clearing and Gathering behave exactly like Align until C*-type configurations."""
-        align = Simulator(AlignAlgorithm(), self.START, presentation_seed=5)
-        clearing = Simulator(RingClearingAlgorithm(), self.START, presentation_seed=5)
+        align = Simulator(AlignAlgorithm(), self.START, options=EngineOptions(presentation_seed=5))
+        clearing = Simulator(RingClearingAlgorithm(), self.START, options=EngineOptions(presentation_seed=5))
         for _ in range(200):
             align.step()
             clearing.step()
