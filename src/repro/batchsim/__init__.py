@@ -6,9 +6,12 @@ scheduler policy on hundreds of seeded starting configurations.  Run one
 work is Python-object overhead: snapshot construction, per-step trace
 objects, cold decision caches.  :class:`BatchEngine` instead advances a
 ``(batch, n)`` occupancy matrix (one stdlib ``array`` row per lane)
-through Look-Compute-Move rounds, sharing one global-plan table
-(:class:`~repro.simulator.batchplan.GlobalPlanTable`), one decision
-cache and one configuration pool across every lane.
+through Look-Compute-Move rounds, sharing one class-plan table
+(:class:`~repro.simulator.classplan.ClassPlanTable`), one Look table,
+one decision cache and one configuration pool across every lane.  Each
+lane draws its presentation RNG exactly as the per-run engine does:
+once per Look, plan steps and fast-forwarded steps included, never
+under chirality.
 
 Correctness contract: a lane's trace is **byte-identical** to the trace
 of the incremental engine run with the same algorithm, initial

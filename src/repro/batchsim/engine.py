@@ -6,19 +6,19 @@ One :class:`BatchEngine` advances a batch of independent simulations
 occupancy row per lane (its ``tobytes()`` is the lane's dict key);
 everything expensive is shared across lanes:
 
-* for pure global-rule algorithms, one
-  :class:`~repro.simulator.batchplan.GlobalPlanTable` turns every Look
-  into a dictionary hit keyed on the lane's counts row — no snapshots,
-  no per-view decision keys, no RNG draws;
-* other algorithms take the exact per-snapshot path of the incremental
-  engine (same per-lane presentation RNG, same Look table and
+* wherever the algorithm has a global plan for a support, one
+  :class:`~repro.simulator.classplan.ClassPlanTable` (the model
+  checker's) turns every Look into a dictionary hit keyed on the lane's
+  counts row — no snapshots, no per-view decision keys;
+* everywhere else a Look takes the exact per-snapshot path of the
+  incremental engine (same Look table and
   :class:`~repro.model.algorithm.DecisionCache` semantics), with the
   Look table, decision cache and configuration pool shared across the
   whole batch;
 * every round-robin lane, monitored or not, runs in one hot loop, and
   a lane with no monitors and no event log fast-forwards whole periods
-  of a periodic orbit (a Look-table lane only periods in which no Look
-  depended on the presentation order);
+  of a periodic orbit in which no per-snapshot Look depended on the
+  presentation order;
 * stop conditions are predicates over the configuration and are
   memoised per distinct occupancy row, so a convergence check costs one
   dictionary hit per step instead of a property chain.
@@ -28,12 +28,10 @@ Byte-identity contract: for every lane ``i``,
 trace produced by ``Simulator(algorithm, initials[i],
 scheduler=scheduler_factory(i), options=options)`` executing the same
 run — the differential suite in ``tests/batchsim/`` enforces this under
-every scheduler.  The engine may *skip* presentation
-RNG draws on the plan-table path (traces record moves, not draws; pure
-global-rule decisions are presentation-independent), which is exactly
-why the certification is done on serialised traces rather than on RNG
-states.  Look-table lanes draw exactly as the per-run engine does, one
-draw per skipped step included.
+every scheduler.  Every lane draws its presentation RNG exactly as the
+per-run engine does: once per Look, on plan steps and fast-forwarded
+steps too, and never under ``chirality``.  So a lane's ``rng`` state
+always equals the per-run engine's.
 """
 
 from __future__ import annotations
@@ -45,17 +43,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.configuration import Configuration
 from ..core.cyclic import packed_codec
 from ..core.errors import (
-    AlgorithmPreconditionError,
     CollisionError,
     ExclusivityViolationError,
     SchedulerError,
     SimulationLimitError,
 )
-from ..model.algorithm import Algorithm, DecisionCache, is_pure_global_rule
+from ..model.algorithm import Algorithm, DecisionCache
 from ..scheduler.base import Activation, ActivationKind, Scheduler
 from ..scheduler.sequential import SequentialScheduler
 from ..scheduler.synchronous import SynchronousScheduler
-from ..simulator.batchplan import INVALID_TARGET, GlobalPlanTable
+from ..simulator.classplan import ClassPlanTable
 from ..simulator.engine import ConfigurationPool, LookTable, look_direction
 from ..simulator.options import EngineOptions
 from ..simulator.trace import MoveRecord, Trace, TraceEvent
@@ -263,13 +260,15 @@ class BatchEngine:
         self._look_table: Optional[LookTable] = (
             LookTable(options.decision_cache_size) if options.decision_cache else None
         )
-        self._plan_table: Optional[GlobalPlanTable] = (
-            GlobalPlanTable(algorithm, self._n, pool=self.pool)
-            if is_pure_global_rule(algorithm)
-            else None
+        self._plan_table = ClassPlanTable(
+            algorithm,
+            self._n,
+            pool=self.pool,
+            decisions=self._decisions,
+            multiplicity_detection=self._multiplicity_detection,
         )
-        #: counts-row bytes -> validated plan dict (fast-path hot cache).
-        self._plans: Dict[bytes, Dict[int, object]] = {}
+        #: counts-row bytes -> the table's plan in that frame, or False.
+        self._plans: Dict[bytes, object] = {}
         #: counts-row bytes -> plain counts tuple (shared across lanes).
         self._tuples: Dict[bytes, Tuple[int, ...]] = {}
 
@@ -464,13 +463,19 @@ class BatchEngine:
         lane.orbit.clear()
         return self._run_lane_rr(lane, max_steps, memo)
 
-    def _plan_for_key(self, key: bytes, lane: BatchLane) -> Dict[int, object]:
-        counts = self._tuples.get(key)
-        if counts is None:
-            counts = tuple(lane.row)
-            self._tuples[key] = counts
-        plan = self._plan_table.plan_for_counts(counts)
-        self._plans[key] = plan
+    def _plan_for_key(self, key: bytes, counts: Tuple[int, ...]):
+        """The class plan in one row's frame, or ``False`` (memoised per row).
+
+        A remembered plan stays valid if the table later turns itself
+        off: it was self-checked, or the table had already stopped
+        checking, and no later check can fail.
+        """
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plan_table.plan(counts)
+            if plan is None:
+                plan = False
+            self._plans[key] = plan
         return plan
 
     def _direction(
@@ -546,13 +551,13 @@ class BatchEngine:
     ) -> str:
         """Hot loop: every lane under the round-robin sequential scheduler.
 
-        A pure global-rule algorithm decides by the shared plan table (a
-        handful of dict hits per step, no presentation draws); any other
-        algorithm decides by the shared Look table after the per-run
-        presentation draw.  Per-lane state lives in locals and is
-        written back in ``finally`` so an aborting exception (collision,
-        planner precondition) leaves the lane consistent with the steps
-        it actually executed.  The stop predicate is evaluated only when
+        Each step draws the presentation as the per-run engine does, then
+        decides by the row's class plan where the plan table has one (a
+        handful of dict hits per step), else by the shared Look table.
+        Per-lane state lives in locals and is written back in
+        ``finally`` so an aborting exception (collision, planner
+        precondition) leaves the lane consistent with the steps it
+        actually executed.  The stop predicate is evaluated only when
         the configuration changes (idle steps cannot change its value).
         Monitors see every step before a collision raises, with
         ``step_count`` current; the pooled configuration they receive is
@@ -561,12 +566,12 @@ class BatchEngine:
         Unmonitored lanes that record no events remember their
         round-boundary states, so a lane that enters a periodic orbit
         (every perpetual task does) has its remaining full periods
-        fast-forwarded arithmetically (:meth:`_orbit_skip`).  A
-        Look-table lane that draws presentations also counts its *ties*
-        — Looks whose two presentation orders give different directions
-        — and skips only tie-free periods, which no draw can change; it
-        still draws once per skipped step, so its RNG state stays equal
-        to the per-run engine's.
+        fast-forwarded arithmetically (:meth:`_orbit_skip`).  A lane
+        that draws presentations also counts its *ties* — Look-table
+        Looks whose two presentation orders give different directions;
+        plan steps never tie — and skips only tie-free periods, which no
+        draw can change; it still draws once per skipped step, so its
+        RNG state stays equal to the per-run engine's.
         """
         positions = lane.positions
         k = len(positions)
@@ -584,9 +589,10 @@ class BatchEngine:
         record = self._record_events
         exclusive = self._exclusive
         collision_raise = self._collision_raise
-        plans = self._plans if self._plan_table is not None else None
+        plans = self._plans if self._plan_table.enabled else None
+        plan_for_key = self._plan_for_key
         direction_of = self._direction
-        draw = lane.rng.random if plans is None and not self._chirality else None
+        draw = None if self._chirality else lane.rng.random
         tuples = self._tuples
         pool_configuration = self.pool.configuration
         cycle = ActivationKind.CYCLE
@@ -594,9 +600,10 @@ class BatchEngine:
         stop_satisfied = memo.satisfied
         # Fast-forwarding replays configurations that are *rotations* of
         # already-visited (stop-checked) ones, so it needs the predicate
-        # to be absent or declared rotation-invariant.  A Look-table lane
-        # needs the table to count ties cheaply, and counts them only
-        # when it draws (under chirality no Look has a second order).
+        # to be absent or declared rotation-invariant.  Counting ties
+        # needs plans or the Look table to stay cheap, and a lane counts
+        # them only when it draws (under chirality no Look has a second
+        # order).
         fast_forward = (
             monitors is None
             and not record
@@ -631,21 +638,17 @@ class BatchEngine:
                         continue
                 rr += 1
                 position = positions[robot]
-                if plans is not None:
-                    if plan is None:
+                first_is_cw = True if draw is None else draw() < 0.5
+                if plan is None:
+                    if plans is None:
+                        plan = False
+                    else:
                         plan = plans.get(key)
                         if plan is None:
-                            lane.key = key
-                            plan = self._plan_for_key(key, lane)
-                            counts_tuple = tuples[key]
+                            plan = plan_for_key(key, counts_tuple)
+                if plan is not False:
                     target = plan.get(position)
-                    if target is INVALID_TARGET:
-                        raise AlgorithmPreconditionError(
-                            f"planner asked the robot at node {position} to move to "
-                            "a non-adjacent node"
-                        )
                 else:
-                    first_is_cw = True if draw is None else draw() < 0.5
                     direction = direction_of(key, counts_tuple, position, first_is_cw)
                     if count_ties and direction != direction_of(
                         key, counts_tuple, position, not first_is_cw
@@ -771,32 +774,19 @@ class BatchEngine:
             )
 
     def _look(self, lane: BatchLane, robot_id: int) -> None:
-        """Look + Compute for one robot (fast plan path or exact slow path)."""
-        if self._plan_table is not None:
-            plan = self._plans.get(lane.key)
-            if plan is None:
-                plan = self._plan_for_key(lane.key, lane)
-            position = lane.positions[robot_id]
-            target = plan.get(position)
-            if target is None:
-                lane.pending.pop(robot_id, None)
-            elif target is INVALID_TARGET:
-                raise AlgorithmPreconditionError(
-                    f"planner asked the robot at node {position} to move to "
-                    "a non-adjacent node"
-                )
-            else:
-                lane.pending[robot_id] = target
-            return
-        # Exact per-snapshot path: the same presentation draw, Look table
-        # and decision-cache semantics as Simulator.
+        """Look + Compute for one robot: Simulator's draw, then plan or Look table."""
         position = lane.positions[robot_id]
         first_is_cw = True if self._chirality else lane.rng.random() < 0.5
-        direction = self._direction(lane.key, lane.counts_tuple, position, first_is_cw)
-        if direction:
-            lane.pending[robot_id] = (position + direction) % self._n
+        plan = self._plan_for_key(lane.key, lane.counts_tuple)
+        if plan is not False:
+            target = plan.get(position)
         else:
+            direction = self._direction(lane.key, lane.counts_tuple, position, first_is_cw)
+            target = (position + direction) % self._n if direction else None
+        if target is None:
             lane.pending.pop(robot_id, None)
+        else:
+            lane.pending[robot_id] = target
 
     def _execute_pending(
         self, lane: BatchLane, robot_ids: Sequence[int]
@@ -842,12 +832,11 @@ class _StopMemo:
     """Per-run memo of a stop predicate over distinct occupancy rows.
 
     Keyed on the raw row bytes; when the predicate is declared invariant
-    under ring automorphisms (and a plan table exists to canonicalise
-    cheaply), results are additionally shared across each row's whole
-    rotation/reflection orbit.
+    under ring automorphisms, results are additionally shared across each
+    row's whole rotation/reflection orbit.
     """
 
-    __slots__ = ("predicate", "declared_invariant", "_engine", "_table", "_raw", "_canonical")
+    __slots__ = ("predicate", "declared_invariant", "_engine", "_codec", "_raw", "_canonical")
 
     def __init__(
         self,
@@ -858,16 +847,20 @@ class _StopMemo:
         self.predicate = predicate
         self.declared_invariant = invariant
         self._engine = engine
-        self._table = engine._plan_table if invariant else None
+        self._codec = (
+            packed_codec(engine.ring_size, max(len(lane.positions) for lane in engine._lanes))
+            if invariant
+            else None
+        )
         self._raw: Dict[bytes, bool] = {}
-        self._canonical: Dict[Tuple[int, ...], bool] = {}
+        self._canonical: Dict[int, bool] = {}
 
     def satisfied(self, key: bytes, counts: Tuple[int, ...]) -> bool:
         """Whether the predicate holds on ``counts`` (memoised)."""
         value = self._raw.get(key)
         if value is None:
-            if self._table is not None:
-                canonical = self._table.canonical_counts(counts)
+            if self._codec is not None:
+                canonical = self._codec.canonical(self._codec.pack(counts))
                 value = self._canonical.get(canonical)
                 if value is None:
                     value = bool(

@@ -343,17 +343,7 @@ class PackedSequenceCodec:
 
     def canonical(self, packed: int) -> int:
         """The minimal packed image under rotations and reflections."""
-        best = packed
-        for r in range(1, self.n):
-            image = self.rotate(packed, r)
-            if image < best:
-                best = image
-        reflected = self.reversed_digits(packed)
-        for r in range(self.n):
-            image = self.rotate(reflected, r)
-            if image < best:
-                best = image
-        return best
+        return self.canonical_with_transform(packed)[0]
 
     def canonical_with_transform(self, packed: int) -> Tuple[int, int, int]:
         """Canonical form plus the group element achieving it.
@@ -368,14 +358,22 @@ class PackedSequenceCodec:
         resolve to the first match in scan order (forward rotations by
         increasing offset, then reflected ones).
         """
+        # rotate() inlined: this scan runs once per canonicalised state.
+        total = self.total_bits
+        shifts = self._rotation_shifts
+        low_masks = self._low_masks
         best, best_flip, best_r = packed, 0, 0
         for r in range(1, self.n):
-            image = self.rotate(packed, r)
+            shift = shifts[r]
+            image = ((packed & low_masks[r]) << shift) | (packed >> (total - shift))
             if image < best:
                 best, best_flip, best_r = image, 0, r
         reflected = self.reversed_digits(packed)
-        for r in range(self.n):
-            image = self.rotate(reflected, r)
+        if reflected < best:
+            best, best_flip, best_r = reflected, 1, 0
+        for r in range(1, self.n):
+            shift = shifts[r]
+            image = ((reflected & low_masks[r]) << shift) | (reflected >> (total - shift))
             if image < best:
                 best, best_flip, best_r = image, 1, r
         return best, best_flip, best_r

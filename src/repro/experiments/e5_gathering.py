@@ -5,7 +5,8 @@ class (exhaustively for small rings, randomly sampled for larger ones)
 with ``2 < k < n - 2``, checking that all robots end up on a single node
 and stay there, and reporting the number of moves to gather.  A greedy
 strawman baseline is run on the same starts to show that the problem is
-not trivially solved by "walk towards the closest robot".
+not trivially solved by "walk towards the closest robot".  Both run each
+cell's starts as the lanes of one :class:`~repro.batchsim.BatchEngine`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from ..analysis.metrics import summarize
 from ..batchsim import BatchEngine
 from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.options import EngineOptions
-from ..simulator.runner import run_gathering
 from ..workloads.generators import random_rigid_configuration, rigid_configurations
 from .report import ExperimentResult
 
@@ -34,6 +34,10 @@ def _starting_configurations(n: int, k: int, samples: int, seed: int):
     rng = random.Random(seed)
     return [random_rigid_configuration(n, k, rng) for _ in range(samples)]
 
+
+#: Engine model of Gathering, as :func:`~repro.simulator.runner.run_gathering`
+#: sets it: towers allowed and detected.
+_GATHERING_OPTIONS = EngineOptions(exclusive=False, multiplicity_detection=True)
 
 #: Engine model of the greedy strawman: towers allowed and detected.
 _BASELINE_OPTIONS = EngineOptions(
@@ -66,19 +70,28 @@ def _baseline_gathered(starts, budget: int) -> int:
 
 
 def run_unit(unit):
-    """Campaign worker: gather from every start of one ``(k, n)`` cell."""
+    """Campaign worker: gather from every start of one ``(k, n)`` cell.
+
+    One round-robin lane per start; each lane equals one per-run
+    :func:`~repro.simulator.runner.run_gathering` (positions, moves,
+    steps and presentation draws), and the lanes share one class-plan
+    table, so Gathering's plan is computed once per support class.
+    """
     k, n = unit["k"], unit["n"]
     if not gathering_supported(n, k):
         return {"row": [k, n, 0, "unsupported", "-", "-", "-", "-"], "passed": True}
     starts = _starting_configurations(n, k, unit["samples"], unit["seed"])
-    gathered = 0
-    move_counts = []
     budget = 30 * n * k + 200
-    for configuration in starts:
-        trace, engine = run_gathering(GatheringAlgorithm(), configuration, max_steps=budget)
-        if trace.final_configuration.num_occupied == 1:
-            gathered += 1
-        move_counts.append(trace.total_moves)
+    engine = BatchEngine(
+        GatheringAlgorithm(), starts, options=_GATHERING_OPTIONS, record_events=False
+    )
+    engine.run_until_configuration(lambda c: c.num_occupied == 1, budget, invariant=True)
+    gathered = sum(
+        1
+        for i in range(engine.num_lanes)
+        if engine.lane_view(i).configuration.num_occupied == 1
+    )
+    move_counts = [engine.lane(i).total_moves for i in range(engine.num_lanes)]
     baseline_gathered = _baseline_gathered(starts, budget)
     stats = summarize(move_counts)
     return {

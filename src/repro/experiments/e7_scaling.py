@@ -20,7 +20,7 @@ from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supp
 from ..analysis.metrics import clearing_metrics, summarize
 from ..batchsim import BatchEngine
 from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
-from ..simulator.runner import run_gathering
+from ..simulator.options import EngineOptions
 from ..tasks import SearchingMonitor
 from ..workloads.generators import random_rigid_configuration
 from .report import ExperimentResult
@@ -44,18 +44,24 @@ def _align_moves(n: int, k: int, samples: int, seed: int) -> dict:
 
 
 def _gathering_moves(n: int, k: int, samples: int, seed: int) -> dict:
-    """Gathering moves, one run per sample.
+    """Gathering moves, one :class:`~repro.batchsim.BatchEngine` lane per sample.
 
-    Gathering's multiplicity-dependent decisions have no batched fast
-    path.
+    Each lane equals one :func:`~repro.simulator.runner.run_gathering`
+    per sample: plans come from the shared class-plan table on supports
+    with more than two occupied nodes, the endgame from the Look table.
     """
     rng = random.Random(seed + 1)
-    moves = []
-    for _ in range(samples):
-        configuration = random_rigid_configuration(n, k, rng)
-        trace, _ = run_gathering(GatheringAlgorithm(), configuration, max_steps=60 * n * k + 400)
-        moves.append(trace.total_moves)
-    return summarize(moves)
+    configurations = [random_rigid_configuration(n, k, rng) for _ in range(samples)]
+    engine = BatchEngine(
+        GatheringAlgorithm(),
+        configurations,
+        options=EngineOptions(exclusive=False, multiplicity_detection=True),
+        record_events=False,
+    )
+    engine.run_until_configuration(
+        lambda c: c.num_occupied == 1, 60 * n * k + 400, invariant=True
+    )
+    return summarize([engine.lane(i).total_moves for i in range(samples)])
 
 
 def _clearing_cost(n: int, k: int, samples: int, seed: int, steps_factor: int) -> dict:

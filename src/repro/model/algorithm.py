@@ -21,13 +21,14 @@ designated robot.  The library mirrors this structure:
   reaches a consistent conclusion and the per-robot algorithm is a
   faithful min-CORDA algorithm.
 
-* :meth:`GlobalRuleAlgorithm.global_plan` exposes that plan to
-  exhaustive drivers: on a configuration where every robot's decision
-  is a frame change of one plan it returns the plan, so the branching
-  adversary driver (:mod:`repro.simulator.branching`) evaluates one
-  plan per state class instead of one snapshot per robot and view
-  presentation.  It returns ``None`` wherever decisions depend on
-  snapshot-only data (presentation order, the multiplicity flag).
+* :meth:`GlobalRuleAlgorithm.global_plan` exposes that plan: on a
+  configuration where every robot's decision is a frame change of one
+  plan it returns the plan, so the class-plan table
+  (:mod:`repro.simulator.classplan`) behind the branching adversary
+  driver and the batched engine evaluates one plan per support class
+  instead of one snapshot per robot and view presentation.  It returns
+  ``None`` wherever decisions depend on snapshot-only data
+  (presentation order, the multiplicity flag).
 """
 
 from __future__ import annotations
@@ -196,11 +197,10 @@ def is_pure_global_rule(algorithm: Algorithm) -> bool:
     data like multiplicity flags).  Such algorithms admit a *global*
     evaluation fast path: compute one plan per configuration and read
     every robot's move off it, instead of building ``2k`` directed-view
-    snapshots.  The batched engine (:mod:`repro.batchsim`) uses this
-    test directly; the branching adversary driver
-    (:mod:`repro.simulator.branching`) asks
-    :meth:`GlobalRuleAlgorithm.global_plan`, whose default is built on
-    it and which non-pure subclasses may override per configuration.
+    snapshots.  The test is the default of
+    :meth:`GlobalRuleAlgorithm.global_plan`, which the class-plan table
+    (:mod:`repro.simulator.classplan`) asks and which non-pure
+    subclasses may override per configuration.
     """
     algorithm_type = type(algorithm)
     return (

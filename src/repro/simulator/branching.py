@@ -29,9 +29,8 @@ adversarial behaviour the checker must explore.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.configuration import Configuration
 from ..core.cyclic import PackedSequenceCodec, packed_codec
@@ -40,10 +39,10 @@ from ..core.errors import (
     InvalidConfigurationError,
     UnsupportedParametersError,
 )
-from ..core.ring import CCW, CW, Edge, Ring
+from ..core.ring import CCW, CW, Ring
 from ..core.symmetry import dihedral_permutation_tables
-from ..model.algorithm import Algorithm, DecisionCache, GlobalRuleAlgorithm
-from ..model.snapshot import Snapshot
+from ..model.algorithm import Algorithm, DecisionCache
+from .classplan import ClassPlanTable, snapshot_options
 from .engine import ConfigurationPool
 
 __all__ = [
@@ -53,14 +52,11 @@ __all__ = [
     "COMPACT_COLLISION",
     "CompactTransition",
     "NodeActivation",
-    "BranchTransition",
     "BranchingDriver",
 ]
 
 #: Option encoding: stay on the current node.
 IDLE = 0
-
-logger = logging.getLogger(__name__)
 
 Counts = Tuple[int, ...]
 
@@ -75,9 +71,10 @@ COMPACT_COLLISION = 4
 #: ``(node, idle, cw, ccw)`` tuples sorted by node (exactly the payload
 #: of a :class:`Profile`); the two masks are ``n``-bit edge/node sets
 #: (edge ``i`` is ``(i, (i + 1) % n)``); ``flags`` combines the
-#: ``COMPACT_*`` bits.  :meth:`BranchingDriver.successors` inflates these
-#: records into :class:`BranchTransition` dataclasses, so both APIs see
-#: the identical enumeration, in the identical order.
+#: ``COMPACT_*`` bits: ``COMPACT_MOVED`` when some robot changed node,
+#: ``COMPACT_FULL`` when *every* robot performed a cycle (the model
+#: checker's sound fairness witness), ``COMPACT_COLLISION`` when some
+#: node ends up with more than one robot.
 CompactTransition = Tuple[
     Tuple[Tuple[int, int, int, int], ...], Counts, int, int, int
 ]
@@ -112,35 +109,6 @@ class NodeActivation:
 
 #: One adversary step: the non-trivial node activations, sorted by node.
 Profile = Tuple[NodeActivation, ...]
-
-
-@dataclass(frozen=True)
-class BranchTransition:
-    """One edge of the branching transition relation.
-
-    Attributes:
-        profile: the activation profile that produces the transition.
-        counts_after: occupancy vector after the simultaneous moves.
-        moved: whether any robot changed node.
-        full: whether *every* robot performed a cycle this step (the
-            model checker's sound fairness witness: a cycle containing a
-            full step treats every robot fairly when looped forever).
-        activated_nodes: nodes holding at least one activated robot
-            (used by the sequential adversary's coverage-based fairness
-            test).
-        collision: whether some node ends up with more than one robot
-            (only meaningful for tasks enforcing exclusivity).
-        traversed: ring edges traversed by the moves (feeds the
-            clear/recontaminate dynamics of the searching task).
-    """
-
-    profile: Profile
-    counts_after: Counts
-    moved: bool
-    full: bool
-    activated_nodes: FrozenSet[int]
-    collision: bool
-    traversed: Tuple[Edge, ...]
 
 
 class BranchingDriver:
@@ -178,18 +146,17 @@ class BranchingDriver:
         self._canon_options: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
         self._compact_cache: Dict[Tuple[Counts, str], Tuple[CompactTransition, ...]] = {}
         self._codecs: Dict[int, PackedSequenceCodec] = {}
-        # Global-plan fast path: wherever a GlobalRuleAlgorithm's
-        # global_plan() answers, every per-robot decision is a frame
-        # change of that one equivariant plan, so one plan replaces up to
-        # 2k snapshot evaluations.  Where it returns None (presentation-
-        # or multiplicity-dependent decisions, e.g. the Gathering
-        # endgame) the class takes the exact per-snapshot path.  The
-        # first few answered classes are double-checked against the
-        # per-snapshot path; any mismatch (a planner violating its
-        # equivariance contract) permanently disables the fast path for
-        # this driver.
-        self._global_plan = isinstance(algorithm, GlobalRuleAlgorithm)
-        self._global_plan_checks = 8
+        # One global plan per support class replaces up to 2k snapshot
+        # evaluations wherever the algorithm has one (see ClassPlanTable,
+        # which also self-checks it); other classes are evaluated per
+        # snapshot.
+        self._plan_table = ClassPlanTable(
+            algorithm,
+            n,
+            pool=self._pool,
+            decisions=self._decisions,
+            multiplicity_detection=multiplicity_detection,
+        )
         self.plan_classes = 0
         self.snapshot_classes = 0
 
@@ -279,128 +246,61 @@ class BranchingDriver:
 
     def _compute_options(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
         """Option computation for one occupancy vector (canonical or not)."""
-        if self._global_plan:
-            derived = self._compute_options_from_plan(counts)
-            if derived is not None:
-                if self._global_plan_checks > 0:
-                    self._global_plan_checks -= 1
-                    checked = self._compute_options_snapshots(counts)
-                    if checked != derived:
-                        self._global_plan = False
-                        logger.warning(
-                            "global plan of %s disagrees with its per-snapshot "
-                            "decisions on n=%d counts=%s; using the per-snapshot "
-                            "path from now on",
-                            self.algorithm.name,
-                            self.n,
-                            counts,
-                        )
-                        self.snapshot_classes += 1
-                        return checked
-                self.plan_classes += 1
-                return derived
+        derived = self._compute_options_from_plan(counts)
+        if derived is not None:
+            self.plan_classes += 1
+            return derived
         self.snapshot_classes += 1
         return self._compute_options_snapshots(counts)
 
     def _compute_options_from_plan(
         self, counts: Counts
     ) -> "Optional[Dict[int, Tuple[int, ...]]]":
-        """Options derived from one global plan of an equivariant planner.
+        """Options read off the support's class plan (:class:`ClassPlanTable`).
 
-        The plan comes from :meth:`GlobalRuleAlgorithm.global_plan` on
-        the pooled *support* configuration (what every snapshot
-        reconstructs).  For an equivariant planner both view
-        presentations of a robot yield the same *global* outcome, so the
-        option set per occupied node is the plan's direction (or idle) —
-        except on nodes whose two views coincide, where "move" means the
-        adversary picks the direction.  Returns ``None`` (caller falls
-        back to the exact per-snapshot path) when the algorithm has no
-        global plan for this configuration, or when the plan asks for a
-        non-adjacent hop, so the per-snapshot error surfaces identically.
+        For an equivariant planner both view presentations of a robot
+        yield the same *global* outcome, so the option set per occupied
+        node is the plan's direction (or idle) — except on nodes whose
+        two views coincide, where "move" means the adversary picks the
+        direction.  Returns ``None`` (caller falls back to the exact
+        per-snapshot path) when the class has no plan, so a per-snapshot
+        error surfaces identically.
         """
-        configuration = self.configuration(counts)
-        if not configuration.is_exclusive:
-            configuration = self.configuration(tuple(1 if c else 0 for c in counts))
-        moves = self.algorithm.global_plan(configuration)
-        if moves is None:
-            return None
-        n = self.n
-        options: Dict[int, Tuple[int, ...]] = {}
-        for node in configuration.support:
-            target = moves.get(node)
-            if target is None:
-                options[node] = (IDLE,)
-            elif target != (node + 1) % n and target != (node - 1) % n:
-                return None
-            else:
-                cw_view, ccw_view = configuration.views_of(node)
-                if cw_view == ccw_view:
-                    options[node] = (CCW, CW)
-                elif target == (node + 1) % n:
-                    options[node] = (CW,)
-                else:
-                    options[node] = (CCW,)
-        return options
+        return self._plan_table.options(counts)
 
     def _compute_options_snapshots(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
         """Direct option computation (one algorithm call per presentation)."""
-        configuration = self.configuration(counts)
-        options: Dict[int, Tuple[int, ...]] = {}
-        for node in configuration.support:
-            cw_view, ccw_view = configuration.views_of(node)
-            on_multiplicity = (
-                self.multiplicity_detection and configuration.multiplicity(node) > 1
-            )
-            outcomes = set()
-            for first_direction, views in ((CW, (cw_view, ccw_view)), (CCW, (ccw_view, cw_view))):
-                snapshot = Snapshot(n=self.n, views=views, on_multiplicity=on_multiplicity)
-                decision = self._decisions.compute(self.algorithm, snapshot)
-                if decision.is_idle:
-                    outcomes.add(IDLE)
-                else:
-                    outcomes.add(
-                        first_direction if decision.toward_view == 0 else -first_direction
-                    )
-            options[node] = tuple(sorted(outcomes))
-        return options
+        return snapshot_options(
+            self.algorithm,
+            self._decisions,
+            self.configuration(counts),
+            self.multiplicity_detection,
+        )
 
     # ------------------------------------------------------------------ #
     # transition relation
     # ------------------------------------------------------------------ #
-    def successors(self, counts: Counts, mode: str = "ssync") -> List[BranchTransition]:
-        """All one-step successors the adversary can force.
+    def successors_compact(
+        self, counts: Counts, mode: str = "ssync"
+    ) -> Tuple[CompactTransition, ...]:
+        """All one-step successors the adversary can force, as records.
 
         Args:
             counts: current occupancy vector.
             mode: ``"ssync"`` (any non-empty subset of robots performs an
                 atomic cycle) or ``"sequential"`` (exactly one robot).
 
-        Transitions are deduplicated: for ``"ssync"`` one representative
-        per ``(counts_after, traversed edges, full)`` triple, for
-        ``"sequential"`` one per ``(counts_after, traversed edges,
-        activated node)`` — the quotient the checker's reachability,
-        clear-edge and fairness tests actually distinguish.  (Traversed
-        edges are part of the key because distinct move sets can produce
-        the same occupancy — e.g. a simultaneous swap of two adjacent
-        robots — while clearing different edges.)
-        """
-        return [
-            self.transition_from_compact(record)
-            for record in self.successors_compact(counts, mode)
-        ]
-
-    def successors_compact(
-        self, counts: Counts, mode: str = "ssync"
-    ) -> Tuple[CompactTransition, ...]:
-        """The successor enumeration as allocation-free records.
-
-        Same transitions, same order and same deduplication as
-        :meth:`successors` (which is a thin wrapper inflating these
-        records), but each transition is a plain tuple — see
-        :data:`CompactTransition` — cheap to store per explored state
-        and to expand in the frontier engine's BFS loop.  Results are
-        memoised per
-        ``(counts, mode)``.
+        Each transition is a plain tuple — see :data:`CompactTransition`
+        — cheap to store per explored state and to expand in the
+        frontier engine's BFS loop.  Transitions are deduplicated: for
+        ``"ssync"`` one representative per ``(counts_after, traversed
+        edges, full)`` triple, for ``"sequential"`` one per
+        ``(counts_after, traversed edges, activated node)`` — the
+        quotient the checker's reachability, clear-edge and fairness
+        tests actually distinguish.  (Traversed edges are part of the
+        key because distinct move sets can produce the same occupancy —
+        e.g. a simultaneous swap of two adjacent robots — while clearing
+        different edges.)  Results are memoised per ``(counts, mode)``.
         """
         key = (counts, mode)
         cached = self._compact_cache.get(key)
@@ -415,24 +315,6 @@ class BranchingDriver:
                 )
             self._compact_cache[key] = cached
         return cached
-
-    def transition_from_compact(self, record: CompactTransition) -> BranchTransition:
-        """Inflate a compact record into a :class:`BranchTransition`."""
-        parts, counts_after, traversed_mask, _activated_mask, flags = record
-        n = self.n
-        return BranchTransition(
-            profile=tuple(
-                NodeActivation(node=v, idle=i, cw=c, ccw=w) for (v, i, c, w) in parts
-            ),
-            counts_after=counts_after,
-            moved=bool(flags & COMPACT_MOVED),
-            full=bool(flags & COMPACT_FULL),
-            activated_nodes=frozenset(v for (v, _, _, _) in parts),
-            collision=bool(flags & COMPACT_COLLISION),
-            traversed=tuple(
-                (i, (i + 1) % n) for i in range(n) if (traversed_mask >> i) & 1
-            ),
-        )
 
     def _sequential_compact(self, counts: Counts) -> Tuple[CompactTransition, ...]:
         options = self.node_options(counts)

@@ -133,10 +133,10 @@ def test_wrong_global_plan_falls_back_with_one_warning(caplog):
     oracle = BranchingDriver(GatheringAlgorithm(), n, multiplicity_detection=True)
     classes = [cfg.counts for cfg in iter_configurations(n, k, rigid_only=True)]
     assert len(classes) > 3
-    with caplog.at_level(logging.WARNING, logger="repro.simulator.branching"):
+    with caplog.at_level(logging.WARNING, logger="repro.simulator.classplan"):
         for counts in classes:
             assert driver.node_options(counts) == oracle._compute_options_snapshots(counts)
-    warnings = [r for r in caplog.records if r.name == "repro.simulator.branching"]
+    warnings = [r for r in caplog.records if r.name == "repro.simulator.classplan"]
     assert len(warnings) == 1
     message = warnings[0].getMessage()
     assert "wrong-gathering" in message

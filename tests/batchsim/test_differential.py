@@ -9,9 +9,12 @@ scheduler, fast-path (pure global rule) and slow-path algorithms,
 collision and precondition aborts, and the periodic orbit fast-forward.
 """
 
+import logging
 import random
 
 import pytest
+
+import repro.algorithms.gathering as gathering_module
 
 from repro.algorithms import (
     AlignAlgorithm,
@@ -22,6 +25,7 @@ from repro.algorithms import (
     SweepAlgorithm,
 )
 from repro.algorithms.baselines import GreedyGatherBaseline
+from repro.algorithms.gathering import gathering_supported
 from repro.batchsim import BatchEngine
 from repro.core.configuration import Configuration
 from repro.core.errors import CollisionError, SimulationLimitError
@@ -35,8 +39,10 @@ from repro.scheduler import (
     SequentialScheduler,
     SynchronousScheduler,
 )
+from repro.model import GlobalRuleAlgorithm
 from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
+from repro.simulator.runner import run_gathering
 from repro.tasks import ExplorationMonitor, GatheringMonitor, SearchingMonitor
 from repro.workloads.generators import random_rigid_configuration, rigid_configurations
 
@@ -526,9 +532,15 @@ class TestMonitoredRoundRobinLanes:
             assert _monitor_record(lane_monitors) == _monitor_record(monitors)
 
 
-def _per_run_state(algorithm_factory, configuration, options, steps):
-    simulator = Simulator(algorithm_factory(), configuration, options=options)
+def _per_run_state(algorithm_factory, configuration, options, steps, scheduler=None):
+    simulator = Simulator(
+        algorithm_factory(), configuration, options=options, scheduler=scheduler
+    )
     simulator.run(steps)
+    return _simulator_state(simulator)
+
+
+def _simulator_state(simulator):
     return (
         tuple(simulator.robot(j).position for j in range(simulator.num_robots)),
         simulator.step_count,
@@ -631,3 +643,167 @@ class TestLookTableFastForward:
         # Two Looks per simulated step (both presentation orders), yet
         # far fewer than one per budgeted step.
         assert 0 < looks < len(configurations) * steps // 10
+
+
+class TestPlanLaneDraws:
+    """Plan lanes draw their presentation RNG exactly as the per-run engine.
+
+    One draw per Look, on plan steps and fast-forwarded steps too, and
+    none under chirality: the RNG state is part of the compared state.
+    """
+
+    @pytest.mark.parametrize("chirality", [False, True], ids=["draws", "chirality"])
+    @pytest.mark.parametrize("scheduler_name", ["round_robin", "asynchronous"])
+    @pytest.mark.parametrize(
+        "algorithm_factory, n, k, steps",
+        [(AlignAlgorithm, 12, 5, 300), (RingClearingAlgorithm, 13, 5, 30 * 13 * 5)],
+        ids=["align", "ring-clearing"],
+    )
+    def test_lane_state_matches_per_run(
+        self, algorithm_factory, n, k, steps, scheduler_name, chirality
+    ):
+        options = EngineOptions(chirality=chirality)
+        scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
+        configurations = sample_configurations(n, k, 4)
+        reference = [
+            _per_run_state(
+                algorithm_factory, configuration, options, steps, scheduler_factory(i)
+            )
+            for i, configuration in enumerate(configurations)
+        ]
+        engine = BatchEngine(
+            algorithm_factory(),
+            configurations,
+            scheduler_factory=scheduler_factory,
+            options=options,
+            record_events=False,
+        )
+        engine.run(steps)
+        assert _lane_states(engine) == reference
+
+
+class RiggedPlanner(GlobalRuleAlgorithm):
+    """Adjacent-valid but rotation-variant: breaks the equivariance contract."""
+
+    name = "rigged"
+
+    def plan(self, configuration):
+        mover = min(configuration.support)
+        return {mover: (mover + 1) % configuration.n}
+
+
+class NonAdjacentPlanner(GlobalRuleAlgorithm):
+    """Planner that targets a non-adjacent node."""
+
+    name = "teleporter"
+
+    def plan(self, configuration):
+        mover = min(configuration.support)
+        return {mover: (mover + 3) % configuration.n}
+
+
+class TestPlanTableFallbacks:
+    """Where the class-plan table has no plan, lanes equal per-run runs."""
+
+    @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULER_FACTORIES))
+    def test_mover_with_coinciding_views(self, scheduler_name):
+        """Align moves the axis robot of this start; the presentation picks its way."""
+        start = Configuration((1, 1, 1, 0, 0, 1, 0, 0))
+        scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
+        reference = per_run_outcome(
+            AlignAlgorithm, start, scheduler_factory(0), EngineOptions(), 20
+        )
+        assert reference[0] is None
+        got = batch_outcome(AlignAlgorithm, start, scheduler_factory, EngineOptions(), 20)
+        assert got == reference
+
+    def test_rigged_planner_lanes_warn_once(self, caplog):
+        options = EngineOptions(collision_policy="record")
+        configurations = sample_configurations(9, 3, 4)
+        reference = [
+            per_run_outcome(RiggedPlanner, configuration, SequentialScheduler(), options, 30)
+            for configuration in configurations
+        ]
+        with caplog.at_level(logging.WARNING, logger="repro.simulator.classplan"):
+            engine = BatchEngine(RiggedPlanner(), configurations, options=options)
+            engine.run(30)
+        assert [
+            (None, None, engine.lane_trace(i).canonical_bytes())
+            for i in range(engine.num_lanes)
+        ] == reference
+        assert len(caplog.records) == 1
+        assert "rigged" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("scheduler_name", ["round_robin", "synchronous"])
+    def test_non_adjacent_target_raises_the_per_run_error(self, scheduler_name):
+        scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
+        configuration = Configuration.from_occupied(9, [1, 4, 6])
+        reference = per_run_outcome(
+            NonAdjacentPlanner, configuration, scheduler_factory(0), EngineOptions(), 10
+        )
+        assert reference[0] == "AlgorithmPreconditionError"
+        got = batch_outcome(
+            NonAdjacentPlanner, configuration, scheduler_factory, EngineOptions(), 10
+        )
+        assert got == reference
+
+
+def _e5_quick_cells():
+    from repro.campaign.spec import build_campaign
+    from repro.experiments.e5_gathering import _starting_configurations
+
+    for unit in build_campaign("e5", "quick").units:
+        if gathering_supported(unit.n, unit.k):
+            starts = _starting_configurations(unit.n, unit.k, unit.samples, unit.seed)
+            yield starts, 30 * unit.n * unit.k + 200
+
+
+def _e7_quick_cells():
+    from repro.campaign.spec import build_campaign
+
+    for unit in build_campaign("e7", "quick").units:
+        if gathering_supported(unit.n, unit.k):
+            rng = random.Random(unit.seed + 1)
+            starts = [
+                random_rigid_configuration(unit.n, unit.k, rng) for _ in range(unit.samples)
+            ]
+            yield starts, 60 * unit.n * unit.k + 400
+
+
+class TestGatheringLanes:
+    """E5/E7 Gathering lanes equal one ``run_gathering`` per start."""
+
+    @CACHE_OPTIONS
+    @pytest.mark.parametrize(
+        "cells", [_e5_quick_cells, _e7_quick_cells], ids=["e5-quick", "e7-quick"]
+    )
+    def test_lanes_match_run_gathering(self, cells, cache_options, monkeypatch):
+        calls = {"per-run": 0, "lanes": 0}
+        phase = "per-run"
+        original = gathering_module.plan_gathering_support
+
+        def counting(configuration):
+            calls[phase] += 1
+            return original(configuration)
+
+        monkeypatch.setattr(gathering_module, "plan_gathering_support", counting)
+        options = EngineOptions(exclusive=False, multiplicity_detection=True, **cache_options)
+        reference, batched = [], []
+        for starts, budget in cells():
+            phase = "per-run"
+            for configuration in starts:
+                _, simulator = run_gathering(
+                    GatheringAlgorithm(), configuration, max_steps=budget, options=options
+                )
+                reference.append(_simulator_state(simulator))
+            phase = "lanes"
+            engine = BatchEngine(
+                GatheringAlgorithm(), starts, options=options, record_events=False
+            )
+            engine.run_until_configuration(
+                lambda c: c.num_occupied == 1, budget, invariant=True
+            )
+            batched.extend(_lane_states(engine))
+        assert batched == reference
+        assert all(sum(1 for c in state[3] if c) == 1 for state in batched)
+        assert 0 < calls["lanes"] < calls["per-run"]

@@ -97,8 +97,9 @@ class TestEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert "unknown run spec kind" in json.load(excinfo.value)["error"]
+        with excinfo.value:
+            assert excinfo.value.code == 400
+            assert "unknown run spec kind" in json.load(excinfo.value)["error"]
 
     def test_malformed_body_is_400(self, server):
         request = urllib.request.Request(
@@ -106,12 +107,14 @@ class TestEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        with excinfo.value:
+            assert excinfo.value.code == 400
 
     def test_unknown_run_id_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server}/v1/runs/{'0' * 64}")
-        assert excinfo.value.code == 404
+        with excinfo.value:
+            assert excinfo.value.code == 404
 
     def test_path_traversal_run_ids_are_rejected(self, server, tmp_path):
         """URL-supplied run ids must never reach the filesystem."""
@@ -127,14 +130,16 @@ class TestEndpoints:
         for run_id in traversals:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{server}/v1/runs/{run_id}")
-            assert excinfo.value.code == 404, run_id
+            with excinfo.value:
+                assert excinfo.value.code == 404, run_id
         assert victim.exists(), "traversal attempt must not delete files"
         assert json.loads(victim.read_text())["payload"]["secret"] is True
 
     def test_unknown_endpoint_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server}/v2/anything")
-        assert excinfo.value.code == 404
+        with excinfo.value:
+            assert excinfo.value.code == 404
 
 
 class TestServiceRobustness:
@@ -152,7 +157,8 @@ class TestServiceRobustness:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
-            assert excinfo.value.code == 400
+            with excinfo.value:
+                assert excinfo.value.code == 400
 
     def test_errored_run_is_rescheduled_on_resubmit(self, tmp_path, monkeypatch):
         import repro.service.server as server_module

@@ -209,7 +209,8 @@ class TestEventStream:
     def test_unknown_run_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server}/v1/runs/{'0' * 64}/events")
-        assert excinfo.value.code == 404
+        with excinfo.value:
+            assert excinfo.value.code == 404
 
     def test_cache_served_run_still_gets_a_terminal_event(self, tmp_path):
         # Complete the run in one service, stream it from a fresh one:
@@ -257,7 +258,8 @@ class TestCancellation:
             # A settled run can no longer be cancelled.
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _delete(base, queued["run_id"])
-            assert excinfo.value.code == 409
+            with excinfo.value:
+                assert excinfo.value.code == 409
         finally:
             gate.set()
             server_module.execute = original
@@ -269,7 +271,8 @@ class TestCancellation:
         for run_id in ("0" * 64, "nonsense"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _delete(server, run_id)
-            assert excinfo.value.code == 404, run_id
+            with excinfo.value:
+                assert excinfo.value.code == 404, run_id
 
     def test_cancel_running_run_conflicts(self, tmp_path):
         gate = threading.Event()
@@ -353,7 +356,8 @@ class TestPriorities:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
-            assert excinfo.value.code == 400, bad
+            with excinfo.value:
+                assert excinfo.value.code == 400, bad
 
     def test_priority_never_perturbs_run_id_or_payload(self, tmp_path):
         spec = spec_from_jsonable(TINY_SPEC)

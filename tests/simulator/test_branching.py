@@ -5,7 +5,19 @@ import pytest
 from repro.algorithms import AlignAlgorithm, GatheringAlgorithm, RingClearingAlgorithm
 from repro.algorithms.baselines import IdleAlgorithm, SweepAlgorithm
 from repro.core.configuration import Configuration
-from repro.simulator.branching import IDLE, BranchingDriver, NodeActivation
+from repro.simulator.branching import (
+    COMPACT_COLLISION,
+    COMPACT_FULL,
+    COMPACT_MOVED,
+    IDLE,
+    BranchingDriver,
+    NodeActivation,
+)
+
+
+def profile_of(record):
+    """The activation profile of one compact transition record."""
+    return tuple(NodeActivation(node=v, idle=i, cw=c, ccw=w) for (v, i, c, w) in record[0])
 
 
 class TestNodeOptions:
@@ -86,78 +98,80 @@ class TestNodeOptions:
                 return {node: (node + 2) % configuration.n}
 
         driver = BranchingDriver(TwoHopPlanner(), 6)
-        driver._global_plan_checks = 0  # exercise the unchecked fast path
+        driver._plan_table._checks_left = 0  # exercise the unchecked fast path
         with pytest.raises(AlgorithmPreconditionError):
             # Antipodal robots: both views coincide, so the symmetric
             # branch is the one that must still validate adjacency.
             driver.node_options((1, 0, 0, 1, 0, 0))
 
-    def test_successors_wrapper_matches_compact_records(self):
+    def test_compact_records_match_their_profiles(self):
         driver = BranchingDriver(AlignAlgorithm(), 9)
         counts = (1, 1, 0, 1, 0, 0, 1, 0, 0)
         for mode in ("ssync", "sequential"):
             records = driver.successors_compact(counts, mode)
-            transitions = driver.successors(counts, mode)
-            assert len(records) == len(transitions)
-            for record, transition in zip(records, transitions):
-                assert record[1] == transition.counts_after
-                assert record[0] == tuple(
-                    (a.node, a.idle, a.cw, a.ccw) for a in transition.profile
+            assert records
+            for record in records:
+                parts, counts_after, traversed, activated, flags = record
+                assert parts == tuple(sorted(parts))
+                assert counts_after == driver.apply(counts, profile_of(record))
+                assert bool(flags & COMPACT_MOVED) == any(c + w for (_, _, c, w) in parts)
+                assert bool(flags & COMPACT_FULL) == (
+                    sum(i + c + w for (_, i, c, w) in parts) == sum(counts)
                 )
-                assert bool(record[4] & 1) == transition.moved
-                assert bool(record[4] & 2) == transition.full
-                assert bool(record[4] & 4) == transition.collision
-                assert frozenset(
-                    v for (v, _, _, _) in record[0]
-                ) == transition.activated_nodes
+                assert bool(flags & COMPACT_COLLISION) == (max(counts_after) > 1)
+                assert activated == sum(1 << v for (v, _, _, _) in parts)
+                edges = 0
+                for v, _, c, w in parts:
+                    edges |= (1 << v if c else 0) | (1 << ((v - 1) % 9) if w else 0)
+                assert traversed == edges
 
 
 class TestSuccessors:
     def test_full_flag_requires_every_robot(self):
         driver = BranchingDriver(AlignAlgorithm(), 9)
         counts = (1, 1, 0, 1, 0, 0, 1, 0, 0)
-        transitions = driver.successors(counts)
-        full = [t for t in transitions if t.full]
+        records = driver.successors_compact(counts)
+        full = [r for r in records if r[4] & COMPACT_FULL]
         assert len(full) == 1
-        assert sum(a.activated for a in full[0].profile) == sum(counts)
+        assert sum(a.activated for a in profile_of(full[0])) == sum(counts)
 
     def test_idle_self_loop_present(self):
         driver = BranchingDriver(AlignAlgorithm(), 9)
         counts = (1, 1, 0, 1, 0, 0, 1, 0, 0)
-        transitions = driver.successors(counts)
-        assert any(t.counts_after == counts and not t.moved for t in transitions)
+        records = driver.successors_compact(counts)
+        assert any(r[1] == counts and not r[4] & COMPACT_MOVED for r in records)
 
     def test_collision_flagged(self):
         # Two robots either side of one empty node, both driven into it.
         driver = BranchingDriver(SweepAlgorithm(), 5)
-        transitions = driver.successors((1, 0, 1, 0, 0))
-        collisions = [t for t in transitions if t.collision]
+        records = driver.successors_compact((1, 0, 1, 0, 0))
+        collisions = [r for r in records if r[4] & COMPACT_COLLISION]
         assert collisions
-        assert all(max(t.counts_after) > 1 for t in collisions)
+        assert all(max(r[1]) > 1 for r in collisions)
 
     def test_sequential_activates_single_robot(self):
         driver = BranchingDriver(GatheringAlgorithm(), 6, multiplicity_detection=True)
-        for transition in driver.successors((1, 0, 0, 1, 0, 0), "sequential"):
-            assert sum(a.activated for a in transition.profile) == 1
+        for record in driver.successors_compact((1, 0, 0, 1, 0, 0), "sequential"):
+            assert sum(a.activated for a in profile_of(record)) == 1
 
     def test_successor_counts_preserve_robots(self):
         # A C*-type support with a pile, as reached mid-contraction.
         driver = BranchingDriver(GatheringAlgorithm(), 7, multiplicity_detection=True)
         counts = (1, 2, 0, 1, 0, 0, 0)
-        for transition in driver.successors(counts):
-            assert sum(transition.counts_after) == sum(counts)
+        for record in driver.successors_compact(counts):
+            assert sum(record[1]) == sum(counts)
 
     def test_unknown_mode_rejected(self):
         driver = BranchingDriver(IdleAlgorithm(), 5)
         with pytest.raises(ValueError):
-            driver.successors((1, 0, 1, 0, 0), "async")
+            driver.successors_compact((1, 0, 1, 0, 0), "async")
 
     def test_multiplicity_partial_activation(self):
         # Two robots piled on the contraction anchor of a C*-type
         # support: the adversary may release any subset of the pile.
         driver = BranchingDriver(GatheringAlgorithm(), 8, multiplicity_detection=True)
         counts = (2, 1, 0, 1, 0, 0, 0, 0)
-        after = {t.counts_after for t in driver.successors(counts)}
+        after = {r[1] for r in driver.successors_compact(counts)}
         assert (1, 2, 0, 1, 0, 0, 0, 0) in after  # one of the two moved
         assert (0, 3, 0, 1, 0, 0, 0, 0) in after  # both moved
 
@@ -166,8 +180,8 @@ class TestReplay:
     def test_replay_matches_successors(self):
         driver = BranchingDriver(AlignAlgorithm(), 9)
         counts = (1, 1, 0, 1, 0, 0, 1, 0, 0)
-        for transition in driver.successors(counts):
-            assert driver.apply(counts, transition.profile) == transition.counts_after
+        for record in driver.successors_compact(counts):
+            assert driver.apply(counts, profile_of(record)) == record[1]
 
     def test_replay_rejects_unoccupied_node(self):
         driver = BranchingDriver(IdleAlgorithm(), 5)
@@ -187,9 +201,9 @@ class TestReplay:
     def test_replay_trajectory(self):
         driver = BranchingDriver(GatheringAlgorithm(), 6, multiplicity_detection=True)
         counts = (1, 0, 0, 1, 0, 0)
-        transition = next(t for t in driver.successors(counts) if t.moved)
-        trajectory = driver.replay(counts, [transition.profile])
-        assert trajectory == [counts, transition.counts_after]
+        record = next(r for r in driver.successors_compact(counts) if r[4] & COMPACT_MOVED)
+        trajectory = driver.replay(counts, [profile_of(record)])
+        assert trajectory == [counts, record[1]]
 
 
 class TestEngineConsistency:
