@@ -2,8 +2,8 @@
 
 E7 is the heaviest quick-suite experiment and its ``(k, n)`` grid is
 embarrassingly parallel, so this benchmark exercises the
-``repro.campaign`` executor end to end: one timed serial pass, a
-serial-vs-parallel determinism check, and — on machines with enough
+``repro.campaign`` executor end to end: a timed serial pass (the
+median of five in script mode), a serial-vs-parallel determinism check, and — on machines with enough
 cores — the wall-clock speedup of ``--jobs 4`` over ``--jobs 1``.
 
 In script mode (``python benchmarks/bench_e7_scaling.py``) the measured
@@ -81,7 +81,7 @@ def main():
     emit(
         "e7",
         {"campaign-quick-serial": lambda: _run_quick_campaign(1)},
-        repeats=1,
+        repeats=5,
         extra={
             "campaign_jobs": jobs,
             "campaign_serial_s": round(serial_s, 6),

@@ -18,80 +18,47 @@ Quickstart::
     print(trace.final_configuration.ascii_art())
 """
 
-from .algorithms import (
-    AlignAlgorithm,
-    GatheringAlgorithm,
-    GreedyGatherBaseline,
-    IdleAlgorithm,
-    NminusThreeAlgorithm,
-    RingClearingAlgorithm,
-    SweepAlgorithm,
-)
-from .core import (
-    CCW,
-    CW,
-    Configuration,
-    Pattern,
-    Ring,
-    RingSimError,
-)
-from .model import Algorithm, Decision, GlobalRuleAlgorithm, Snapshot
-from .scheduler import (
-    AsynchronousScheduler,
-    ScriptedScheduler,
-    SemiSynchronousScheduler,
-    SequentialScheduler,
-    SynchronousScheduler,
-)
-from .simulator import (
-    EngineOptions,
-    Simulator,
-    Trace,
-    run_gathering,
-    run_to_configuration,
-    simulate,
-)
-from .tasks import ExplorationMonitor, GatheringMonitor, SearchingMonitor
+from ._lazy import lazy_exports
+
+#: Public names mapped to the subpackage that defines them, imported on
+#: first access (PEP 562): ``import repro``, which every ``repro`` command
+#: runs first, loads no engine the command does not use.
+_EXPORTS = {
+    "Ring": ".core",
+    "Configuration": ".core",
+    "Pattern": ".core",
+    "RingSimError": ".core",
+    "CW": ".core",
+    "CCW": ".core",
+    "Algorithm": ".model",
+    "GlobalRuleAlgorithm": ".model",
+    "Decision": ".model",
+    "Snapshot": ".model",
+    "AlignAlgorithm": ".algorithms",
+    "RingClearingAlgorithm": ".algorithms",
+    "NminusThreeAlgorithm": ".algorithms",
+    "GatheringAlgorithm": ".algorithms",
+    "IdleAlgorithm": ".algorithms",
+    "SweepAlgorithm": ".algorithms",
+    "GreedyGatherBaseline": ".algorithms",
+    "SequentialScheduler": ".scheduler",
+    "SynchronousScheduler": ".scheduler",
+    "SemiSynchronousScheduler": ".scheduler",
+    "AsynchronousScheduler": ".scheduler",
+    "ScriptedScheduler": ".scheduler",
+    "Simulator": ".simulator",
+    "EngineOptions": ".simulator",
+    "Trace": ".simulator",
+    "simulate": ".simulator",
+    "run_to_configuration": ".simulator",
+    "run_gathering": ".simulator",
+    "SearchingMonitor": ".tasks",
+    "ExplorationMonitor": ".tasks",
+    "GatheringMonitor": ".tasks",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Ring",
-    "Configuration",
-    "Pattern",
-    "RingSimError",
-    "CW",
-    "CCW",
-    # model
-    "Algorithm",
-    "GlobalRuleAlgorithm",
-    "Decision",
-    "Snapshot",
-    # algorithms
-    "AlignAlgorithm",
-    "RingClearingAlgorithm",
-    "NminusThreeAlgorithm",
-    "GatheringAlgorithm",
-    "IdleAlgorithm",
-    "SweepAlgorithm",
-    "GreedyGatherBaseline",
-    # schedulers
-    "SequentialScheduler",
-    "SynchronousScheduler",
-    "SemiSynchronousScheduler",
-    "AsynchronousScheduler",
-    "ScriptedScheduler",
-    # simulator
-    "Simulator",
-    "EngineOptions",
-    "Trace",
-    "simulate",
-    "run_to_configuration",
-    "run_gathering",
-    # tasks
-    "SearchingMonitor",
-    "ExplorationMonitor",
-    "GatheringMonitor",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

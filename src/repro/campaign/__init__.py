@@ -32,26 +32,42 @@ and from the command line::
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .context import DEFAULT_CONTEXT, ExecutionContext, ProgressCallback
-from .executor import CampaignReport, Worker, execute_batch, run_campaign
-from .spec import Campaign, UnitSpec, build_campaign, build_cells_campaign, derive_seed
 from .store import ResultStore
 
-__all__ = [
-    "Campaign",
-    "CampaignReport",
-    "DEFAULT_CONTEXT",
-    "ExecutionContext",
-    "ProgressCallback",
-    "ResultStore",
-    "UnitSpec",
-    "build_campaign",
-    "build_cells_campaign",
-    "derive_seed",
-    "execute_batch",
-    "run_campaign",
-    "run_experiment_campaign",
-]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .executor import CampaignReport, Worker
+
+#: Public names mapped to the submodule that defines them, imported on
+#: first access (PEP 562): every command needs the execution context,
+#: but a cache hit needs neither the executor nor its process pool.
+_EXPORTS = {
+    "CampaignReport": ".executor",
+    "Worker": ".executor",
+    "execute_batch": ".executor",
+    "run_campaign": ".executor",
+    "Campaign": ".spec",
+    "UnitSpec": ".spec",
+    "build_campaign": ".spec",
+    "build_cells_campaign": ".spec",
+    "derive_seed": ".spec",
+}
+
+__all__ = sorted(
+    [
+        *_EXPORTS,
+        "DEFAULT_CONTEXT",
+        "ExecutionContext",
+        "ProgressCallback",
+        "ResultStore",
+        "run_experiment_campaign",
+    ]
+)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 def run_experiment_campaign(
@@ -65,4 +81,7 @@ def run_experiment_campaign(
     See :func:`~repro.campaign.executor.run_campaign` for how the
     context is honoured.
     """
+    from .executor import run_campaign
+    from .spec import build_campaign
+
     return run_campaign(build_campaign(experiment, variant), worker, ctx)

@@ -40,23 +40,24 @@ the unit dictionary and returning a JSON-serialisable payload.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from ..faults.deadline import terminate_pool
-from ..faults.plan import FaultyWorker
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .spec import Campaign, UnitSpec
 from .store import ResultStore, fsync_file
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from concurrent.futures import ProcessPoolExecutor
+
+# The process pool (``concurrent.futures``, ``multiprocessing``) and the
+# fault layer are imported inside the functions that use them: a serial
+# campaign without a deadline or a fault plan never loads them.
 
 __all__ = ["CampaignReport", "run_campaign", "execute_unit", "execute_batch"]
 
@@ -206,6 +207,9 @@ def make_pool(jobs: int) -> ProcessPoolExecutor:
     multithreaded process can deadlock the child on locks held by
     sibling threads, so an explicit ``spawn`` context is used instead.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if threading.current_thread() is threading.main_thread():
         return ProcessPoolExecutor(max_workers=jobs)
     return ProcessPoolExecutor(
@@ -270,6 +274,11 @@ def _retry_in_isolation(
     recorded as ``"crashed"``; under a deadline, a fresh one applies and
     a second overrun is recorded as ``"timeout"``.
     """
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+
+    from ..faults.deadline import terminate_pool
+
     timeout = ctx.timeout
     pool = make_pool(1)
     future = pool.submit(execute_unit, worker, unit.as_dict(), ctx.retry)
@@ -317,6 +326,11 @@ def _run_pool(
     :class:`~concurrent.futures.ProcessPoolExecutor`) and the overdue
     unit is retried in isolation under a fresh deadline.
     """
+    from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    from ..faults.deadline import terminate_pool
+
     jobs, timeout, retry = ctx.jobs, ctx.timeout, ctx.retry
     poll = None if timeout is None else _WATCHDOG_POLL_S
     # Longest-processing-time-first: simulation cost grows with the
@@ -418,6 +432,8 @@ def run_campaign(
     report = CampaignReport(campaign=campaign)
     worker_name = _worker_name(worker)
     if ctx.fault_plan is not None:
+        from ..faults.plan import FaultyWorker
+
         worker = FaultyWorker(worker, ctx.fault_plan)
     if "<lambda>" in worker_name or "<locals>" in worker_name:
         # Dynamically defined workers share a qualname (every lambda at one

@@ -27,10 +27,9 @@ import os
 import tempfile
 from typing import TYPE_CHECKING, Dict, List
 
-from .spec import Campaign
-
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..runs.cache import ResultCache
+    from .spec import Campaign
 
 __all__ = ["ResultStore", "fsync_file"]
 

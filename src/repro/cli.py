@@ -31,14 +31,12 @@ import sys
 from dataclasses import fields
 from typing import List, Optional, Tuple
 
-from .analysis.enumeration import census
-from .analysis.feasibility import feasibility_table
-from .campaign import ExecutionContext
+from .campaign.context import ExecutionContext
 from .experiments import EXPERIMENTS
-from .faults.errors import DeadlineExceeded
 from .experiments.report import render_table
-from .modelcheck import TASKS as VERIFY_TASKS
-from .modelcheck.grid import DEFAULT_MAX_STATES
+from .faults.errors import DeadlineExceeded
+from .modelcheck.results import DEFAULT_MAX_STATES
+from .modelcheck.tasks import TASKS as VERIFY_TASKS
 from .runs import SCHEDULERS, BatchSweepSpec, ExperimentSpec, SimulateSpec, VerifySpec, execute
 from .simulator.options import (
     DEFAULT_CONFIG_POOL_SIZE,
@@ -370,6 +368,8 @@ def _run_all(out, ctx: ExecutionContext) -> int:
 
 
 def _run_census(n: int, k: int, out) -> int:
+    from .analysis.enumeration import census
+
     c = census(n, k)
     print(
         render_table(
@@ -382,6 +382,8 @@ def _run_census(n: int, k: int, out) -> int:
 
 
 def _run_feasibility(max_n: int, task: str, out) -> int:
+    from .analysis.feasibility import feasibility_table
+
     rows = [cell.as_row() for cell in feasibility_table(task, max_n)]
     print(render_table(("k", "n", "verdict", "reference"), rows), file=out)
     return 0

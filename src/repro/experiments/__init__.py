@@ -5,28 +5,44 @@ enumeration; E8 machine-checks the verdict tables with the exhaustive
 adversarial model checker.
 """
 
-from . import (
-    e1_configuration_census,
-    e2_align_convergence,
-    e3_ring_clearing,
-    e4_nminusthree,
-    e5_gathering,
-    e6_feasibility_table,
-    e7_scaling,
-    e8_verification,
-)
+from __future__ import annotations
+
+from importlib import import_module
+from typing import Callable, Dict
+
+from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
 from .report import ExperimentResult, render_table
 
+#: Experiment identifiers mapped to the modules that run them.
+_MODULES = {
+    "e1": "e1_configuration_census",
+    "e2": "e2_align_convergence",
+    "e3": "e3_ring_clearing",
+    "e4": "e4_nminusthree",
+    "e5": "e5_gathering",
+    "e6": "e6_feasibility_table",
+    "e7": "e7_scaling",
+    "e8": "e8_verification",
+}
+
+
+def _deferred_run(module_name: str) -> Callable[..., ExperimentResult]:
+    """The ``run`` function of ``module_name``, imported on its first call."""
+
+    def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
+        return import_module(module_name).run(variant, ctx)
+
+    # ``EXPERIMENTS[name].__module__`` keeps naming the experiment module.
+    run.__module__ = module_name
+    return run
+
+
 #: Registry mapping experiment identifiers to their runner functions.
-EXPERIMENTS = {
-    "e1": e1_configuration_census.run,
-    "e2": e2_align_convergence.run,
-    "e3": e3_ring_clearing.run,
-    "e4": e4_nminusthree.run,
-    "e5": e5_gathering.run,
-    "e6": e6_feasibility_table.run,
-    "e7": e7_scaling.run,
-    "e8": e8_verification.run,
+#: A runner imports its experiment module (and the engines it uses)
+#: only when it is called, so parsing a command line or serving a cached
+#: result loads none of them.
+EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
+    name: _deferred_run(f"{__name__}.{module}") for name, module in _MODULES.items()
 }
 
 __all__ = ["EXPERIMENTS", "ExperimentResult", "render_table"]

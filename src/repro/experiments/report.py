@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
-from ..campaign import CampaignReport
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
 
 __all__ = ["ExperimentResult", "render_table"]
 

@@ -29,21 +29,31 @@ execution context — never part of a spec, a run id or a cache key.
 See ``docs/robustness.md`` for the full failure model.
 """
 
+from .._lazy import lazy_exports
 from .deadline import call_with_deadline, terminate_pool
 from .errors import DeadlineExceeded, KillPoint, TransientFaultError
-from .plan import FAULT_KINDS, FaultPlan, FaultyWorker, demo_worker
-from .retry import DEFAULT_TRANSIENT_TYPES, RetryPolicy
 
-__all__ = [
-    "DEFAULT_TRANSIENT_TYPES",
-    "DeadlineExceeded",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultyWorker",
-    "KillPoint",
-    "RetryPolicy",
-    "TransientFaultError",
-    "call_with_deadline",
-    "demo_worker",
-    "terminate_pool",
-]
+#: Public names mapped to the submodule that defines them, imported on
+#: first access (PEP 562): every run may need a deadline, only chaos
+#: runs and retrying campaigns need fault plans and retry policies.
+_EXPORTS = {
+    "FAULT_KINDS": ".plan",
+    "FaultPlan": ".plan",
+    "FaultyWorker": ".plan",
+    "demo_worker": ".plan",
+    "DEFAULT_TRANSIENT_TYPES": ".retry",
+    "RetryPolicy": ".retry",
+}
+
+__all__ = sorted(
+    [
+        *_EXPORTS,
+        "DeadlineExceeded",
+        "KillPoint",
+        "TransientFaultError",
+        "call_with_deadline",
+        "terminate_pool",
+    ]
+)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

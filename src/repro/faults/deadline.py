@@ -17,11 +17,12 @@ in-process otherwise).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, TypeVar
 
 from .errors import DeadlineExceeded
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["call_with_deadline", "terminate_pool"]
 
@@ -66,8 +67,11 @@ def call_with_deadline(
         return func(*args)
     if timeout <= 0:
         raise ValueError("timeout must be > 0 (or None to disable)")
-    # Imported lazily: the executor imports this package for its own
-    # watchdog, so a module-level import would be circular.
+    # Imported here, on the deadline path only: the executor imports this
+    # package for its own watchdog (a module-level import would be
+    # circular), and the fault-free path needs no process pool.
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+
     from ..campaign.executor import make_pool
 
     pool = make_pool(1)

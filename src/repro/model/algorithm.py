@@ -39,6 +39,7 @@ from typing import Dict, Mapping, Optional
 
 from ..core.configuration import Configuration
 from ..core.errors import AlgorithmPreconditionError
+from ..simulator.options import DEFAULT_DECISION_CACHE_SIZE
 from .decisions import Decision
 from .snapshot import Snapshot
 
@@ -50,10 +51,6 @@ __all__ = [
     "DEFAULT_DECISION_CACHE_SIZE",
     "is_pure_global_rule",
 ]
-
-#: Default bound of a :class:`DecisionCache`; the engine, the runners and
-#: the CLI all share this value.
-DEFAULT_DECISION_CACHE_SIZE = 4096
 
 #: A plan: mapping from mover node to its adjacent target node, expressed
 #: in the labelling of the configuration handed to the planner.

@@ -55,8 +55,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
-from ..simulator.branching import BranchingDriver
-from .frontier import FrontierExplorer
 from .results import (
     DEFAULT_MAX_STATES,
     ModelCheckResult,
@@ -111,6 +109,10 @@ class ModelChecker:
         # unregistered adapter therefore explores with instance-local
         # caches.
         self._registered_spec = not custom_spec and self.spec.task in TASKS
+        # The engines are imported where they run, so importing this
+        # package (for its task names, say) loads neither of them.
+        from ..simulator.branching import BranchingDriver
+
         self.driver = BranchingDriver(
             self.spec.algorithm, n, multiplicity_detection=self.spec.multiplicity_detection
         )
@@ -131,6 +133,8 @@ class ModelChecker:
         )
         if self.spec.note:
             result.notes.append(self.spec.note)
+        from .frontier import FrontierExplorer
+
         started = perf_counter()
         try:
             FrontierExplorer(

@@ -10,18 +10,15 @@ byte-identical ``summary.json`` aggregates.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
-from ..campaign import (
-    DEFAULT_CONTEXT,
-    Campaign,
-    CampaignReport,
-    ExecutionContext,
-    build_cells_campaign,
-    run_campaign,
-)
+from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
 from .checker import DEFAULT_MAX_STATES, ModelChecker
 from .tasks import TASKS
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+    from ..campaign.spec import Campaign
 
 __all__ = ["DEFAULT_MAX_STATES", "build_verify_campaign", "run_unit", "run_verify_campaign"]
 
@@ -40,6 +37,8 @@ def build_verify_campaign(
     cap must not be resumed as "done" when the user retries with a
     raised ``--max-states``.
     """
+    from ..campaign.spec import build_cells_campaign
+
     if task not in TASKS:
         raise ValueError(f"unknown verification task {task!r}; expected one of {TASKS}")
     variant = f"{task}-{adversary}"
@@ -106,5 +105,7 @@ def run_verify_campaign(
     field it is not part of the grid's identity, and every payload stays
     byte-identical to the serial run.
     """
+    from ..campaign.executor import run_campaign
+
     campaign = build_verify_campaign(task, cells, adversary=adversary, max_states=max_states)
     return run_campaign(campaign, run_unit, ctx)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..simulator.branching import Profile
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..simulator.branching import Profile
 
 __all__ = [
     "DEFAULT_MAX_STATES",

@@ -34,16 +34,11 @@ paper's impossible cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..algorithms.align import AlignAlgorithm
-from ..algorithms.baselines import SweepAlgorithm
-from ..algorithms.gathering import GatheringAlgorithm, gathering_supported
-from ..algorithms.nminusthree import NminusThreeAlgorithm, nminusthree_supported
-from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
-from ..core.configuration import Configuration
-from ..core.errors import UnsupportedParametersError
-from ..model.algorithm import Algorithm
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..core.configuration import Configuration
+    from ..model.algorithm import Algorithm
 
 __all__ = ["TASKS", "TaskSpec", "make_task_spec"]
 
@@ -93,6 +88,10 @@ def _goal_c_star(configuration: Configuration) -> bool:
 
 
 def _searching_algorithm(n: int, k: int):
+    from ..algorithms.baselines import SweepAlgorithm
+    from ..algorithms.nminusthree import NminusThreeAlgorithm, nminusthree_supported
+    from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
+
     if ring_clearing_supported(n, k):
         return RingClearingAlgorithm(), True, "Theorem 6 range"
     if nminusthree_supported(n, k):
@@ -110,6 +109,12 @@ def make_task_spec(task: str, n: int, k: int) -> TaskSpec:
     Raises:
         UnsupportedParametersError: for an unknown task name.
     """
+    # The algorithms are imported per cell, not with this module: the
+    # task names above are on every command's import path.
+    from ..algorithms.align import AlignAlgorithm
+    from ..algorithms.gathering import GatheringAlgorithm, gathering_supported
+    from ..core.errors import UnsupportedParametersError
+
     if task == "gathering":
         note = (
             "Theorem 8 range" if gathering_supported(n, k) else "outside the Theorem 8 range"

@@ -16,6 +16,8 @@ metrics sink — travels as one frozen
 the spec: it changes how fast a run completes and what side artifacts
 it writes, never what the result means — so it never perturbs a run id
 or a cache key.
+
+Each executor imports the engine it runs, so a cache hit loads none.
 """
 
 from __future__ import annotations
@@ -23,16 +25,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from hashlib import sha256
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..batchsim import BatchEngine
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext
-from ..core.configuration import Configuration
+from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
 from ..experiments import EXPERIMENTS
 from ..faults.deadline import call_with_deadline
-from ..modelcheck.grid import run_verify_campaign
-from ..simulator.engine import Simulator
-from ..workloads.generators import random_rigid_configuration
 from .cache import ResultCache, cache_key
 from .spec import (
     STOP_CONDITIONS,
@@ -44,6 +41,9 @@ from .spec import (
     make_algorithm,
     make_scheduler,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..core.configuration import Configuration
 
 __all__ = ["RunResult", "execute"]
 
@@ -135,6 +135,10 @@ def _simulate_job(spec: SimulateSpec) -> Dict[str, object]:
     ship it to a killable worker process by reference (see
     :func:`~repro.faults.call_with_deadline`).
     """
+    from ..core.configuration import Configuration
+    from ..simulator.engine import Simulator
+    from ..workloads.generators import random_rigid_configuration
+
     if spec.initial is not None:
         configuration = Configuration(spec.initial)
     else:
@@ -168,6 +172,9 @@ def _batchsweep_job(spec: BatchSweepSpec) -> Dict[str, object]:
     Like :func:`_simulate_job`: top-level by design, so the deadline
     wrapper can execute it in a killable worker process.
     """
+    from ..batchsim import BatchEngine
+    from ..workloads.generators import random_rigid_configuration
+
     configurations = [
         random_rigid_configuration(spec.n, spec.k, random.Random(seed))
         for seed in spec.seeds
@@ -218,6 +225,8 @@ def _execute_batchsweep(
 def _execute_verify(
     spec: VerifySpec, ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
+    from ..modelcheck.grid import run_verify_campaign
+
     report = run_verify_campaign(
         spec.task,
         list(spec.cells),

@@ -12,37 +12,25 @@ content-addressed result-cache key (see :mod:`repro.runs.cache`).
 
 Algorithms and schedulers are referenced *by name* through the
 registries below, never by object, so a spec built in one process (or
-posted over HTTP) means exactly the same thing in another.
+posted over HTTP) means exactly the same thing in another.  Specs
+validate against those names alone; the classes behind them are
+imported only when a run instantiates one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Dict, Optional, Tuple, Type, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Optional, Tuple, Type, Union
 
-from ..algorithms import (
-    AlignAlgorithm,
-    GatheringAlgorithm,
-    GreedyGatherBaseline,
-    IdleAlgorithm,
-    NminusThreeAlgorithm,
-    RingClearingAlgorithm,
-    SweepAlgorithm,
-)
 from ..experiments import EXPERIMENTS
-from ..model.algorithm import Algorithm
-from ..modelcheck.checker import DEFAULT_MAX_STATES
+from ..modelcheck.results import DEFAULT_MAX_STATES
 from ..modelcheck.tasks import TASKS as VERIFY_TASKS
-from ..scheduler import (
-    AsynchronousScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SemiSynchronousScheduler,
-    SequentialScheduler,
-    SynchronousScheduler,
-)
 from ..simulator.options import EngineOptions
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..model.algorithm import Algorithm
+    from ..scheduler import Scheduler
 
 __all__ = [
     "ALGORITHMS",
@@ -59,25 +47,30 @@ __all__ = [
     "make_scheduler",
 ]
 
-#: Algorithm registry: spec-level names to constructors.
-ALGORITHMS: Dict[str, Callable[[], Algorithm]] = {
-    "align": AlignAlgorithm,
-    "ring-clearing": RingClearingAlgorithm,
-    "n-minus-three": NminusThreeAlgorithm,
-    "gathering": GatheringAlgorithm,
-    "idle": IdleAlgorithm,
-    "sweep": SweepAlgorithm,
-    "greedy-gather": GreedyGatherBaseline,
+#: Algorithm registry: spec-level names to the :mod:`repro.algorithms`
+#: class each one instantiates.
+ALGORITHMS: Dict[str, str] = {
+    "align": "AlignAlgorithm",
+    "ring-clearing": "RingClearingAlgorithm",
+    "n-minus-three": "NminusThreeAlgorithm",
+    "gathering": "GatheringAlgorithm",
+    "idle": "IdleAlgorithm",
+    "sweep": "SweepAlgorithm",
+    "greedy-gather": "GreedyGatherBaseline",
 }
 
-#: Scheduler registry: spec-level names to seeded factories.
-SCHEDULERS: Dict[str, Callable[[Optional[int]], Scheduler]] = {
-    "sequential": lambda seed: SequentialScheduler(),
-    "round_robin": lambda seed: RoundRobinScheduler(),
-    "synchronous": lambda seed: SynchronousScheduler(),
-    "semi_synchronous": lambda seed: SemiSynchronousScheduler(seed=seed),
-    "asynchronous": lambda seed: AsynchronousScheduler(seed=seed),
+#: Scheduler registry: spec-level names to the :mod:`repro.scheduler`
+#: class each one instantiates.
+SCHEDULERS: Dict[str, str] = {
+    "sequential": "SequentialScheduler",
+    "round_robin": "RoundRobinScheduler",
+    "synchronous": "SynchronousScheduler",
+    "semi_synchronous": "SemiSynchronousScheduler",
+    "asynchronous": "AsynchronousScheduler",
 }
+
+#: The random schedulers: constructed with the run's seed.
+_SEEDED_SCHEDULERS = ("semi_synchronous", "asynchronous")
 
 #: Stop-condition registry: names to engine predicates.
 STOP_CONDITIONS: Dict[str, Callable[[object], bool]] = {
@@ -88,12 +81,17 @@ STOP_CONDITIONS: Dict[str, Callable[[object], bool]] = {
 
 def make_algorithm(name: str) -> Algorithm:
     """Instantiate a registered algorithm by its spec-level name."""
-    return ALGORITHMS[name]()
+    from .. import algorithms
+
+    return getattr(algorithms, ALGORITHMS[name])()
 
 
 def make_scheduler(name: str, seed: Optional[int] = None) -> Scheduler:
     """Instantiate a registered scheduler, seeding it when it is random."""
-    return SCHEDULERS[name](seed)
+    from .. import scheduler
+
+    scheduler_class = getattr(scheduler, SCHEDULERS[name])
+    return scheduler_class(seed=seed) if name in _SEEDED_SCHEDULERS else scheduler_class()
 
 
 def _require_int(spec_kind: str, name: str, value: object) -> int:

@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Dict
 
-from ..model.algorithm import DEFAULT_DECISION_CACHE_SIZE
-
 __all__ = ["EngineOptions", "DEFAULT_CONFIG_POOL_SIZE", "DEFAULT_DECISION_CACHE_SIZE"]
+
+#: Default bound of an algorithm's decision cache
+#: (:class:`~repro.model.algorithm.DecisionCache`); the engine, the
+#: runners and the CLI all share this value.
+DEFAULT_DECISION_CACHE_SIZE = 4096
 
 #: Default bound of the engine's configuration pool.
 DEFAULT_CONFIG_POOL_SIZE = 1024
