@@ -1,20 +1,22 @@
-"""The batched Look-Compute-Move engine.
+"""The Look-Compute-Move engine: the repository's one simulation engine.
 
 One :class:`BatchEngine` advances a batch of independent simulations
 ("lanes") of the *same* algorithm on the *same* ring size under the
-*same* scheduler policy.  The batch state is one ``array('i')``
-occupancy row per lane (its ``tobytes()`` is the lane's dict key);
-everything expensive is shared across lanes:
+*same* scheduler policy; a single run is a one-lane batch, which is
+what :class:`~repro.simulator.engine.Simulator` wraps.  The batch state
+is one ``array('i')`` occupancy row per lane (its ``tobytes()`` is the
+lane's dict key); everything expensive is shared across lanes:
 
 * wherever the algorithm has a global plan for a support, one
   :class:`~repro.simulator.classplan.ClassPlanTable` (the model
   checker's) turns every Look into a dictionary hit keyed on the lane's
-  counts row — no snapshots, no per-view decision keys;
-* everywhere else a Look takes the exact per-snapshot path of the
-  incremental engine (same Look table and
-  :class:`~repro.model.algorithm.DecisionCache` semantics), with the
-  Look table, decision cache and configuration pool shared across the
-  whole batch;
+  counts row — no snapshots, no per-view decision keys.  Only an engine
+  of two or more lanes builds the table: one lane would pay its
+  planning and self-check without sharing them;
+* everywhere else a Look is exact
+  (:func:`~repro.simulator.classplan.look_direction`), memoised by a
+  :class:`LookTable` and a :class:`~repro.model.algorithm.DecisionCache`,
+  which with the configuration pool are shared across the whole batch;
 * every round-robin lane, monitored or not, runs in one hot loop, and
   a lane with no monitors and no event log fast-forwards whole periods
   of a periodic orbit in which no per-snapshot Look depended on the
@@ -25,13 +27,14 @@ everything expensive is shared across lanes:
 
 Byte-identity contract: for every lane ``i``,
 ``lane_trace(i).canonical_bytes()`` equals the canonical bytes of the
-trace produced by ``Simulator(algorithm, initials[i],
-scheduler=scheduler_factory(i), options=options)`` executing the same
-run — the differential suite in ``tests/batchsim/`` enforces this under
-every scheduler.  Every lane draws its presentation RNG exactly as the
-per-run engine does: once per Look, on plan steps and fast-forwarded
-steps too, and never under ``chirality``.  So a lane's ``rng`` state
-always equals the per-run engine's.
+trace of the same run stepped naively, one fresh configuration and
+snapshot per Look, by the reference stepper
+``tests/reference_stepper.py``, which shares no engine code — the
+differential suite in ``tests/batchsim/`` and the golden-trace tests
+enforce this under every scheduler.  Every lane draws its presentation
+RNG exactly as the reference does: once per Look, on plan steps and
+fast-forwarded steps too, and never under ``chirality``.  So a lane's
+``rng`` state always equals the reference's.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from ..model.algorithm import Algorithm, DecisionCache
 from ..scheduler.base import Activation, ActivationKind, Scheduler
 from ..scheduler.sequential import SequentialScheduler
 from ..scheduler.synchronous import SynchronousScheduler
-from ..simulator.classplan import ClassPlanTable
-from ..simulator.engine import ConfigurationPool, LookTable, look_direction
+from ..simulator.classplan import ClassPlanTable, ConfigurationPool, look_direction
 from ..simulator.options import EngineOptions
 from ..simulator.trace import MoveRecord, Trace, TraceEvent
 
@@ -66,6 +68,29 @@ ConfigurationPredicate = Callable[[Configuration], bool]
 _DRIVER_RR = "rr"
 _DRIVER_SYNC = "sync"
 _DRIVER_GENERIC = "generic"
+
+
+class LookTable(dict):
+    """Memo of whole Looks: ``(occupancy, node, first_is_cw) -> direction``.
+
+    The direction is a :func:`~repro.simulator.classplan.look_direction`
+    result.  The occupancy and the node fix the robot's snapshot up to
+    the presentation order, so the table rests on the same purity
+    contract as :class:`~repro.model.algorithm.DecisionCache`.  It is
+    cleared when it reaches ``maxsize`` entries.
+    """
+
+    __slots__ = ("maxsize",)
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def put(self, key: tuple, direction: int) -> None:
+        """Remember one Look's direction, clearing the table when full."""
+        if len(self) >= self.maxsize:
+            self.clear()
+        self[key] = direction
 
 
 class _RobotView:
@@ -97,23 +122,26 @@ class BatchLaneView:
     """One lane through the :class:`~repro.simulator.engine.Simulator` API.
 
     Schedulers, adversary callbacks, stop conditions and task monitors
-    written against the incremental engine's public read surface
+    written against the simulator's public read surface
     (``num_robots``, ``robot(r)``, ``step_count``, ``configuration``,
     ``ring_size``, ``positions``, ``pending_robots``) work unchanged
     against a lane of the batched engine.
     """
 
-    __slots__ = ("_engine", "_lane", "_robots")
+    __slots__ = ("_pool", "_n", "_lane", "_robots")
 
     def __init__(self, engine: "BatchEngine", lane: "BatchLane") -> None:
-        self._engine = engine
+        # A view holds no engine and no lane holds its view, so no cycle
+        # keeps a finished engine alive until the cyclic collector runs.
+        self._pool = engine.pool
+        self._n = engine.ring_size
         self._lane = lane
         self._robots = [_RobotView(lane, r) for r in range(len(lane.positions))]
 
     @property
     def ring_size(self) -> int:
         """Number of nodes of the ring."""
-        return self._engine.ring_size
+        return self._n
 
     @property
     def num_robots(self) -> int:
@@ -128,7 +156,7 @@ class BatchLaneView:
     @property
     def configuration(self) -> Configuration:
         """The lane's current configuration (pooled)."""
-        return self._engine.pool.configuration(self._lane.counts_tuple)
+        return self._pool.configuration(self._lane.counts_tuple)
 
     @property
     def positions(self) -> Tuple[int, ...]:
@@ -177,7 +205,6 @@ class BatchLane:
         "monitors",
         "initial_configuration",
         "initial_positions",
-        "view",
         "orbit",
     )
 
@@ -189,7 +216,6 @@ class BatchLane:
         self.rr = 0
         self.events: List[tuple] = []
         self.monitors = None
-        self.view: Optional[BatchLaneView] = None
         #: round-boundary state memory for periodic-orbit fast-forward:
         #: normalised positions -> (step, total_moves, base node, ties).
         self.orbit: Dict[Tuple[int, ...], Tuple[int, int, int, int]] = {}
@@ -203,21 +229,20 @@ class BatchEngine:
             algorithms are stateless pure functions by contract).
         initials: one starting :class:`Configuration` per lane; all must
             share the same ring size.  Robot identities are assigned per
-            lane exactly as the incremental engine does (occupied nodes
-            in increasing order, multiplicities expanded).
+            lane to occupied nodes in increasing order, multiplicities
+            expanded.
         scheduler_factory: ``lane_index -> Scheduler`` building each
             lane's scheduler; defaults to a fresh round-robin
             :class:`~repro.scheduler.sequential.SequentialScheduler` per
-            lane (the incremental engine's default).  Round-robin
+            lane (the simulator's default).  Round-robin
             sequential and fully synchronous schedulers are driven by
             inlined fast drivers; every other scheduler instance is
             consulted per step through a :class:`BatchLaneView`.
-        options: shared :class:`EngineOptions` bundle (defaults applied
-            as in the incremental engine).
+        options: shared :class:`EngineOptions` bundle (defaults to
+            ``EngineOptions()``).
         monitors_factory: optional ``lane_index -> iterable of monitors``;
-            every monitor sees every step of its lane, as under the
-            incremental engine, so monitored lanes never fast-forward
-            periodic orbits.
+            every monitor sees every step of its lane, so monitored
+            lanes never fast-forward periodic orbits.
         record_events: record per-step events enabling
             :meth:`lane_trace`.  Disable for throughput when only the
             aggregate counters (``total_moves``, ``step_count``,
@@ -251,7 +276,13 @@ class BatchEngine:
         if scheduler_factory is None:
             scheduler_factory = lambda index: SequentialScheduler()  # noqa: E731
 
-        pool_size = min(1 << 16, max(options.config_pool_size, 32 * len(initials)))
+        # One lane (a Simulator) honours the pool bound as given; a batch
+        # gets room for every lane's working set.
+        pool_size = (
+            options.config_pool_size
+            if len(initials) == 1
+            else min(1 << 16, max(options.config_pool_size, 32 * len(initials)))
+        )
         self.pool = ConfigurationPool(pool_size)
         self._decisions: Optional[DecisionCache] = (
             DecisionCache(options.decision_cache_size) if options.decision_cache else None
@@ -260,12 +291,19 @@ class BatchEngine:
         self._look_table: Optional[LookTable] = (
             LookTable(options.decision_cache_size) if options.decision_cache else None
         )
-        self._plan_table = ClassPlanTable(
-            algorithm,
-            self._n,
-            pool=self.pool,
-            decisions=self._decisions,
-            multiplicity_detection=self._multiplicity_detection,
+        # A class plan pays for its planning and self-check only when
+        # several lanes share it: a one-lane engine (every Simulator)
+        # builds no table and takes the Look-table path throughout.
+        self._plan_table: Optional[ClassPlanTable] = (
+            ClassPlanTable(
+                algorithm,
+                self._n,
+                pool=self.pool,
+                decisions=self._decisions,
+                multiplicity_detection=self._multiplicity_detection,
+            )
+            if len(initials) > 1
+            else None
         )
         #: counts-row bytes -> the table's plan in that frame, or False.
         self._plans: Dict[bytes, object] = {}
@@ -275,6 +313,7 @@ class BatchEngine:
         #: one mutable ``array('i')`` counts row per lane.
         self._rows: List[array] = [array("i", c.counts) for c in initials]
         self._lanes: List[BatchLane] = []
+        self._views: List[BatchLaneView] = []
         for index, configuration in enumerate(initials):
             if self._exclusive and not configuration.is_exclusive:
                 raise ExclusivityViolationError(
@@ -300,13 +339,14 @@ class BatchEngine:
             lane.mult_nodes = sum(1 for c in counts if c >= 2)
             lane.initial_configuration = configuration
             lane.initial_positions = tuple(positions)
-            lane.view = BatchLaneView(self, lane)
+            view = BatchLaneView(self, lane)
             if monitors_factory is not None:
                 monitors = list(monitors_factory(index))
                 lane.monitors = monitors or None
                 for monitor in monitors:
-                    monitor.on_start(lane.view)
+                    monitor.on_start(view)
             self._lanes.append(lane)
+            self._views.append(view)
 
     @staticmethod
     def _select_driver(scheduler: Scheduler) -> str:
@@ -341,6 +381,11 @@ class BatchEngine:
         return self._n
 
     @property
+    def decision_cache(self) -> Optional[DecisionCache]:
+        """The shared decision cache (``None`` when disabled)."""
+        return self._decisions
+
+    @property
     def num_lanes(self) -> int:
         """Number of lanes in the batch."""
         return len(self._lanes)
@@ -351,7 +396,7 @@ class BatchEngine:
 
     def lane_view(self, index: int) -> BatchLaneView:
         """A Simulator-shaped read view of one lane."""
-        return self._lanes[index].view
+        return self._views[index]
 
     def packed_states(self) -> List[int]:
         """Every lane's occupancy vector packed through the shared codec.
@@ -366,7 +411,7 @@ class BatchEngine:
         """Materialise lane ``index``'s full :class:`Trace`.
 
         The result is byte-identical (``canonical_bytes``) to the trace
-        the incremental engine records for the same run.
+        the reference stepper records for the same run.
         """
         if not self._record_events:
             raise RuntimeError(
@@ -378,20 +423,35 @@ class BatchEngine:
             initial_configuration=lane.initial_configuration,
             initial_positions=lane.initial_positions,
         )
-        configuration_of = self.pool.configuration
-        for step, kind, robots, moves, counts, collision in lane.events:
-            trace.append(
-                TraceEvent(
-                    step=step,
-                    kind=kind,
-                    robots=robots,
-                    moves=tuple(MoveRecord(*move) for move in moves),
-                    configuration_after=configuration_of(counts),
-                    collision=collision,
-                )
-            )
+        trace.events.extend(self._trace_events(lane.events))
         trace.stopped_reason = lane.stopped_reason
         return trace
+
+    def take_lane_events(self, index: int) -> List[TraceEvent]:
+        """Lane ``index``'s steps recorded since the last call, as trace events.
+
+        The lane forgets them: a caller keeping its own :class:`Trace`
+        (:class:`~repro.simulator.engine.Simulator`) holds each step once.
+        """
+        records = self._lanes[index].events
+        # Popped from the end as they are converted: no step is held twice.
+        events = self._trace_events(records.pop() for _ in range(len(records)))
+        events.reverse()
+        return events
+
+    def _trace_events(self, records: Iterable[tuple]) -> List[TraceEvent]:
+        configuration_of = self.pool.configuration
+        return [
+            TraceEvent(
+                step=step,
+                kind=kind,
+                robots=robots,
+                moves=tuple(MoveRecord(*move) for move in moves),
+                configuration_after=configuration_of(counts),
+                collision=collision,
+            )
+            for step, kind, robots, moves, counts, collision in records
+        ]
 
     # ------------------------------------------------------------------ #
     # running
@@ -408,7 +468,7 @@ class BatchEngine:
         ``stop_configuration`` is checked after every step of a lane
         (memoised per distinct occupancy row); a lane stopping early gets
         ``stopped_reason == "stop-condition"``, others ``"max-steps"`` —
-        the incremental engine's :meth:`Simulator.run` semantics.
+        the semantics of :meth:`Simulator.run`.
 
         ``stop_invariant`` declares the predicate invariant under ring
         rotations and reflections (true for every convergence goal in
@@ -452,6 +512,10 @@ class BatchEngine:
                 )
             lane.stopped_reason = "goal-reached"
 
+    def step_lane(self, index: int) -> None:
+        """Advance lane ``index`` by exactly one scheduler step."""
+        self._run_lane(self._lanes[index], 1, _StopMemo(self, None, False))
+
     # ------------------------------------------------------------------ #
     # lane stepping
     # ------------------------------------------------------------------ #
@@ -470,6 +534,8 @@ class BatchEngine:
         off: it was self-checked, or the table had already stopped
         checking, and no later check can fail.
         """
+        if self._plan_table is None:
+            return False
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plan_table.plan(counts)
@@ -551,7 +617,7 @@ class BatchEngine:
     ) -> str:
         """Hot loop: every lane under the round-robin sequential scheduler.
 
-        Each step draws the presentation as the per-run engine does, then
+        Each step draws the presentation as the reference stepper does, then
         decides by the row's class plan where the plan table has one (a
         handful of dict hits per step), else by the shared Look table.
         Per-lane state lives in locals and is written back in
@@ -571,7 +637,7 @@ class BatchEngine:
         Looks whose two presentation orders give different directions;
         plan steps never tie — and skips only tie-free periods, which no
         draw can change; it still draws once per skipped step, so its
-        RNG state stays equal to the per-run engine's.
+        RNG state stays equal to the reference stepper's.
         """
         positions = lane.positions
         k = len(positions)
@@ -585,11 +651,12 @@ class BatchEngine:
         mult = lane.mult_nodes
         events = lane.events
         monitors = lane.monitors
-        view = lane.view
+        view = self._views[lane.index]
         record = self._record_events
         exclusive = self._exclusive
         collision_raise = self._collision_raise
-        plans = self._plans if self._plan_table.enabled else None
+        table = self._plan_table
+        plans = self._plans if table is not None and table.enabled else None
         plan_for_key = self._plan_for_key
         direction_of = self._direction
         draw = None if self._chirality else lane.rng.random
@@ -727,12 +794,14 @@ class BatchEngine:
         return "max-steps"
 
     def _step_lane(self, lane: BatchLane) -> None:
-        """One scheduler step of one lane (exact Simulator semantics)."""
+        """One scheduler step of one lane, asking its scheduler."""
         if lane.driver == _DRIVER_SYNC:
             kind = ActivationKind.CYCLE
             robots: Tuple[int, ...] = lane.all_robots
         else:
-            activation: Activation = lane.scheduler.next_activation(lane.view)
+            activation: Activation = lane.scheduler.next_activation(
+                self._views[lane.index]
+            )
             kind = activation.kind
             robots = activation.robots
             num_robots = len(lane.positions)
@@ -766,7 +835,7 @@ class BatchEngine:
             configuration = self.pool.configuration(lane.counts_tuple)
             move_records = [MoveRecord(*move) for move in moves]
             for monitor in lane.monitors:
-                monitor.on_step(lane.view, move_records, configuration)
+                monitor.on_step(self._views[lane.index], move_records, configuration)
         if collision and self._collision_raise:
             raise CollisionError(
                 f"exclusivity violated at step {step}: configuration "
@@ -774,7 +843,7 @@ class BatchEngine:
             )
 
     def _look(self, lane: BatchLane, robot_id: int) -> None:
-        """Look + Compute for one robot: Simulator's draw, then plan or Look table."""
+        """Look + Compute for one robot: one draw, then plan or Look table."""
         position = lane.positions[robot_id]
         first_is_cw = True if self._chirality else lane.rng.random() < 0.5
         plan = self._plan_for_key(lane.key, lane.counts_tuple)
@@ -794,7 +863,7 @@ class BatchEngine:
         """Execute pending moves of ``robot_ids`` simultaneously.
 
         Sources are captured for every mover before any relocation is
-        applied, matching the incremental engine's two-phase execution.
+        applied: the two-phase execution of simultaneous moves.
         """
         pending = lane.pending
         positions = lane.positions

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -123,6 +122,8 @@ class ResultStore:
         directory = self.campaign_dir(campaign.name)
         os.makedirs(directory, exist_ok=True)
         path = self.summary_path(campaign.name)
+        import tempfile
+
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
         try:
             with os.fdopen(fd, "wb") as handle:

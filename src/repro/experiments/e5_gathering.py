@@ -51,12 +51,12 @@ def _baseline_gathered(starts, budget: int) -> int:
     Every start is one round-robin lane of a single
     :class:`BatchEngine`.  The baseline is not a global-rule algorithm,
     so each lane decides through the shared Look table, with its
-    presentation RNG seeded as the per-run
-    :class:`~repro.simulator.engine.Simulator` seeds it.  Without an
+    presentation RNG seeded as a
+    :class:`~repro.simulator.engine.Simulator` run seeds it.  Without an
     event log, a lane that settles into a periodic orbit free of
     presentation ties (gathered, or stuck in a cycle) has the rest of
     its budget fast-forwarded; its positions and RNG state still equal
-    the per-run engine's.
+    those of the run stepped one by one.
     """
     engine = BatchEngine(
         GreedyGatherBaseline(), starts, options=_BASELINE_OPTIONS, record_events=False

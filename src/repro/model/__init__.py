@@ -1,8 +1,7 @@
-"""Robot model: snapshots, decisions, the algorithm protocol, robot state."""
+"""Robot model: snapshots, decisions and the algorithm protocol."""
 
 from .algorithm import Algorithm, GlobalRuleAlgorithm, PlannedMoves, is_pure_global_rule
 from .decisions import Decision, DecisionKind
-from .robot import RobotState
 from .snapshot import Snapshot
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "PlannedMoves",
     "Decision",
     "DecisionKind",
-    "RobotState",
     "Snapshot",
     "is_pure_global_rule",
 ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -198,6 +197,8 @@ class ResultCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = json.dumps(document, sort_keys=True, indent=2) + "\n"
         self._kill_point("enter", key)
+        import tempfile
+
         fd, tmp_path = tempfile.mkstemp(
             dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from hashlib import sha256
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
 from ..experiments import EXPERIMENTS
@@ -80,24 +80,13 @@ class RunResult:
 # --------------------------------------------------------------------- #
 # simulate
 # --------------------------------------------------------------------- #
-#: Batched forms of :data:`~repro.runs.spec.STOP_CONDITIONS`: the same
-#: predicates phrased on a :class:`Configuration` (the batched engine
-#: has no per-lane simulator object to hand a predicate).  Both are
-#: invariant under ring rotation/reflection, which lets the engine memo
-#: verdicts per dihedral class (``stop_invariant=True``).
-_BATCH_STOP_CONDITIONS: Dict[str, Callable[[Configuration], bool]] = {
-    "c_star": lambda configuration: configuration.is_c_star(),
-    "gathered": lambda configuration: configuration.num_occupied == 1,
-}
-
-
 def _simulate_payload(configuration: Configuration, trace) -> Dict[str, object]:
     """The ``simulate`` result document of one finished trace.
 
-    Shared by the per-run and batched executors: because batched traces
-    are byte-identical to per-run traces, routing both through this one
-    function makes each batch-sweep run document equal the stand-alone
-    ``simulate`` document of the same (algorithm, seed, options) run.
+    Every lane of :func:`_run_lanes` goes through it, and a lane's trace
+    does not depend on how many lanes run beside it, so each batch-sweep
+    run document equals the stand-alone ``simulate`` document of the
+    same (algorithm, seed, options) run.
     """
     final = trace.final_configuration
     frames: List[Dict[str, object]] = []
@@ -133,25 +122,43 @@ def _simulate_job(spec: SimulateSpec) -> Dict[str, object]:
 
     Kept a plain top-level function so a deadline-bounded execution can
     ship it to a killable worker process by reference (see
-    :func:`~repro.faults.call_with_deadline`).
+    :func:`~repro.faults.call_with_deadline`).  The run is a one-lane
+    batch, through the same body as a ``batch_sweep`` member.
     """
     from ..core.configuration import Configuration
-    from ..simulator.engine import Simulator
     from ..workloads.generators import random_rigid_configuration
 
     if spec.initial is not None:
         configuration = Configuration(spec.initial)
     else:
         configuration = random_rigid_configuration(spec.n, spec.k, random.Random(spec.seed))
-    engine = Simulator(
+    return _run_lanes(spec, [configuration], [spec.seed])[0]
+
+
+def _run_lanes(
+    spec: Union[SimulateSpec, BatchSweepSpec],
+    configurations: List[Configuration],
+    seeds: List[int],
+) -> List[Dict[str, object]]:
+    """Run one lane per start (lane ``i`` scheduled with ``seeds[i]``).
+
+    Returns each lane's ``simulate`` document.
+    """
+    from ..batchsim import BatchEngine
+
+    engine = BatchEngine(
         make_algorithm(spec.algorithm),
-        configuration,
-        scheduler=make_scheduler(spec.scheduler, spec.seed),
+        configurations,
+        scheduler_factory=lambda index: make_scheduler(spec.scheduler, seeds[index]),
         options=spec.engine,
     )
-    stop = STOP_CONDITIONS.get(spec.stop) if spec.stop is not None else None
-    trace = engine.run(spec.steps, stop=stop)
-    return _simulate_payload(configuration, trace)
+    engine.run(
+        spec.steps, stop_configuration=STOP_CONDITIONS.get(spec.stop), stop_invariant=True
+    )
+    return [
+        _simulate_payload(configuration, engine.lane_trace(index))
+        for index, configuration in enumerate(configurations)
+    ]
 
 
 def _execute_simulate(
@@ -172,33 +179,15 @@ def _batchsweep_job(spec: BatchSweepSpec) -> Dict[str, object]:
     Like :func:`_simulate_job`: top-level by design, so the deadline
     wrapper can execute it in a killable worker process.
     """
-    from ..batchsim import BatchEngine
     from ..workloads.generators import random_rigid_configuration
 
     configurations = [
         random_rigid_configuration(spec.n, spec.k, random.Random(seed))
         for seed in spec.seeds
     ]
-    engine = BatchEngine(
-        make_algorithm(spec.algorithm),
-        configurations,
-        scheduler_factory=lambda index: make_scheduler(spec.scheduler, spec.seeds[index]),
-        options=spec.engine,
-    )
-    if spec.stop is not None:
-        engine.run(
-            spec.steps,
-            stop_configuration=_BATCH_STOP_CONDITIONS[spec.stop],
-            stop_invariant=True,
-        )
-    else:
-        engine.run(spec.steps)
     # Each run document is exactly what executing ``spec.member(seed)``
     # would return — the seeds themselves live in ``"seeds"`` alongside.
-    runs = [
-        _simulate_payload(configurations[index], engine.lane_trace(index))
-        for index in range(len(spec.seeds))
-    ]
+    runs = _run_lanes(spec, configurations, list(spec.seeds))
     return {
         "algorithm": spec.algorithm,
         "n": spec.n,

@@ -29,6 +29,7 @@ from ..modelcheck.tasks import TASKS as VERIFY_TASKS
 from ..simulator.options import EngineOptions
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..core.configuration import Configuration
     from ..model.algorithm import Algorithm
     from ..scheduler import Scheduler
 
@@ -72,10 +73,12 @@ SCHEDULERS: Dict[str, str] = {
 #: The random schedulers: constructed with the run's seed.
 _SEEDED_SCHEDULERS = ("semi_synchronous", "asynchronous")
 
-#: Stop-condition registry: names to engine predicates.
-STOP_CONDITIONS: Dict[str, Callable[[object], bool]] = {
-    "c_star": lambda sim: sim.configuration.is_c_star(),
-    "gathered": lambda sim: sim.configuration.num_occupied == 1,
+#: Stop-condition registry: names to predicates over the configuration.
+#: Each is invariant under ring rotation and reflection, so the engine
+#: may share one verdict across a configuration's dihedral class.
+STOP_CONDITIONS: Dict[str, Callable[["Configuration"], bool]] = {
+    "c_star": lambda configuration: configuration.is_c_star(),
+    "gathered": lambda configuration: configuration.num_occupied == 1,
 }
 
 

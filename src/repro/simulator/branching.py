@@ -42,8 +42,7 @@ from ..core.errors import (
 from ..core.ring import CCW, CW, Ring
 from ..core.symmetry import dihedral_permutation_tables
 from ..model.algorithm import Algorithm, DecisionCache
-from .classplan import ClassPlanTable, snapshot_options
-from .engine import ConfigurationPool
+from .classplan import ClassPlanTable, ConfigurationPool, snapshot_options
 
 __all__ = [
     "IDLE",

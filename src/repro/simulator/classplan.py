@@ -16,11 +16,16 @@ covers both: the first :data:`SELF_CHECKS` classes that get a plan are
 replayed through the exact per-snapshot path under both view
 presentations on every occupied node, and a disagreement turns the
 table off for the rest of its life, with one warning.
+
+The module also holds what both consumers share with the table: the
+exact per-snapshot Look (:func:`look_direction`) and the bounded
+:class:`ConfigurationPool` their configurations come from.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import OrderedDict
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..core.configuration import Configuration
@@ -28,9 +33,16 @@ from ..core.cyclic import packed_codec
 from ..core.ring import CCW, CW
 from ..core.symmetry import dihedral_permutation_tables
 from ..model.algorithm import Algorithm, DecisionCache, GlobalRuleAlgorithm
-from .engine import ConfigurationPool, look_direction
+from ..model.snapshot import Snapshot
+from .options import DEFAULT_CONFIG_POOL_SIZE
 
-__all__ = ["SELF_CHECKS", "ClassPlanTable", "snapshot_options"]
+__all__ = [
+    "SELF_CHECKS",
+    "ClassPlanTable",
+    "ConfigurationPool",
+    "look_direction",
+    "snapshot_options",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +57,80 @@ SELF_CHECKS = 8
 _Entry = Tuple[Dict[int, int], FrozenSet[int]]
 
 
+def look_direction(
+    algorithm: Algorithm,
+    decisions: Optional[DecisionCache],
+    configuration: Configuration,
+    node: int,
+    first_is_cw: bool,
+    multiplicity_detection: bool,
+) -> int:
+    """One exact Look + Compute: the global direction of the robot on ``node``.
+
+    Builds the robot's :class:`Snapshot` with the clockwise view first
+    when ``first_is_cw``, asks ``algorithm`` (through ``decisions`` when
+    given) and maps the decision back to the ring: :data:`CW`,
+    :data:`CCW`, or ``0`` when the robot idles.
+    """
+    cw_view, ccw_view = configuration.views_of(node)
+    views = (cw_view, ccw_view) if first_is_cw else (ccw_view, cw_view)
+    snapshot = Snapshot(
+        n=configuration.n,
+        views=views,
+        on_multiplicity=multiplicity_detection and configuration.multiplicity(node) > 1,
+    )
+    if decisions is not None:
+        decision = decisions.compute(algorithm, snapshot)
+    else:
+        decision = algorithm.compute(snapshot)
+    if decision.is_idle:
+        return 0
+    first_direction = CW if first_is_cw else CCW
+    return first_direction if decision.toward_view == 0 else -first_direction
+
+
+class ConfigurationPool:
+    """Bounded LRU of ``counts -> Configuration`` shared across steps.
+
+    Perpetual algorithms revisit configurations, so pooling lets a
+    revisited state reuse the same :class:`Configuration` object — and
+    with it every memoised derived quantity (gap cycle, supermin view,
+    symmetry, canonical key) computed the first time around.  Used by
+    the batched engine and by the branching adversary driver
+    (:mod:`repro.simulator.branching`), which revisits configurations
+    far more aggressively than any single run.
+    """
+
+    __slots__ = ("maxsize", "_entries")
+
+    def __init__(self, maxsize: int = DEFAULT_CONFIG_POOL_SIZE) -> None:
+        if maxsize < 1:
+            raise ValueError("ConfigurationPool maxsize must be >= 1")
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[Tuple[int, ...], Configuration]" = OrderedDict()
+
+    def get(self, counts: Tuple[int, ...]) -> Optional[Configuration]:
+        """The pooled configuration for ``counts``, or ``None`` on a miss."""
+        entry = self._entries.get(counts)
+        if entry is not None:
+            self._entries.move_to_end(counts)
+        return entry
+
+    def put(self, counts: Tuple[int, ...], configuration: Configuration) -> None:
+        """Cache ``configuration`` under ``counts``, evicting the oldest entry."""
+        self._entries[counts] = configuration
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+
+    def configuration(self, counts: Tuple[int, ...]) -> Configuration:
+        """The pooled configuration for validated ``counts`` (built on miss)."""
+        cfg = self.get(counts)
+        if cfg is None:
+            cfg = Configuration.from_trusted_counts(counts)
+            self.put(counts, cfg)
+        return cfg
+
+
 def snapshot_options(
     algorithm: Algorithm,
     decisions: Optional[DecisionCache],
@@ -53,7 +139,7 @@ def snapshot_options(
 ) -> Dict[int, Tuple[int, ...]]:
     """Outcomes per occupied node over both view presentations.
 
-    One exact Look (:func:`~repro.simulator.engine.look_direction`) per
+    One exact Look (:func:`look_direction`) per
     node and presentation; each value is the sorted tuple of global
     outcomes, a subset of ``(CCW, 0, CW)`` with ``0`` for idle.
     """

@@ -1,12 +1,15 @@
-"""Differential certification: batched traces == per-run traces, bytewise.
+"""Differential certification: engine traces == reference traces, bytewise.
 
 Every test runs the same (algorithm, initial configuration, scheduler,
-options) workload through the incremental :class:`Simulator` and through
-:class:`BatchEngine` and compares ``Trace.canonical_bytes()`` — the byte
+options) workload through the naive reference stepper
+(``tests/reference_stepper.py``, which shares no stepping code with the
+package) and through :class:`BatchEngine` or its one-lane facade
+:class:`Simulator`, and compares ``Trace.canonical_bytes()`` — the byte
 representation hashed into run payloads and summaries — or, where events
-are not recorded, the aggregate counters.  The matrix covers every
-scheduler, fast-path (pure global rule) and slow-path algorithms,
-collision and precondition aborts, and the periodic orbit fast-forward.
+are not recorded, the aggregate counters and the presentation RNG state.
+The matrix covers every scheduler, plan-table (pure global rule) and
+Look-table algorithms, collision and precondition aborts, and the
+periodic orbit fast-forward.
 """
 
 import logging
@@ -40,11 +43,13 @@ from repro.scheduler import (
     SynchronousScheduler,
 )
 from repro.model import GlobalRuleAlgorithm
+from repro.simulator.classplan import ClassPlanTable
 from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
 from repro.simulator.runner import run_gathering
 from repro.tasks import ExplorationMonitor, GatheringMonitor, SearchingMonitor
 from repro.workloads.generators import random_rigid_configuration, rigid_configurations
+from reference_stepper import ReferenceStepper
 
 SCHEDULER_FACTORIES = {
     "round_robin": lambda i: SequentialScheduler(),
@@ -74,9 +79,11 @@ def sample_configurations(n, k, count, seed0=1000):
     ]
 
 
-def per_run_outcome(algorithm_factory, configuration, scheduler, options, steps):
+def per_run_outcome(
+    algorithm_factory, configuration, scheduler, options, steps, runner=ReferenceStepper
+):
     """(exception-type-name, message-or-None, canonical trace bytes)."""
-    simulator = Simulator(
+    simulator = runner(
         algorithm_factory(), configuration, scheduler=scheduler, options=options
     )
     try:
@@ -203,7 +210,7 @@ class TestRunUntil:
         configurations = sample_configurations(16, 5, 6, seed0=300)
         reference = []
         for configuration in configurations:
-            simulator = Simulator(AlignAlgorithm(), configuration)
+            simulator = ReferenceStepper(AlignAlgorithm(), configuration)
             simulator.run_until(
                 lambda e: e.configuration.is_c_star(), max_steps=4000
             )
@@ -222,7 +229,7 @@ class TestRunUntil:
     def test_goal_already_satisfied(self, invariant):
         star = Configuration.from_occupied(9, [0, 1, 2, 3, 5])
         assert star.is_c_star()
-        simulator = Simulator(AlignAlgorithm(), star)
+        simulator = ReferenceStepper(AlignAlgorithm(), star)
         simulator.run_until(lambda e: e.configuration.is_c_star(), max_steps=10)
         engine = BatchEngine(AlignAlgorithm(), [star])
         engine.run_until_configuration(
@@ -246,7 +253,7 @@ class TestScriptedScheduler:
         configurations = sample_configurations(12, 5, 4)
         reference = []
         for configuration in configurations:
-            simulator = Simulator(
+            simulator = ReferenceStepper(
                 AlignAlgorithm(), configuration, scheduler=ScriptedScheduler(script)
             )
             simulator.run(12)
@@ -276,7 +283,7 @@ class TestOrbitFastForward:
         configurations = sample_configurations(n, k, 4)
         reference = []
         for configuration in configurations:
-            simulator = Simulator(RingClearingAlgorithm(), configuration)
+            simulator = ReferenceStepper(RingClearingAlgorithm(), configuration)
             simulator.run(steps)
             reference.append(
                 (
@@ -321,7 +328,7 @@ class TestOrbitFastForward:
         n, k = 13, 5
         steps = 10 * n * k
         configuration = sample_configurations(n, k, 1)[0]
-        simulator = Simulator(RingClearingAlgorithm(), configuration)
+        simulator = ReferenceStepper(RingClearingAlgorithm(), configuration)
         simulator.run(steps)
         engine = BatchEngine(RingClearingAlgorithm(), [configuration])
         engine.run(steps)
@@ -335,7 +342,7 @@ class TestOrbitFastForward:
         """run() twice (budget extension) stays aligned with per-run."""
         n, k = 13, 5
         configuration = sample_configurations(n, k, 1)[0]
-        simulator = Simulator(RingClearingAlgorithm(), configuration)
+        simulator = ReferenceStepper(RingClearingAlgorithm(), configuration)
         simulator.run(4 * n * k)
         simulator.run(26 * n * k)
         engine = BatchEngine(
@@ -361,7 +368,7 @@ class TestOrbitFastForward:
         configurations = [random_rigid_configuration(n, k, rng) for _ in range(4)]
         classes = set()
         for configuration in configurations:
-            simulator = Simulator(RingClearingAlgorithm(), configuration)
+            simulator = ReferenceStepper(RingClearingAlgorithm(), configuration)
             simulator.run(400)
             classes.add(simulator.configuration.canonical_key())
 
@@ -370,7 +377,7 @@ class TestOrbitFastForward:
 
         reference = []
         for configuration in configurations:
-            simulator = Simulator(RingClearingAlgorithm(), configuration)
+            simulator = ReferenceStepper(RingClearingAlgorithm(), configuration)
             simulator.run(300)
             simulator.run(2000, stop=lambda e: stop(e.configuration))
             reference.append((simulator.step_count, simulator.trace.stopped_reason))
@@ -396,7 +403,7 @@ class TestMonitors:
         configuration = sample_configurations(n, k, 1)[0]
 
         per_run_monitor = SearchingMonitor()
-        simulator = Simulator(
+        simulator = ReferenceStepper(
             RingClearingAlgorithm(), configuration, monitors=[per_run_monitor]
         )
         simulator.run(steps)
@@ -481,7 +488,7 @@ class TestMonitoredRoundRobinLanes:
         reference = []
         for configuration in configurations:
             monitors = _task_monitors()
-            simulator = Simulator(
+            simulator = ReferenceStepper(
                 algorithm_factory(), configuration, monitors=list(monitors)
             )
             simulator.run(steps)
@@ -512,7 +519,7 @@ class TestMonitoredRoundRobinLanes:
         options = EngineOptions(multiplicity_detection=True)
         for configuration in sample_configurations(12, 5, 4):
             monitors = _task_monitors()
-            simulator = Simulator(
+            simulator = ReferenceStepper(
                 GatheringAlgorithm(), configuration, options=options, monitors=list(monitors)
             )
             with pytest.raises(CollisionError) as per_run:
@@ -533,7 +540,7 @@ class TestMonitoredRoundRobinLanes:
 
 
 def _per_run_state(algorithm_factory, configuration, options, steps, scheduler=None):
-    simulator = Simulator(
+    simulator = ReferenceStepper(
         algorithm_factory(), configuration, options=options, scheduler=scheduler
     )
     simulator.run(steps)
@@ -546,7 +553,7 @@ def _simulator_state(simulator):
         simulator.step_count,
         simulator.trace.total_moves,
         simulator.configuration.counts,
-        simulator._rng.getstate(),
+        simulator.rng.getstate(),
     )
 
 
@@ -770,14 +777,33 @@ def _e7_quick_cells():
             yield starts, 60 * unit.n * unit.k + 400
 
 
+#: The reference stepper's Gathering states per cell generator (it has
+#: no cache, so the cache options do not change them).
+_GATHERING_REFERENCE = {}
+
+
+def _reference_gathering_states(cells, options):
+    if cells not in _GATHERING_REFERENCE:
+        states = []
+        for starts, budget in cells():
+            for configuration in starts:
+                stepper = ReferenceStepper(GatheringAlgorithm(), configuration, options=options)
+                stepper.run_until(lambda s: s.configuration.num_occupied == 1, budget)
+                states.append(_simulator_state(stepper))
+        _GATHERING_REFERENCE[cells] = states
+    return _GATHERING_REFERENCE[cells]
+
+
 class TestGatheringLanes:
-    """E5/E7 Gathering lanes equal one ``run_gathering`` per start."""
+    """E5/E7 Gathering lanes equal the reference and one ``run_gathering`` per start."""
 
     @CACHE_OPTIONS
     @pytest.mark.parametrize(
         "cells", [_e5_quick_cells, _e7_quick_cells], ids=["e5-quick", "e7-quick"]
     )
-    def test_lanes_match_run_gathering(self, cells, cache_options, monkeypatch):
+    def test_lanes_match_run_gathering(self, cells, cache_options):
+        options = EngineOptions(exclusive=False, multiplicity_detection=True, **cache_options)
+        reference = _reference_gathering_states(cells, options)
         calls = {"per-run": 0, "lanes": 0}
         phase = "per-run"
         original = gathering_module.plan_gathering_support
@@ -786,24 +812,137 @@ class TestGatheringLanes:
             calls[phase] += 1
             return original(configuration)
 
-        monkeypatch.setattr(gathering_module, "plan_gathering_support", counting)
-        options = EngineOptions(exclusive=False, multiplicity_detection=True, **cache_options)
-        reference, batched = [], []
-        for starts, budget in cells():
-            phase = "per-run"
-            for configuration in starts:
-                _, simulator = run_gathering(
-                    GatheringAlgorithm(), configuration, max_steps=budget, options=options
+        per_run, batched = [], []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(gathering_module, "plan_gathering_support", counting)
+            for starts, budget in cells():
+                phase = "per-run"
+                for configuration in starts:
+                    _, simulator = run_gathering(
+                        GatheringAlgorithm(), configuration, max_steps=budget, options=options
+                    )
+                    per_run.append(
+                        (
+                            simulator.positions,
+                            simulator.step_count,
+                            simulator.trace.total_moves,
+                            simulator.configuration.counts,
+                        )
+                    )
+                phase = "lanes"
+                engine = BatchEngine(
+                    GatheringAlgorithm(), starts, options=options, record_events=False
                 )
-                reference.append(_simulator_state(simulator))
-            phase = "lanes"
-            engine = BatchEngine(
-                GatheringAlgorithm(), starts, options=options, record_events=False
-            )
-            engine.run_until_configuration(
-                lambda c: c.num_occupied == 1, budget, invariant=True
-            )
-            batched.extend(_lane_states(engine))
+                engine.run_until_configuration(
+                    lambda c: c.num_occupied == 1, budget, invariant=True
+                )
+                batched.extend(_lane_states(engine))
         assert batched == reference
+        assert per_run == [state[:4] for state in reference]
         assert all(sum(1 for c in state[3] if c) == 1 for state in batched)
         assert 0 < calls["lanes"] < calls["per-run"]
+
+
+class TestOneLanePlanRule:
+    """A one-lane engine builds no class-plan table; two lanes share one."""
+
+    def test_one_lane_plans_nothing_two_lanes_plan(self, monkeypatch):
+        calls = {"global_plan": 0, "self_check": 0}
+
+        class CountingAlign(AlignAlgorithm):
+            def global_plan(self, configuration):
+                calls["global_plan"] += 1
+                return super().global_plan(configuration)
+
+        self_check = ClassPlanTable._self_check
+
+        def counting_self_check(table, *args):
+            calls["self_check"] += 1
+            return self_check(table, *args)
+
+        monkeypatch.setattr(ClassPlanTable, "_self_check", counting_self_check)
+        starts = sample_configurations(12, 5, 2)
+        one = BatchEngine(CountingAlign(), starts[:1])
+        one.run(200)
+        assert calls == {"global_plan": 0, "self_check": 0}
+        two = BatchEngine(CountingAlign(), starts)
+        two.run(200)
+        assert calls["global_plan"] > 0 and calls["self_check"] > 0
+        assert one.lane_trace(0).canonical_bytes() == two.lane_trace(0).canonical_bytes()
+
+    def test_one_lane_honours_the_pool_bound(self):
+        """A one-lane engine (every Simulator) keeps ``config_pool_size``
+        as given, so the golden cells at LRU bound 1 run a pool of 1."""
+        starts = sample_configurations(12, 5, 2)
+        options = EngineOptions(config_pool_size=1)
+        one = BatchEngine(AlignAlgorithm(), starts[:1], options=options)
+        assert one.pool.maxsize == 1
+        one.run(200)
+        two = BatchEngine(AlignAlgorithm(), starts, options=options)
+        assert two.pool.maxsize == 64
+        two.run(200)
+        assert one.lane_trace(0).canonical_bytes() == two.lane_trace(0).canonical_bytes()
+
+
+@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULER_FACTORIES))
+@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
+class TestSimulatorFacade:
+    """The one-lane ``Simulator`` facade against the reference stepper."""
+
+    def test_traces_byte_identical(self, algorithm_name, scheduler_name):
+        algorithm_factory, options = ALGORITHMS[algorithm_name]
+        scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
+        for i, configuration in enumerate(sample_configurations(12, 5, 2)):
+            assert per_run_outcome(
+                algorithm_factory, configuration, scheduler_factory(i), options, 60,
+                runner=Simulator,
+            ) == per_run_outcome(
+                algorithm_factory, configuration, scheduler_factory(i), options, 60
+            )
+
+    def test_single_steps_in_caller_robot_order(self, algorithm_name, scheduler_name):
+        """Positions given in any order keep their robot ids, step by step."""
+        algorithm_factory, options = ALGORITHMS[algorithm_name]
+        scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
+        positions = [6, 1, 9, 0, 4]  # a rigid start, robot ids out of node order
+        runs = [
+            runner(
+                algorithm_factory(),
+                positions,
+                ring_size=12,
+                scheduler=scheduler_factory(0),
+                options=options.with_overrides(collision_policy="record"),
+            )
+            for runner in (Simulator, ReferenceStepper)
+        ]
+        for _ in range(40):
+            assert runs[0].step() == runs[1].step()
+            assert runs[0].positions == runs[1].positions
+            assert runs[0].pending_robots() == runs[1].pending_robots()
+        assert runs[0].trace.initial_positions == tuple(positions)
+        assert runs[0].trace.canonical_bytes() == runs[1].trace.canonical_bytes()
+
+
+class TestSimulatorRunModes:
+    @pytest.mark.parametrize("scheduler_name", ["round_robin", "asynchronous"])
+    def test_run_until_stable_matches_reference(self, scheduler_name):
+        scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
+        configuration = sample_configurations(12, 5, 1, seed0=77)[0]
+        traces = []
+        for runner in (Simulator, ReferenceStepper):
+            run = runner(AlignAlgorithm(), configuration, scheduler=scheduler_factory(0))
+            trace = run.run_until_stable(2000)
+            traces.append((trace.stopped_reason, trace.canonical_bytes()))
+        assert traces[0] == traces[1]
+        assert traces[0][0] == "stable"
+
+    def test_stop_predicate_over_the_simulator(self):
+        """A stop predicate may read any simulator state, not just the configuration."""
+        configuration = sample_configurations(13, 5, 1)[0]
+        outcomes = []
+        for runner in (Simulator, ReferenceStepper):
+            run = runner(RingClearingAlgorithm(), configuration)
+            trace = run.run(500, stop=lambda sim: sim.step_count >= 37)
+            outcomes.append((run.step_count, trace.stopped_reason, trace.canonical_bytes()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (37, "stop-condition")

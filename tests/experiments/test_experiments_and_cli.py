@@ -271,16 +271,16 @@ class TestCliResultCache:
         first = io.StringIO()
         assert main(argv, out=first) == 0
 
-        from repro.simulator.engine import Simulator
+        from repro.batchsim import BatchEngine
 
         steps = {"n": 0}
-        real_step = Simulator.step
+        real_run = BatchEngine.run
 
-        def counting_step(self):
-            steps["n"] += 1
-            return real_step(self)
+        def counting_run(self, max_steps, **stop):
+            real_run(self, max_steps, **stop)
+            steps["n"] += sum(self.lane(i).step_count for i in range(self.num_lanes))
 
-        monkeypatch.setattr(Simulator, "step", counting_step)
+        monkeypatch.setattr(BatchEngine, "run", counting_run)
         second = io.StringIO()
         assert main(argv + ["--refresh"], out=second) == 0
         assert steps["n"] > 0, "--refresh must actually re-run the engine"

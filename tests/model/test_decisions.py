@@ -1,9 +1,8 @@
-"""Unit tests for :mod:`repro.model.decisions` and :mod:`repro.model.robot`."""
+"""Unit tests for :mod:`repro.model.decisions`."""
 
 import pytest
 
 from repro.model.decisions import Decision, DecisionKind
-from repro.model.robot import RobotState
 
 
 class TestDecision:
@@ -36,18 +35,3 @@ class TestDecision:
         assert Decision.move_toward(1) == Decision.move_toward(1)
         assert Decision.move_toward(0) != Decision.move_toward(1)
 
-
-class TestRobotState:
-    def test_defaults(self):
-        r = RobotState(robot_id=3, position=5)
-        assert r.robot_id == 3
-        assert r.position == 5
-        assert not r.has_pending_move
-        assert (r.looks, r.moves, r.idles) == (0, 0, 0)
-
-    def test_pending_lifecycle(self):
-        r = RobotState(robot_id=0, position=2, pending_target=3)
-        assert r.has_pending_move
-        r.clear_pending()
-        assert not r.has_pending_move
-        assert r.pending_target is None

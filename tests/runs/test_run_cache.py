@@ -214,7 +214,7 @@ class TestApproxCountDrift:
         assert cache._approx_count == len(cache) == 2
 
     def test_concurrent_same_key_puts_count_once(self, tmp_path, monkeypatch):
-        import repro.runs.cache as cache_module
+        import tempfile
 
         cache = ResultCache(str(tmp_path), max_entries=10)
         cache.put("a" * 64, {"payload": 0})  # prime the incremental count
@@ -224,7 +224,7 @@ class TestApproxCountDrift:
         # pre-write existence check before either replaces the entry —
         # the interleaving in which the old code double-counted.
         barrier = threading.Barrier(2, timeout=10)
-        real_mkstemp = cache_module.tempfile.mkstemp
+        real_mkstemp = tempfile.mkstemp
 
         def rendezvous_mkstemp(*args, **kwargs):
             result = real_mkstemp(*args, **kwargs)
@@ -234,7 +234,7 @@ class TestApproxCountDrift:
                 pass
             return result
 
-        monkeypatch.setattr(cache_module.tempfile, "mkstemp", rendezvous_mkstemp)
+        monkeypatch.setattr(tempfile, "mkstemp", rendezvous_mkstemp)
         threads = [
             threading.Thread(target=lambda: cache.put("b" * 64, {"payload": 1}))
             for _ in range(2)

@@ -153,9 +153,13 @@ class TestAsynchronousScheduler:
         engine.run(200)
         # Under the sweep algorithm with a fair async adversary every robot
         # eventually both looks and moves.
-        for robot in engine.robots():
-            assert robot.looks > 0
-            assert robot.moves > 0
+        robots = set(range(engine.num_robots))
+        looked = {
+            r for e in engine.trace.events if e.kind is not ActivationKind.MOVE for r in e.robots
+        }
+        assert looked == robots
+        moved = engine.trace.moves_per_robot()
+        assert {r for r in robots if moved.get(r, 0) > 0} == robots
 
     def test_deterministic_given_seed(self):
         def run(seed):

@@ -10,8 +10,7 @@ from repro.core.cyclic import reflect, rotate
 from repro.core.ring import CCW, CW
 from repro.model import GlobalRuleAlgorithm
 from repro.simulator.branching import BranchingDriver
-from repro.simulator.classplan import SELF_CHECKS, ClassPlanTable
-from repro.simulator.engine import ConfigurationPool
+from repro.simulator.classplan import SELF_CHECKS, ClassPlanTable, ConfigurationPool
 
 #: The one exclusive class (n = 4..12) where Align moves a robot whose
 #: two views coincide: node 5 sits on the configuration's axis.

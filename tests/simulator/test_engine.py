@@ -15,6 +15,7 @@ from repro.model.algorithm import Algorithm
 from repro.model.decisions import Decision
 from repro.scheduler import (
     Activation,
+    ActivationKind,
     AsynchronousScheduler,
     ScriptedScheduler,
     SequentialScheduler,
@@ -75,7 +76,9 @@ class TestStepping:
         trace = engine.run(20)
         assert trace.total_moves == 0
         assert engine.configuration == cfg
-        assert all(r.idles > 0 for r in engine.robots())
+        # Every robot completed a Look-Compute cycle, and each one idled.
+        cycled = {r for e in trace.events if e.kind is ActivationKind.CYCLE for r in e.robots}
+        assert cycled == set(range(engine.num_robots))
 
     def test_step_counts_and_trace_growth(self):
         cfg = Configuration.from_occupied(8, [0, 3, 5])
@@ -137,6 +140,36 @@ class TestStepping:
         )
         engine.run(3)
         assert engine.positions == (1, 5, 7)
+
+
+class TestRobotView:
+    def test_defaults(self):
+        engine = Simulator(SweepAlgorithm(), Configuration.from_occupied(10, [0, 4, 7]))
+        robot = engine.robot(1)
+        assert robot.robot_id == 1
+        assert robot.position == 4
+        assert not robot.has_pending_move
+        assert robot.pending_target is None
+        assert [r.robot_id for r in engine.robots()] == [0, 1, 2]
+
+    def test_pending_lifecycle(self):
+        cfg = Configuration.from_occupied(10, [0, 4, 7])
+        script = [Activation.look([0]), Activation.move([0])]
+        engine = Simulator(
+            SweepAlgorithm(),
+            cfg,
+            scheduler=ScriptedScheduler(script),
+            options=EngineOptions(chirality=True),
+        )
+        engine.step()
+        robot = engine.robot(0)
+        assert robot.has_pending_move
+        assert robot.pending_target == 1
+        assert engine.pending_robots() == (0,)
+        engine.step()
+        assert not robot.has_pending_move
+        assert robot.position == 1
+        assert engine.pending_robots() == ()
 
 
 class TestRunHelpers:

@@ -5,7 +5,9 @@ cell).  Any change to the engine, the schedulers, the decision cache or
 the algorithms that alters a single executed step shows up as a byte
 diff against these files.  The same cells are replayed with the decision
 cache disabled and with the engine's LRU bounds forced to 1, asserting
-the caches are pure optimisations.
+the caches are pure optimisations, and through the naive reference
+stepper (``tests/reference_stepper.py``), which shares no stepping code
+with the engine.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -28,6 +30,7 @@ from repro.scheduler.synchronous import SemiSynchronousScheduler
 from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
 from repro.workloads.generators import iter_rigid_configurations
+from reference_stepper import ReferenceStepper
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "golden")
 
@@ -56,11 +59,11 @@ CELLS = {
 }
 
 
-def run_cell(name, **engine_overrides):
+def run_cell(name, runner=Simulator, **engine_overrides):
     """Execute one golden cell and return its canonical trace bytes."""
     cell = CELLS[name]
     configuration = next(iter_rigid_configurations(cell["n"], cell["k"]))
-    engine = Simulator(
+    engine = runner(
         cell["algorithm"](),
         configuration,
         scheduler=cell["scheduler"](),
@@ -97,6 +100,11 @@ class TestGoldenTraces:
         with open(golden_path(name), "rb") as handle:
             expected = handle.read()
         assert run_cell(name, decision_cache_size=1, config_pool_size=1) == expected
+
+    def test_reference_stepper_matches_committed_bytes(self, name):
+        with open(golden_path(name), "rb") as handle:
+            expected = handle.read()
+        assert run_cell(name, runner=ReferenceStepper) == expected
 
 
 def main():

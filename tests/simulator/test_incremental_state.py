@@ -178,15 +178,15 @@ class TestDecisionCache:
         engine.run(10)
 
     def test_cache_eviction_is_bounded(self):
-        from repro.model.algorithm import DecisionCache
-
-        cache = DecisionCache(maxsize=2)
         engine = Simulator(
-            SweepAlgorithm(), Configuration.from_gaps((4,) * 6), options=EngineOptions(chirality=True)
+            SweepAlgorithm(),
+            Configuration.from_gaps((4,) * 6),
+            options=EngineOptions(chirality=True, decision_cache_size=2),
         )
-        # Route the engine through the tiny cache to exercise eviction.
-        engine._decision_cache = cache
         engine.run(40)
+        cache = engine.decision_cache
+        assert cache.maxsize == 2
+        assert cache.misses > 2  # more distinct snapshots than room: evictions happened
         assert len(cache) <= 2
 
     def test_invalid_cache_size_rejected(self):

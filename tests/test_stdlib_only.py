@@ -1,7 +1,9 @@
 """The package runs on the standard library alone, and start-up stays light.
 
 Each probe runs in a fresh interpreter, so ``sys.modules`` shows exactly
-what one command imported.
+what one command imported.  The start-up probes skip the ``site`` module
+(``python -S``), whose ``sitecustomize`` hooks may import modules of
+their own on some installations.
 """
 
 import json
@@ -40,12 +42,14 @@ sys.stderr.write("\\n" + json.dumps({"code": code, "loaded": loaded}) + "\\n")
 
 #: Modules neither the parser nor a whole-run cache hit may import: the
 #: engines, the experiments, the campaign executor, the service and the
-#: process pool all belong to the commands that execute something.
+#: process pool all belong to the commands that execute something, and
+#: ``tempfile`` (with the ``shutil`` and ``random`` it pulls in) only to
+#: the commands that write a cache entry or a summary.
 FORBIDDEN_AT_STARTUP = re.compile(
     r"repro\.modelcheck\.frontier|repro\.simulator\.branching|repro\.simulator\.engine"
     r"|repro\.batchsim\.engine|repro\.analysis\.game|repro\.experiments\.e\d.*"
     r"|repro\.campaign\.executor|repro\.service\.server"
-    r"|multiprocessing|concurrent\.futures\.process"
+    r"|multiprocessing|concurrent\.futures\.process|tempfile"
 )
 
 
@@ -59,7 +63,7 @@ def _run_cli(args, cwd):
     """``python -m repro ARGS`` in a fresh process: (exit code, stdout,
     forbidden modules it loaded)."""
     done = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, FORBIDDEN_AT_STARTUP.pattern, *args],
+        [sys.executable, "-S", "-c", MODULE_PROBE, FORBIDDEN_AT_STARTUP.pattern, *args],
         env=_env(), cwd=str(cwd), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
