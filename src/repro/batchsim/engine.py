@@ -56,7 +56,11 @@ from ..scheduler.base import Activation, ActivationKind, Scheduler
 from ..scheduler.sequential import SequentialScheduler
 from ..scheduler.synchronous import SynchronousScheduler
 from ..simulator.classplan import ClassPlanTable, ConfigurationPool, look_direction
-from ..simulator.options import EngineOptions
+from ..simulator.options import (
+    DEFAULT_CONFIG_POOL_SIZE,
+    DEFAULT_DECISION_CACHE_SIZE,
+    EngineOptions,
+)
 from ..simulator.trace import MoveRecord, Trace, TraceEvent
 
 __all__ = ["BatchEngine", "BatchLane", "BatchLaneView"]
@@ -68,6 +72,10 @@ ConfigurationPredicate = Callable[[Configuration], bool]
 _DRIVER_RR = "rr"
 _DRIVER_SYNC = "sync"
 _DRIVER_GENERIC = "generic"
+
+#: Largest configuration pool: a batch gets 32 entries per lane, and at
+#: least :data:`~repro.simulator.options.DEFAULT_CONFIG_POOL_SIZE`.
+_MAX_POOL_SIZE = 1 << 16
 
 
 class LookTable(dict):
@@ -276,21 +284,12 @@ class BatchEngine:
         if scheduler_factory is None:
             scheduler_factory = lambda index: SequentialScheduler()  # noqa: E731
 
-        # One lane (a Simulator) honours the pool bound as given; a batch
-        # gets room for every lane's working set.
-        pool_size = (
-            options.config_pool_size
-            if len(initials) == 1
-            else min(1 << 16, max(options.config_pool_size, 32 * len(initials)))
+        self.pool = ConfigurationPool(
+            min(_MAX_POOL_SIZE, max(DEFAULT_CONFIG_POOL_SIZE, 32 * len(initials)))
         )
-        self.pool = ConfigurationPool(pool_size)
-        self._decisions: Optional[DecisionCache] = (
-            DecisionCache(options.decision_cache_size) if options.decision_cache else None
-        )
+        self._decisions = DecisionCache(DEFAULT_DECISION_CACHE_SIZE)
         #: slow-path Look table keyed on the lane's row bytes, shared by all lanes.
-        self._look_table: Optional[LookTable] = (
-            LookTable(options.decision_cache_size) if options.decision_cache else None
-        )
+        self._look_table = LookTable(DEFAULT_DECISION_CACHE_SIZE)
         # A class plan pays for its planning and self-check only when
         # several lanes share it: a one-lane engine (every Simulator)
         # builds no table and takes the Look-table path throughout.
@@ -381,8 +380,8 @@ class BatchEngine:
         return self._n
 
     @property
-    def decision_cache(self) -> Optional[DecisionCache]:
-        """The shared decision cache (``None`` when disabled)."""
+    def decision_cache(self) -> DecisionCache:
+        """The shared decision cache."""
         return self._decisions
 
     @property
@@ -550,7 +549,7 @@ class BatchEngine:
         """One exact Look through the shared Look table (:func:`look_direction`)."""
         table = self._look_table
         look_key = (key, node, first_is_cw)
-        direction = None if table is None else table.get(look_key)
+        direction = table.get(look_key)
         if direction is None:
             direction = look_direction(
                 self._algorithm,
@@ -560,8 +559,7 @@ class BatchEngine:
                 first_is_cw,
                 self._multiplicity_detection,
             )
-            if table is not None:
-                table.put(look_key, direction)
+            table.put(look_key, direction)
         return direction
 
     def _orbit_skip(
@@ -667,15 +665,13 @@ class BatchEngine:
         stop_satisfied = memo.satisfied
         # Fast-forwarding replays configurations that are *rotations* of
         # already-visited (stop-checked) ones, so it needs the predicate
-        # to be absent or declared rotation-invariant.  Counting ties
-        # needs plans or the Look table to stay cheap, and a lane counts
-        # them only when it draws (under chirality no Look has a second
+        # to be absent or declared rotation-invariant.  A lane counts
+        # ties only when it draws (under chirality no Look has a second
         # order).
         fast_forward = (
             monitors is None
             and not record
             and (not stop_active or memo.declared_invariant)
-            and (plans is not None or self._look_table is not None)
         )
         count_ties = fast_forward and draw is not None
         ties = 0

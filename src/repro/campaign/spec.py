@@ -117,28 +117,14 @@ def build_campaign(experiment: str, variant: str = "quick") -> Campaign:
     unambiguous.
     """
     suite: Suite = get_suite(experiment, variant)
-    name = f"{experiment}-{variant}"
-    units = tuple(
-        UnitSpec(
-            campaign=name,
-            experiment=experiment,
-            variant=variant,
-            index=index,
-            unit_id=f"u{index:03d}-k{k:03d}-n{n:03d}",
-            k=k,
-            n=n,
-            seed=derive_seed(suite.seed, experiment, variant, k, n, index),
-            samples=suite.samples_per_pair,
-            steps_factor=suite.steps_factor,
-        )
-        for index, (k, n) in enumerate(suite.pairs)
-    )
-    return Campaign(
-        name=name,
-        experiment=experiment,
-        variant=variant,
-        description=suite.description,
-        units=units,
+    return build_cells_campaign(
+        experiment,
+        variant,
+        suite.description,
+        suite.pairs,
+        base_seed=suite.seed,
+        samples=suite.samples_per_pair,
+        steps_factor=suite.steps_factor,
     )
 
 

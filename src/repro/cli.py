@@ -38,11 +38,7 @@ from .faults.errors import DeadlineExceeded
 from .modelcheck.results import DEFAULT_MAX_STATES
 from .modelcheck.tasks import TASKS as VERIFY_TASKS
 from .runs import SCHEDULERS, BatchSweepSpec, ExperimentSpec, SimulateSpec, VerifySpec, execute
-from .simulator.options import (
-    DEFAULT_CONFIG_POOL_SIZE,
-    DEFAULT_DECISION_CACHE_SIZE,
-    EngineOptions,
-)
+from .simulator.options import EngineOptions
 
 __all__ = ["main", "build_parser", "parse_int_grid"]
 
@@ -92,20 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("k", type=int)
     demo.add_argument("--steps", type=int, default=200)
     demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument(
-        "--decision-cache-size",
-        type=_positive_int,
-        default=DEFAULT_DECISION_CACHE_SIZE,
-        metavar="M",
-        help=f"bound of the engine's decision LRU (default: {DEFAULT_DECISION_CACHE_SIZE})",
-    )
-    demo.add_argument(
-        "--config-pool-size",
-        type=_positive_int,
-        default=DEFAULT_CONFIG_POOL_SIZE,
-        metavar="M",
-        help=f"bound of the engine's configuration-pool LRU (default: {DEFAULT_CONFIG_POOL_SIZE})",
-    )
     _add_cache_arguments(demo)
 
     batch = sub.add_parser(
@@ -404,8 +386,6 @@ def _run_demo(parser, args, out, ctx: ExecutionContext) -> int:
                 exclusive=not gathering,
                 multiplicity_detection=gathering,
                 presentation_seed=args.seed,
-                decision_cache_size=args.decision_cache_size,
-                config_pool_size=args.config_pool_size,
             ),
         )
     except ValueError as exc:

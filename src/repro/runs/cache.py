@@ -17,8 +17,8 @@ Two key namespaces share one store:
   identical units are de-duplicated across campaigns.
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one JSON document per entry.
-Entries are touched on read, and an optional ``max_entries`` bound
-evicts the least-recently-used entries on insert.
+The store is unbounded: a read never writes, and entries leave only
+through :meth:`ResultCache.clear` or when found corrupt.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .. import __version__
 from .spec import RunSpec, canonical_spec_json
@@ -54,38 +54,22 @@ def cache_key(spec: RunSpec) -> str:
 
 
 class ResultCache:
-    """Content-addressed JSON document store with optional LRU eviction.
+    """Content-addressed JSON document store.
 
     Args:
         root: cache directory (created lazily on first write).
-        max_entries: optional bound on the number of stored documents;
-            exceeding it evicts the least-recently-used entries.
         fault_plan: optional :class:`~repro.faults.FaultPlan` arming the
             named kill-points of the atomic write path (chaos-testing
             context only; see :meth:`put`).
     """
 
-    def __init__(
-        self,
-        root: str,
-        max_entries: Optional[int] = None,
-        fault_plan=None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
+    def __init__(self, root: str, fault_plan=None) -> None:
         self.root = root
-        self.max_entries = max_entries
         self.fault_plan = fault_plan
-        # Approximate entry count, maintained incrementally so a bounded
-        # cache does not rescan the whole store on every insert; it is
-        # re-synchronised with the filesystem whenever eviction runs.
-        # Guarded by a (reentrant) lock: every mutation — the newness
-        # check and replace in put(), the corrupt-entry removal in get(),
-        # the eviction resync — happens under it, so concurrent writers
-        # cannot drift the count (e.g. two threads both counting the
-        # same new key).
-        self._count_lock = threading.RLock()
-        self._approx_count: Optional[int] = None
+        # Serialises put()'s replace with the corrupt-entry removal in
+        # get(), so a removal can never unlink an entry a concurrent
+        # put() has just written.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # keys
@@ -125,9 +109,9 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The stored document for ``key``, or ``None`` on a miss.
 
-        A hit refreshes the entry's recency (LRU).  A missing entry is a
-        plain miss; a corrupt one (torn write, manual tampering) is a miss
-        and is removed (see :meth:`_discard_corrupt`).
+        A missing entry is a plain miss; a corrupt one (torn write,
+        manual tampering) is a miss and is removed (see
+        :meth:`_discard_corrupt`).
         """
         path = self._path(key)
         try:
@@ -140,23 +124,16 @@ class ResultCache:
         except (OSError, json.JSONDecodeError):
             self._discard_corrupt(path)
             return None
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - recency refresh is best-effort
-            pass
         return document
 
     def _discard_corrupt(self, path: str) -> None:
-        """Remove an entry that failed to load, keeping the count exact.
+        """Remove an entry that failed to load.
 
-        Runs under the count lock, which every put() holds around its
-        newness check and ``os.replace``, and re-reads the entry first:
-        one that a concurrent put() replaced meanwhile is valid again and
-        stays, and a removal always moves the count with it — otherwise a
-        bounded cache would believe it is fuller than it is and evict
-        live entries early.
+        Runs under the lock every put() holds around its ``os.replace``,
+        and re-reads the entry first: one that a concurrent put()
+        replaced meanwhile is valid again and stays.
         """
-        with self._count_lock:
+        with self._lock:
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     json.load(handle)
@@ -168,9 +145,7 @@ class ResultCache:
             try:
                 os.unlink(path)
             except OSError:  # pragma: no cover - best-effort cleanup
-                return
-            if self._approx_count is not None and self._approx_count > 0:
-                self._approx_count -= 1
+                pass
 
     def _kill_point(self, stage: str, key: str) -> None:
         """Named kill-point of the write path (no-op without a plan)."""
@@ -187,7 +162,7 @@ class ResultCache:
         kill-points pin that claim down for the chaos suite —
         ``cache.put.enter`` (nothing written yet), ``cache.put.
         tmp_written`` (temp file durable, entry untouched) and
-        ``cache.put.replaced`` (entry swapped, bookkeeping pending):
+        ``cache.put.replaced`` (entry swapped, temp file gone):
         a simulated death at any of them must leave the old entry or no
         entry, never a torn one.  On a simulated kill the temp file is
         deliberately *not* cleaned up — a real ``kill -9`` would not
@@ -207,15 +182,8 @@ class ResultCache:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
             self._kill_point("tmp_written", key)
-            # Newness is decided under the same lock as the replace
-            # itself: checked any earlier, two threads putting the same
-            # new key would *both* observe "does not exist" and both
-            # count it, drifting the approximate count upward forever.
-            with self._count_lock:
-                is_new = not os.path.exists(path)
+            with self._lock:
                 os.replace(tmp_path, path)
-                if is_new and self._approx_count is not None:
-                    self._approx_count += 1
             self._kill_point("replaced", key)
         except BaseException as exc:
             killed = exc.__class__.__name__ == "KillPoint"
@@ -223,26 +191,14 @@ class ResultCache:
         finally:
             if not killed and os.path.exists(tmp_path):
                 os.unlink(tmp_path)
-        if self.max_entries is not None:
-            with self._count_lock:
-                if self._approx_count is None:
-                    self._approx_count = len(self._entries())
-                if self._approx_count > self.max_entries:
-                    self._evict()
         return path
 
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
-    def _entries(self) -> List[Tuple[int, str]]:
-        """All ``(mtime_ns, path)`` entries currently stored.
-
-        Recency is read at nanosecond resolution (``st_mtime_ns``):
-        whole-second ``getmtime`` would collapse every entry written
-        within the same second into one bucket, making "LRU" eviction
-        depend on hash-path order instead of actual access order.
-        """
-        entries: List[Tuple[int, str]] = []
+    def _entries(self) -> List[str]:
+        """The paths of all entries currently stored."""
+        entries: List[str] = []
         if not os.path.isdir(self.root):
             return entries
         for bucket in os.listdir(self.root):
@@ -250,13 +206,8 @@ class ResultCache:
             if not os.path.isdir(bucket_dir):
                 continue
             for name in os.listdir(bucket_dir):
-                if not name.endswith(".json") or name.startswith(".tmp-"):
-                    continue
-                path = os.path.join(bucket_dir, name)
-                try:
-                    entries.append((os.stat(path).st_mtime_ns, path))
-                except OSError:  # pragma: no cover - raced deletion
-                    continue
+                if name.endswith(".json") and not name.startswith(".tmp-"):
+                    entries.append(os.path.join(bucket_dir, name))
         return entries
 
     def __len__(self) -> int:
@@ -264,38 +215,15 @@ class ResultCache:
 
     def keys(self) -> List[str]:
         """All stored keys (unordered)."""
-        return [
-            os.path.splitext(os.path.basename(path))[0] for _, path in self._entries()
-        ]
-
-    def _evict(self) -> None:
-        """Remove least-recently-used entries beyond ``max_entries``.
-
-        Entries are ordered by nanosecond mtime; entries sharing the
-        exact same timestamp (coarse-mtime filesystems, frozen clocks)
-        tie-break deterministically in lexicographic path — i.e. key —
-        order, lowest key first.
-        """
-        with self._count_lock:
-            entries = self._entries()
-            excess = len(entries) - (self.max_entries or 0)
-            if excess > 0:
-                for _, path in sorted(entries)[:excess]:
-                    try:
-                        os.unlink(path)
-                    except OSError:  # pragma: no cover - raced deletion
-                        continue
-            self._approx_count = min(len(entries), self.max_entries or len(entries))
+        return [os.path.splitext(os.path.basename(path))[0] for path in self._entries()]
 
     def clear(self) -> int:
         """Remove every entry; returns the number removed."""
-        with self._count_lock:
-            entries = self._entries()
-            for _, path in entries:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - raced deletion
-                    continue
-            self._approx_count = 0
+        entries = self._entries()
+        for path in entries:
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - raced deletion
+                continue
         return len(entries)
 

@@ -127,11 +127,9 @@ class RunService:
             queue without limit.
         retry_after_s: advisory back-off, in seconds, sent to clients in
             the ``Retry-After`` header of 429/503 responses.
-        queue_journal: path of the queue's JSONL journal.  Defaults to
-            ``<cache>/queue/journal.jsonl`` when a cache is attached
-            (``persist_queue=False`` disables even that); without a
-            cache the queue is memory-only.
-        persist_queue: allow the default journal derivation above.
+
+    The job queue journals to ``<cache>/queue/journal.jsonl`` when a
+    cache is attached; without a cache it is memory-only.
     """
 
     def __init__(
@@ -140,8 +138,6 @@ class RunService:
         workers: int = 2,
         max_runs: int = 1024,
         retry_after_s: float = 5.0,
-        queue_journal: Optional[str] = None,
-        persist_queue: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -161,9 +157,12 @@ class RunService:
         self._runs: Dict[str, Dict[str, object]] = {}
 
         self.events = EventBroker(max_channels=max(max_runs, 16))
-        if queue_journal is None and persist_queue and self._cache is not None:
-            queue_journal = os.path.join(self._cache.root, "queue", "journal.jsonl")
-        self._queue = JobQueue(journal_path=queue_journal)
+        journal = (
+            None
+            if self._cache is None
+            else os.path.join(self._cache.root, "queue", "journal.jsonl")
+        )
+        self._queue = JobQueue(journal_path=journal)
         self._recover_queue()
         self._workers = [
             threading.Thread(

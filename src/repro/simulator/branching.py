@@ -118,8 +118,6 @@ class BranchingDriver:
         n: ring size.
         multiplicity_detection: grant local multiplicity detection (the
             gathering capability) when building snapshots.
-        pool_size: bound of the internal configuration pool; revisited
-            occupancy vectors reuse memoised gap/supermin/symmetry state.
 
     Attributes:
         plan_classes: option computations answered by one global plan.
@@ -133,13 +131,13 @@ class BranchingDriver:
         n: int,
         *,
         multiplicity_detection: bool = False,
-        pool_size: int = 1 << 15,
     ) -> None:
         self.algorithm = algorithm
         self.n = n
         self.ring = Ring(n)
         self.multiplicity_detection = multiplicity_detection
-        self._pool = ConfigurationPool(pool_size)
+        # Revisited occupancy vectors reuse memoised gap/supermin/symmetry state.
+        self._pool = ConfigurationPool(1 << 15)
         self._decisions = DecisionCache(maxsize=1 << 15)
         self._options_cache: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
         self._canon_options: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}

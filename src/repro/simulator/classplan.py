@@ -59,7 +59,7 @@ _Entry = Tuple[Dict[int, int], FrozenSet[int]]
 
 def look_direction(
     algorithm: Algorithm,
-    decisions: Optional[DecisionCache],
+    decisions: DecisionCache,
     configuration: Configuration,
     node: int,
     first_is_cw: bool,
@@ -68,8 +68,8 @@ def look_direction(
     """One exact Look + Compute: the global direction of the robot on ``node``.
 
     Builds the robot's :class:`Snapshot` with the clockwise view first
-    when ``first_is_cw``, asks ``algorithm`` (through ``decisions`` when
-    given) and maps the decision back to the ring: :data:`CW`,
+    when ``first_is_cw``, asks ``algorithm`` through ``decisions`` and
+    maps the decision back to the ring: :data:`CW`,
     :data:`CCW`, or ``0`` when the robot idles.
     """
     cw_view, ccw_view = configuration.views_of(node)
@@ -79,10 +79,7 @@ def look_direction(
         views=views,
         on_multiplicity=multiplicity_detection and configuration.multiplicity(node) > 1,
     )
-    if decisions is not None:
-        decision = decisions.compute(algorithm, snapshot)
-    else:
-        decision = algorithm.compute(snapshot)
+    decision = decisions.compute(algorithm, snapshot)
     if decision.is_idle:
         return 0
     first_direction = CW if first_is_cw else CCW
@@ -133,7 +130,7 @@ class ConfigurationPool:
 
 def snapshot_options(
     algorithm: Algorithm,
-    decisions: Optional[DecisionCache],
+    decisions: DecisionCache,
     configuration: Configuration,
     multiplicity_detection: bool,
 ) -> Dict[int, Tuple[int, ...]]:
@@ -199,7 +196,7 @@ class ClassPlanTable:
         n: int,
         *,
         pool: ConfigurationPool,
-        decisions: Optional[DecisionCache] = None,
+        decisions: DecisionCache,
         multiplicity_detection: bool = False,
     ) -> None:
         self.algorithm = algorithm

@@ -45,10 +45,9 @@ class Simulator(BatchLaneView):
         ring_size: required when ``initial`` is a position sequence.
         scheduler: activation policy; defaults to a round-robin
             sequential scheduler.
-        options: the engine's model and tuning knobs
-            (exclusivity, multiplicity detection, presentation seed,
-            collision policy, chirality, decision cache and pool
-            bounds) as one :class:`~repro.simulator.options.EngineOptions`
+        options: the robot model (exclusivity, multiplicity
+            detection, presentation seed, collision policy, chirality)
+            as one :class:`~repro.simulator.options.EngineOptions`
             bundle; defaults to ``EngineOptions()``.  A violated
             exclusivity raises :class:`CollisionError` unless the
             collision policy is ``"record"``.
@@ -118,8 +117,8 @@ class Simulator(BatchLaneView):
         return self.options.exclusive
 
     @property
-    def decision_cache(self) -> Optional[DecisionCache]:
-        """The engine's decision cache (``None`` when disabled)."""
+    def decision_cache(self) -> DecisionCache:
+        """The engine's decision cache."""
         return self._engine.decision_cache
 
     @property

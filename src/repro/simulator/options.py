@@ -1,15 +1,15 @@
-"""Engine option bundle shared by every execution path.
+"""The robot model a simulation runs under, shared by every execution path.
 
-The engine's model and tuning knobs (``exclusive``,
-``multiplicity_detection``, ``presentation_seed``, ``collision_policy``,
-``chirality``, ``decision_cache``, ``decision_cache_size``,
-``config_pool_size``) travel as one frozen, JSON-serialisable
-:class:`EngineOptions` value — the only way to pass them to
-:class:`~repro.simulator.engine.Simulator`, the
+The model's assumptions (``exclusive``, ``multiplicity_detection``,
+``presentation_seed``, ``collision_policy``, ``chirality``) travel as
+one frozen, JSON-serialisable :class:`EngineOptions` value — the only
+way to pass them to :class:`~repro.simulator.engine.Simulator`, the
 :mod:`~repro.simulator.runner` helpers, the demo CLI and the experiment
 modules.  Build it once, hand the same object to any layer, embed it
 verbatim in a :class:`~repro.runs.spec.RunSpec`: its canonical JSON form
-is part of the content-addressed result-cache key.
+is part of the content-addressed result-cache key.  So every field
+changes what a run computes; the engine's memo bounds are the module
+constants below, not options.
 """
 
 from __future__ import annotations
@@ -19,18 +19,18 @@ from typing import Dict
 
 __all__ = ["EngineOptions", "DEFAULT_CONFIG_POOL_SIZE", "DEFAULT_DECISION_CACHE_SIZE"]
 
-#: Default bound of an algorithm's decision cache
-#: (:class:`~repro.model.algorithm.DecisionCache`); the engine, the
-#: runners and the CLI all share this value.
+#: Bound of an algorithm's decision cache
+#: (:class:`~repro.model.algorithm.DecisionCache`) and of the engine's
+#: Look table.
 DEFAULT_DECISION_CACHE_SIZE = 4096
 
-#: Default bound of the engine's configuration pool.
+#: Smallest bound of the engine's configuration pool.
 DEFAULT_CONFIG_POOL_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """The complete, immutable set of engine model/tuning knobs.
+    """The complete, immutable robot model of one simulation.
 
     Attributes:
         exclusive: enforce the exclusivity property (at most one robot
@@ -43,14 +43,6 @@ class EngineOptions:
         collision_policy: ``"raise"`` (default) or ``"record"``.
         chirality: present the clockwise view first, granting a common
             sense of direction (stronger than min-CORDA; baselines only).
-        decision_cache: memoise ``algorithm.compute`` per snapshot, and
-            each whole Look per ``(counts, node, presentation order)``;
-            disable to force one ``compute`` per Look.  Traces are
-            identical either way.
-        decision_cache_size: bound of the decision LRU and of the Look
-            table (any positive bound yields identical traces).
-        config_pool_size: bound of the configuration-pool LRU (any
-            positive bound yields identical traces).
     """
 
     exclusive: bool = True
@@ -58,21 +50,14 @@ class EngineOptions:
     presentation_seed: int = 0
     collision_policy: str = "raise"
     chirality: bool = False
-    decision_cache: bool = True
-    decision_cache_size: int = DEFAULT_DECISION_CACHE_SIZE
-    config_pool_size: int = DEFAULT_CONFIG_POOL_SIZE
 
     def __post_init__(self) -> None:
         # Strict type checks: option documents arrive over HTTP, where a
         # JSON string like "false" is truthy — silently accepting it
         # would run (and cache) the opposite of what the client asked.
-        for name in ("exclusive", "multiplicity_detection", "chirality", "decision_cache"):
+        for name in ("exclusive", "multiplicity_detection", "chirality"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
-        for name in ("decision_cache_size", "config_pool_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         # No ``None``: ``random.Random(None)`` seeds from the OS, so one
         # content-addressed run id would name a different trace per run.
         if not isinstance(self.presentation_seed, int) or isinstance(
@@ -83,10 +68,6 @@ class EngineOptions:
             )
         if self.collision_policy not in ("raise", "record"):
             raise ValueError("collision_policy must be 'raise' or 'record'")
-        if self.decision_cache_size < 1:
-            raise ValueError("decision_cache_size must be >= 1")
-        if self.config_pool_size < 1:
-            raise ValueError("config_pool_size must be >= 1")
 
     def with_overrides(self, **overrides: object) -> "EngineOptions":
         """A copy with the given fields replaced (validated again)."""

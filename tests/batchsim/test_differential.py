@@ -9,7 +9,8 @@ representation hashed into run payloads and summaries — or, where events
 are not recorded, the aggregate counters and the presentation RNG state.
 The matrix covers every scheduler, plan-table (pure global rule) and
 Look-table algorithms, collision and precondition aborts, and the
-periodic orbit fast-forward.
+periodic orbit fast-forward; the ``memo_bounds`` cases run again with
+every memo bound of the engine at 1.
 """
 
 import logging
@@ -107,10 +108,18 @@ def batch_outcome(algorithm_factory, configuration, scheduler_factory, options, 
         return (type(error).__name__, str(error), engine.lane_trace(0).canonical_bytes())
 
 
+@pytest.fixture(params=["default-bounds", "bounds-1"])
+def memo_bounds(request):
+    """Run a test at the engine's memo bounds, and again with every bound at 1."""
+    if request.param == "bounds-1":
+        request.getfixturevalue("memo_bounds_of_one")
+    return request.param
+
+
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULER_FACTORIES))
 @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
 class TestByteIdentity:
-    def test_traces_byte_identical(self, algorithm_name, scheduler_name):
+    def test_traces_byte_identical(self, algorithm_name, scheduler_name, memo_bounds):
         algorithm_factory, options = ALGORITHMS[algorithm_name]
         scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
         configurations = sample_configurations(12, 5, 4)
@@ -126,6 +135,8 @@ class TestByteIdentity:
             scheduler_factory=scheduler_factory,
             options=options,
         )
+        if memo_bounds == "bounds-1":
+            assert engine.pool.maxsize == engine.decision_cache.maxsize == 1
         engine.run(60)
         batched = [
             (None, None, engine.lane_trace(i).canonical_bytes())
@@ -134,26 +145,14 @@ class TestByteIdentity:
         assert batched == reference
 
 
-CACHE_OPTIONS = pytest.mark.parametrize(
-    "cache_options",
-    [
-        {"decision_cache": True},
-        {"decision_cache": False},
-        {"decision_cache": True, "decision_cache_size": 2},
-    ],
-    ids=["cache-on", "cache-off", "cache-size-2"],
-)
-
-
-@CACHE_OPTIONS
 @pytest.mark.parametrize("scheduler_name", ["round_robin", "asynchronous"])
 class TestGreedyBaselineLanes:
     """E5's greedy strawman: slow-path lanes sharing one Look table."""
 
-    def test_traces_byte_identical(self, cache_options, scheduler_name):
+    def test_traces_byte_identical(self, memo_bounds, scheduler_name):
         from repro.experiments.e5_gathering import _BASELINE_OPTIONS
 
-        options = _BASELINE_OPTIONS.with_overrides(**cache_options)
+        options = _BASELINE_OPTIONS
         scheduler_factory = SCHEDULER_FACTORIES[scheduler_name]
         configurations = rigid_configurations(11, 5)[:8]
         steps = 200
@@ -577,12 +576,11 @@ class TestLookTableFastForward:
     presentation RNG state must all equal the per-run engine's.
     """
 
-    @CACHE_OPTIONS
     @pytest.mark.parametrize("chirality", [False, True], ids=["draws", "chirality"])
-    def test_greedy_lanes_match_per_run(self, cache_options, chirality):
+    def test_greedy_lanes_match_per_run(self, memo_bounds, chirality):
         from repro.experiments.e5_gathering import _BASELINE_OPTIONS
 
-        options = _BASELINE_OPTIONS.with_overrides(chirality=chirality, **cache_options)
+        options = _BASELINE_OPTIONS.with_overrides(chirality=chirality)
         n, k = 11, 5
         steps = 30 * n * k + 200
         configurations = rigid_configurations(n, k)
@@ -797,12 +795,11 @@ def _reference_gathering_states(cells, options):
 class TestGatheringLanes:
     """E5/E7 Gathering lanes equal the reference and one ``run_gathering`` per start."""
 
-    @CACHE_OPTIONS
     @pytest.mark.parametrize(
         "cells", [_e5_quick_cells, _e7_quick_cells], ids=["e5-quick", "e7-quick"]
     )
-    def test_lanes_match_run_gathering(self, cells, cache_options):
-        options = EngineOptions(exclusive=False, multiplicity_detection=True, **cache_options)
+    def test_lanes_match_run_gathering(self, cells, memo_bounds):
+        options = EngineOptions(exclusive=False, multiplicity_detection=True)
         reference = _reference_gathering_states(cells, options)
         calls = {"per-run": 0, "lanes": 0}
         phase = "per-run"
@@ -868,19 +865,6 @@ class TestOneLanePlanRule:
         two = BatchEngine(CountingAlign(), starts)
         two.run(200)
         assert calls["global_plan"] > 0 and calls["self_check"] > 0
-        assert one.lane_trace(0).canonical_bytes() == two.lane_trace(0).canonical_bytes()
-
-    def test_one_lane_honours_the_pool_bound(self):
-        """A one-lane engine (every Simulator) keeps ``config_pool_size``
-        as given, so the golden cells at LRU bound 1 run a pool of 1."""
-        starts = sample_configurations(12, 5, 2)
-        options = EngineOptions(config_pool_size=1)
-        one = BatchEngine(AlignAlgorithm(), starts[:1], options=options)
-        assert one.pool.maxsize == 1
-        one.run(200)
-        two = BatchEngine(AlignAlgorithm(), starts, options=options)
-        assert two.pool.maxsize == 64
-        two.run(200)
         assert one.lane_trace(0).canonical_bytes() == two.lane_trace(0).canonical_bytes()
 
 

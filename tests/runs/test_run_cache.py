@@ -1,9 +1,8 @@
-"""Tests for the content-addressed result cache: hit/miss/eviction/dedup."""
+"""Tests for the content-addressed result cache: hit/miss/races/dedup."""
 
 import json
 import os
 import threading
-import time
 
 import pytest
 
@@ -54,35 +53,14 @@ class TestHitMiss:
         assert cache.clear() == 2
         assert len(cache) == 0
 
-
-class TestEviction:
-    def test_lru_eviction_beyond_max_entries(self, tmp_path):
-        cache = ResultCache(str(tmp_path), max_entries=2)
-        keys = ["a" * 64, "b" * 64, "c" * 64]
-        for index, key in enumerate(keys):
-            path = cache.put(key, {"i": index})
-            # Distinct mtimes make the LRU order deterministic.
-            os.utime(path, (1000 + index, 1000 + index))
-        assert len(cache) == 2
-        assert cache.get(keys[0]) is None  # oldest evicted
-        assert cache.get(keys[1]) is not None
-        assert cache.get(keys[2]) is not None
-
-    def test_get_refreshes_recency(self, tmp_path):
-        cache = ResultCache(str(tmp_path), max_entries=2)
-        old, young = "a" * 64, "b" * 64
-        os.utime(cache.put(old, {}), (1000, 1000))
-        os.utime(cache.put(young, {}), (2000, 2000))
-        assert cache.get(old) is not None  # touch -> now the youngest
-        newest = "c" * 64
-        path = cache.put(newest, {})
-        os.utime(path, (time.time(), time.time()))
-        assert cache.get(old) is not None
-        assert cache.get(young) is None  # the untouched one was evicted
-
-    def test_max_entries_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(str(tmp_path), max_entries=0)
+    def test_get_writes_nothing(self, tmp_path):
+        """A hit neither rewrites nor touches its entry."""
+        cache = ResultCache(str(tmp_path))
+        key = "a" * 64
+        path = cache.put(key, {"payload": 1})
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        assert cache.get(key) == {"payload": 1}
+        assert os.stat(path).st_mtime_ns == 1_000_000_000
 
     def test_non_digest_keys_rejected_before_touching_disk(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -192,37 +170,17 @@ class TestCampaignDeduplication:
         assert report_b.cached == []
 
 
-class TestApproxCountDrift:
-    """Regressions for the incremental-count drift bugs.
+class TestConcurrentWrites:
+    """A corrupt-entry removal and concurrent puts never lose a valid entry."""
 
-    The approximate entry count must track the filesystem: a corrupt
-    entry removed by get() has to decrement it, and two threads putting
-    the same *new* key must count it once, not twice.  Drift in either
-    direction makes a bounded cache evict too early or too late.
-    """
-
-    def test_corrupt_entry_removal_decrements_the_count(self, tmp_path):
-        cache = ResultCache(str(tmp_path), max_entries=10)
-        keys = ["a" * 64, "b" * 64, "c" * 64]
-        for key in keys:
-            cache.put(key, {"payload": 1})
-        assert cache._approx_count == 3
-        path = cache._path(keys[0])
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{torn")
-        assert cache.get(keys[0]) is None  # corrupt: removed
-        assert cache._approx_count == len(cache) == 2
-
-    def test_concurrent_same_key_puts_count_once(self, tmp_path, monkeypatch):
+    def test_concurrent_same_key_puts_leave_one_entry(self, tmp_path, monkeypatch):
         import tempfile
 
-        cache = ResultCache(str(tmp_path), max_entries=10)
-        cache.put("a" * 64, {"payload": 0})  # prime the incremental count
-        assert cache._approx_count == 1
+        cache = ResultCache(str(tmp_path))
+        cache.put("a" * 64, {"payload": 0})
 
-        # Hold both threads at the tmp-file step so each has passed any
-        # pre-write existence check before either replaces the entry —
-        # the interleaving in which the old code double-counted.
+        # Hold both threads at the tmp-file step so each has written its
+        # temp file before either replaces the entry.
         barrier = threading.Barrier(2, timeout=10)
         real_mkstemp = tempfile.mkstemp
 
@@ -245,8 +203,7 @@ class TestApproxCountDrift:
             thread.join(timeout=30)
         assert not any(thread.is_alive() for thread in threads)
         assert len(cache) == 2
-        assert cache._approx_count == 2  # old code: 3
-
+        assert cache.get("b" * 64) == {"payload": 1}
 
     @pytest.mark.parametrize("second_put", [False, True])
     def test_plain_miss_racing_puts_keeps_the_fresh_entry(
@@ -255,18 +212,15 @@ class TestApproxCountDrift:
         """A get() miss must never delete what a concurrent put() wrote.
 
         Forced interleaving, one thread, no sleeps: get()'s open() fails
-        with FileNotFoundError, then a put() creates the entry (counted)
-        before get() reacts.  The old get() saw the file exist and
-        unlinked the fresh entry outside the lock.  With ``second_put``,
-        a second put() of the same key — which judged it "not new" under
-        the lock — lands its ``os.replace`` right after that unlink,
-        restoring the file uncounted while get() still decremented: the
-        count ended one below ``len(cache)``.
+        with FileNotFoundError, then a put() creates the entry before
+        get() reacts.  The old get() saw the file exist and unlinked the
+        fresh entry outside the lock.  With ``second_put``, a second
+        put() of the same key lands right after any such unlink.
         """
         import repro.runs.cache as cache_module
 
-        cache = ResultCache(str(tmp_path), max_entries=10)
-        cache.put("a" * 64, {"payload": 0})  # prime the incremental count
+        cache = ResultCache(str(tmp_path))
+        cache.put("a" * 64, {"payload": 0})
         key = "b" * 64
         path = cache._path(key)
         real_open, real_unlink = open, os.unlink
@@ -288,50 +242,4 @@ class TestApproxCountDrift:
         assert cache.get(key) is None  # the miss itself is correct
         monkeypatch.undo()
         assert cache.get(key) == {"payload": 1}
-        assert len(cache) == cache._approx_count == 2
-
-
-class TestNanosecondEviction:
-    """Regression: LRU eviction must order by st_mtime_ns, not seconds.
-
-    With whole-second getmtime, every entry written within one second
-    ties, and eviction order silently degrades to hash-path order.  The
-    mtimes here are frozen to the same second with sub-float-resolution
-    nanosecond offsets, so only a nanosecond-integer comparison can see
-    the true LRU order.
-    """
-
-    BASE_NS = 1_700_000_000 * 10**9
-
-    def _freeze(self, cache, key, offset_ns):
-        os.utime(
-            cache._path(key),
-            ns=(self.BASE_NS + offset_ns, self.BASE_NS + offset_ns),
-        )
-
-    def test_same_second_entries_evict_in_true_lru_order(self, tmp_path):
-        cache = ResultCache(str(tmp_path), max_entries=3)
-        for key in ("a" * 64, "b" * 64, "c" * 64):
-            cache.put(key, {"payload": 1})
-        # Path order says "a" is oldest; nanosecond recency says "c" is.
-        # The offsets are far below float-seconds resolution (~238ns at
-        # this epoch), so getmtime()-based ordering cannot distinguish
-        # them and would fall back to evicting "a".
-        self._freeze(cache, "a" * 64, 30)
-        self._freeze(cache, "b" * 64, 20)
-        self._freeze(cache, "c" * 64, 10)
-        cache.put("d" * 64, {"payload": 1})  # over the bound: evict one
-        remaining = sorted(cache.keys())
-        assert "c" * 64 not in remaining, "true LRU entry must be evicted"
-        assert "a" * 64 in remaining and "b" * 64 in remaining
-
-    def test_identical_timestamps_tie_break_deterministically(self, tmp_path):
-        cache = ResultCache(str(tmp_path))  # unbounded while seeding
-        for key in ("b" * 64, "c" * 64, "a" * 64):
-            cache.put(key, {"payload": 1})
-            self._freeze(cache, key, 0)  # all three truly identical
-        cache.max_entries = 2
-        cache._evict()
-        # Documented tie-break: lexicographic path (= key) order,
-        # lowest key first — fully deterministic on any filesystem.
-        assert sorted(cache.keys()) == ["b" * 64, "c" * 64]
+        assert len(cache) == 2

@@ -197,5 +197,17 @@ class TestSpecCoercionErrors:
             spec_from_jsonable({"kind": "verify", "task": "searching", "cells": [3, 6]})
         with pytest.raises(ValueError):
             spec_from_jsonable(
-                {"kind": "simulate", "engine": {"decision_cache_size": "big"}}
+                {"kind": "simulate", "engine": {"presentation_seed": "big"}}
             )
+
+    def test_removed_engine_fields_are_unknown(self):
+        """The memo bounds are no longer options: naming one is an error."""
+        from repro.runs import spec_from_jsonable
+
+        for name, value in (
+            ("decision_cache", False),
+            ("decision_cache_size", 1),
+            ("config_pool_size", 1),
+        ):
+            with pytest.raises(ValueError, match="unknown EngineOptions field"):
+                spec_from_jsonable({"kind": "simulate", "engine": {name: value}})

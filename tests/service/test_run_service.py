@@ -146,7 +146,8 @@ class TestServiceRobustness:
     def test_structurally_wrong_spec_is_400_not_a_crash(self, server):
         for document in (
             {"kind": "verify", "task": "searching", "cells": [3, 6]},
-            {"kind": "simulate", "engine": {"decision_cache_size": "big"}},
+            {"kind": "simulate", "engine": {"presentation_seed": "big"}},
+            {"kind": "simulate", "engine": {"decision_cache": False}},
             {"kind": "simulate", "algorithm": "sweep", "n": 11, "k": 4, "steps": 300,
              "seed": 5, "engine": {"presentation_seed": None}},
         ):

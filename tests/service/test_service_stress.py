@@ -1,15 +1,13 @@
-"""Concurrent-service stress test: parallel submits against a bounded cache.
+"""Concurrent-service stress test: parallel submits against one cache.
 
 Many client threads hammer one :class:`RunService` with a mix of
 *identical* specs (every thread submits the same spec — deduplication
 must collapse them to one execution) and *distinct* specs (each must
-execute exactly once).  The backing cache is bounded below the number of
-distinct specs, so eviction sweeps run concurrently with gets/puts.
+execute exactly once).
 
 Asserted after the dust settles: no duplicated execution, no lost runs,
-payloads byte-identical to direct ``runs.execute``, and the cache's
-incremental ``_approx_count`` agreeing with a full filesystem rescan
-(``__len__``).
+payloads byte-identical to direct ``runs.execute``, and exactly one
+cache entry per distinct spec.
 
 The counters are read as soon as every run is visibly settled, which is
 only sound because a run is journaled and counted *before* its terminal
@@ -41,9 +39,6 @@ SUBMITS_PER_CLIENT = 10
 
 def test_parallel_identical_and_distinct_submits(tmp_path):
     service = RunService(ExecutionContext(cache=str(tmp_path / "cache")), workers=4, max_runs=1024)
-    # Bound the cache *below* the distinct-spec count so eviction runs
-    # concurrently with the submit/get/put traffic.
-    service._cache.max_entries = 6
 
     submitted_ids = []
     ids_lock = threading.Lock()
@@ -100,11 +95,7 @@ def test_parallel_identical_and_distinct_submits(tmp_path):
             direct.payload, sort_keys=True
         )
 
-    # The incremental count agrees with a full rescan after the dust
-    # settles (the _approx_count drift bugs would break this).
-    cache = service._cache
-    assert len(cache) == cache._approx_count
-    assert len(cache) <= 6
+    assert len(service._cache) == len(distinct)
 
     service.shutdown()
 

@@ -9,6 +9,7 @@ from repro.core.configuration import Configuration
 from repro.core.cyclic import reflect, rotate
 from repro.core.ring import CCW, CW
 from repro.model import GlobalRuleAlgorithm
+from repro.model.algorithm import DecisionCache
 from repro.simulator.branching import BranchingDriver
 from repro.simulator.classplan import SELF_CHECKS, ClassPlanTable, ConfigurationPool
 
@@ -18,7 +19,9 @@ AXIS_START = (1, 1, 1, 0, 0, 1, 0, 0)
 
 
 def table_for(algorithm, n, **kwargs):
-    return ClassPlanTable(algorithm, n, pool=ConfigurationPool(), **kwargs)
+    return ClassPlanTable(
+        algorithm, n, pool=ConfigurationPool(), decisions=DecisionCache(), **kwargs
+    )
 
 
 class CountingAlign(AlignAlgorithm):

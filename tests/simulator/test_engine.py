@@ -342,30 +342,3 @@ class TestSnapshotDelivery:
         engine = Simulator(Capture(), cfg, options=EngineOptions(presentation_seed=123))
         engine.run(40)
         assert len(set(firsts)) > 1
-
-
-class TestEngineSizeKnobs:
-    def test_invalid_bounds_rejected(self):
-        cfg = Configuration.from_occupied(8, [0, 3, 5])
-        with pytest.raises(ValueError):
-            Simulator(IdleAlgorithm(), cfg, options=EngineOptions(config_pool_size=0))
-        with pytest.raises(ValueError):
-            Simulator(IdleAlgorithm(), cfg, options=EngineOptions(decision_cache_size=0))
-
-    def test_decision_cache_size_forwarded(self):
-        cfg = Configuration.from_occupied(8, [0, 3, 5])
-        engine = Simulator(IdleAlgorithm(), cfg, options=EngineOptions(decision_cache_size=2))
-        assert engine.decision_cache.maxsize == 2
-
-    def test_runner_forwards_bounds(self):
-        cfg = Configuration.from_occupied(9, [0, 1, 3, 6])
-        baseline, _ = simulate(
-            AlignAlgorithm(), cfg, steps=40, options=EngineOptions(presentation_seed=4)
-        )
-        bounded, _ = simulate(
-            AlignAlgorithm(), cfg, steps=40,
-            options=EngineOptions(
-                presentation_seed=4, decision_cache_size=1, config_pool_size=1
-            ),
-        )
-        assert baseline.canonical_bytes() == bounded.canonical_bytes()

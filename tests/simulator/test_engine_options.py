@@ -27,11 +27,16 @@ class TestEngineOptions:
         with pytest.raises(ValueError):
             EngineOptions(collision_policy="ignore")
         with pytest.raises(ValueError):
-            EngineOptions(decision_cache_size=0)
-        with pytest.raises(ValueError):
-            EngineOptions(config_pool_size=0)
-        with pytest.raises(ValueError):
             EngineOptions.from_jsonable({"chirality": True, "verbosity": 9})
+
+    def test_exactly_the_model_fields(self):
+        assert [f.name for f in fields(EngineOptions)] == [
+            "exclusive",
+            "multiplicity_detection",
+            "presentation_seed",
+            "collision_policy",
+            "chirality",
+        ]
 
     def test_null_presentation_seed_rejected(self):
         # A None seed would draw from OS entropy: one run id, many traces.
@@ -51,10 +56,9 @@ class TestEngineOptions:
 
 class TestEngineIntegration:
     def test_engine_accepts_options_bundle(self):
-        options = EngineOptions(presentation_seed=7, decision_cache=False)
+        options = EngineOptions(presentation_seed=7)
         engine = Simulator(AlignAlgorithm(), _start(), options=options)
         assert engine.options == options
-        assert engine.decision_cache is None
 
     @pytest.mark.parametrize("name", [f.name for f in fields(EngineOptions)])
     def test_engine_knob_keywords_are_gone(self, name):
@@ -62,6 +66,59 @@ class TestEngineIntegration:
         value = getattr(EngineOptions(), name)
         with pytest.raises(TypeError, match="unexpected keyword"):
             Simulator(AlignAlgorithm(), _start(), **{name: value})
+
+
+#: Per field: a ``simulate`` document and two values of the field that
+#: give different payloads, or where one of the two runs raises.
+FIELD_CASES = {
+    "exclusive": (
+        {"algorithm": "gathering", "n": 9, "k": 4, "steps": 50,
+         "initial": [2, 0, 1, 0, 0, 1, 0, 0, 0],
+         "engine": {"multiplicity_detection": True}},
+        True, False,
+    ),
+    "multiplicity_detection": (
+        {"algorithm": "gathering", "n": 9, "k": 4, "seed": 7, "steps": 400,
+         "scheduler": "asynchronous", "engine": {"exclusive": False}},
+        True, False,
+    ),
+    "presentation_seed": (
+        {"algorithm": "sweep", "n": 12, "k": 5, "seed": 3, "steps": 100,
+         "engine": {"collision_policy": "record"}},
+        0, 1,
+    ),
+    "collision_policy": (
+        {"algorithm": "sweep", "n": 12, "k": 5, "steps": 60, "scheduler": "synchronous"},
+        "raise", "record",
+    ),
+    "chirality": (
+        {"algorithm": "sweep", "n": 12, "k": 5, "seed": 3, "steps": 100,
+         "engine": {"collision_policy": "record"}},
+        False, True,
+    ),
+}
+
+
+class TestEveryFieldShapesTheResult:
+    """An option enters the run id, so each one must change what a run computes."""
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(EngineOptions)])
+    def test_field_changes_the_payload_or_raises(self, name):
+        from repro.runs import execute, spec_from_jsonable
+
+        if name not in FIELD_CASES:
+            pytest.fail(f"no simulate spec shows that {name!r} changes a result")
+        document, first, second = FIELD_CASES[name]
+        outcomes = []
+        for value in (first, second):
+            engine = dict(document.get("engine", {}), **{name: value})
+            spec = spec_from_jsonable(dict(document, kind="simulate", engine=engine))
+            try:
+                outcomes.append(execute(spec).payload)
+            except Exception as error:  # noqa: BLE001 - an abort is a result too
+                outcomes.append(error)
+        raised = any(isinstance(outcome, Exception) for outcome in outcomes)
+        assert raised or outcomes[0] != outcomes[1]
 
 
 class TestRunnerKeywords:

@@ -3,10 +3,9 @@
 One committed byte-exact trace per task (algorithm, scheduler, seed
 cell).  Any change to the engine, the schedulers, the decision cache or
 the algorithms that alters a single executed step shows up as a byte
-diff against these files.  The same cells are replayed with the decision
-cache disabled and with the engine's LRU bounds forced to 1, asserting
-the caches are pure optimisations, and through the naive reference
-stepper (``tests/reference_stepper.py``), which shares no stepping code
+diff against these files.  The same cells are replayed with the engine's
+memo bounds forced to 1, asserting the memos are pure optimisations, and
+through the naive reference stepper (``tests/reference_stepper.py``), which shares no stepping code
 with the engine.
 
 Regenerate after an *intentional* behaviour change with::
@@ -89,17 +88,12 @@ class TestGoldenTraces:
             expected = handle.read()
         assert run_cell(name) == expected
 
-    def test_decision_cache_off_is_byte_identical(self, name):
+    def test_memo_bounds_of_one_are_byte_identical(self, name, memo_bounds_of_one):
+        """A configuration pool, decision cache and Look table bounded at
+        1 only change hit rates, never the executed steps."""
         with open(golden_path(name), "rb") as handle:
             expected = handle.read()
-        assert run_cell(name, decision_cache=False) == expected
-
-    def test_lru_bounds_of_one_are_byte_identical(self, name):
-        """A configuration pool and decision cache bounded at 1 only
-        change hit rates, never the executed steps."""
-        with open(golden_path(name), "rb") as handle:
-            expected = handle.read()
-        assert run_cell(name, decision_cache_size=1, config_pool_size=1) == expected
+        assert run_cell(name) == expected
 
     def test_reference_stepper_matches_committed_bytes(self, name):
         with open(golden_path(name), "rb") as handle:

@@ -22,6 +22,7 @@ from repro.scheduler import (
 )
 from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
+from reference_stepper import ReferenceStepper
 
 RIGID_START = Configuration.from_occupied(12, [0, 2, 5, 6, 9])
 
@@ -135,32 +136,31 @@ class TestDecisionCache:
     @pytest.mark.parametrize("options_name", sorted(CACHE_TEST_OPTIONS))
     @pytest.mark.parametrize("scheduler_name", ["sequential", "synchronous", "asynchronous"])
     @pytest.mark.parametrize("algorithm_factory", [AlignAlgorithm, GreedyGatherBaseline])
-    def test_cached_and_uncached_traces_byte_identical(
-        self, scheduler_name, algorithm_factory, options_name
+    def test_memo_bounds_never_change_a_trace(
+        self, scheduler_name, algorithm_factory, options_name, request
     ):
         """The decision cache and the Look table never change a trace.
 
-        Covers the default bound, a bound of 2 (the Look table is cleared
-        over and over) and no cache at all; the asynchronous scheduler
-        splits LOOK and MOVE steps.
+        Covers the default bounds and bounds of 1 (every memo evicts on
+        nearly every insert) against the naive reference stepper; the
+        asynchronous scheduler splits LOOK and MOVE steps.
         """
-        traces = []
-        for cache_options in (
-            {"decision_cache": True},
-            {"decision_cache": True, "decision_cache_size": 2},
-            {"decision_cache": False},
-        ):
-            engine = Simulator(
+        options = EngineOptions(presentation_seed=42, **CACHE_TEST_OPTIONS[options_name])
+
+        def fingerprint(runner):
+            engine = runner(
                 algorithm_factory(),
                 RIGID_START,
                 scheduler=make_scheduler(scheduler_name, seed=7),
-                options=EngineOptions(
-                    presentation_seed=42, **CACHE_TEST_OPTIONS[options_name], **cache_options
-                ),
+                options=options,
             )
             engine.run(120)
-            traces.append(trace_fingerprint(engine.trace))
-        assert traces[0] == traces[1] == traces[2]
+            return trace_fingerprint(engine.trace)
+
+        expected = fingerprint(ReferenceStepper)
+        assert fingerprint(Simulator) == expected
+        request.getfixturevalue("memo_bounds_of_one")
+        assert fingerprint(Simulator) == expected
 
     def test_cache_hits_on_repeated_views(self):
         engine = Simulator(
@@ -172,22 +172,17 @@ class TestDecisionCache:
         assert cache.hits > 0
         assert cache.misses <= len(cache) + cache.maxsize
 
-    def test_cache_disabled_means_no_cache(self):
-        engine = Simulator(AlignAlgorithm(), RIGID_START, options=EngineOptions(decision_cache=False))
-        assert engine.decision_cache is None
-        engine.run(10)
-
-    def test_cache_eviction_is_bounded(self):
+    def test_cache_eviction_is_bounded(self, memo_bounds_of_one):
         engine = Simulator(
             SweepAlgorithm(),
             Configuration.from_gaps((4,) * 6),
-            options=EngineOptions(chirality=True, decision_cache_size=2),
+            options=EngineOptions(chirality=True),
         )
         engine.run(40)
         cache = engine.decision_cache
-        assert cache.maxsize == 2
-        assert cache.misses > 2  # more distinct snapshots than room: evictions happened
-        assert len(cache) <= 2
+        assert cache.maxsize == 1
+        assert cache.misses > 1  # more distinct snapshots than room: evictions happened
+        assert len(cache) <= 1
 
     def test_invalid_cache_size_rejected(self):
         from repro.model.algorithm import DecisionCache
