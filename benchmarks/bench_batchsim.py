@@ -37,8 +37,13 @@ ALIGN_BUDGET = 40 * N * K + 200
 #: Perpetual ring-clearing step budget per lane.
 CLEARING_STEPS = SUITE.steps_factor * N * K
 
-#: Minimal accepted combined speedup on the 1-core reference container.
-REQUIRED_SPEEDUP = 20.0
+#: Minimal accepted combined speedup.  Since one-lane engines share the
+#: process-wide class-plan table, the per-run side runs about 2.9x
+#: faster (medians of 5 alternating runs on 2 cores: 6.28 s before,
+#: 2.19 s after), so the gate fell from 20x in the same proportion:
+#: 20 x 2.19 / 6.28, rounded up.  The batched side keeps the same
+#: absolute allowance, 1/20 of the old per-run time (0.31 s).
+REQUIRED_SPEEDUP = 7.0
 
 
 def _configurations(offset):

@@ -6,11 +6,11 @@ them one at a time and most of the work is Python-object overhead:
 snapshot construction, per-step trace objects, cold decision caches.
 :class:`BatchEngine` instead advances a ``(batch, n)`` occupancy matrix
 (one stdlib ``array`` row per lane) through Look-Compute-Move rounds,
-sharing one class-plan table
-(:class:`~repro.simulator.classplan.ClassPlanTable`), one Look table,
-one decision cache and one configuration pool across every lane.  A
-single run is a one-lane batch: :class:`~repro.simulator.engine.Simulator`
-is a facade over one, and builds no class-plan table.  Each lane draws
+sharing one Look table, one decision cache and one configuration pool
+across every lane, and the process-wide class-plan table
+(:class:`~repro.simulator.classplan.ClassPlanTable`) with every other
+engine.  A single run is a one-lane batch:
+:class:`~repro.simulator.engine.Simulator` is a facade over one.  Each lane draws
 its presentation RNG once per Look, plan steps and fast-forwarded steps
 included, never under chirality.
 

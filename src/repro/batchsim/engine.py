@@ -7,12 +7,11 @@ what :class:`~repro.simulator.engine.Simulator` wraps.  The batch state
 is one ``array('i')`` occupancy row per lane (its ``tobytes()`` is the
 lane's dict key); everything expensive is shared across lanes:
 
-* wherever the algorithm has a global plan for a support, one
-  :class:`~repro.simulator.classplan.ClassPlanTable` (the model
-  checker's) turns every Look into a dictionary hit keyed on the lane's
-  counts row — no snapshots, no per-view decision keys.  Only an engine
-  of two or more lanes builds the table: one lane would pay its
-  planning and self-check without sharing them;
+* wherever the algorithm has a global plan for a support, the
+  process-wide :class:`~repro.simulator.classplan.ClassPlanTable` of
+  the algorithm and ring size (shared with every other engine and with
+  the model checker) turns every Look into a dictionary hit keyed on the
+  lane's counts row — no snapshots, no per-view decision keys;
 * everywhere else a Look is exact
   (:func:`~repro.simulator.classplan.look_direction`), memoised by a
   :class:`LookTable` and a :class:`~repro.model.algorithm.DecisionCache`,
@@ -55,7 +54,7 @@ from ..model.algorithm import Algorithm, DecisionCache
 from ..scheduler.base import Activation, ActivationKind, Scheduler
 from ..scheduler.sequential import SequentialScheduler
 from ..scheduler.synchronous import SynchronousScheduler
-from ..simulator.classplan import ClassPlanTable, ConfigurationPool, look_direction
+from ..simulator.classplan import ConfigurationPool, look_direction, plan_table
 from ..simulator.options import (
     DEFAULT_CONFIG_POOL_SIZE,
     DEFAULT_DECISION_CACHE_SIZE,
@@ -290,20 +289,7 @@ class BatchEngine:
         self._decisions = DecisionCache(DEFAULT_DECISION_CACHE_SIZE)
         #: slow-path Look table keyed on the lane's row bytes, shared by all lanes.
         self._look_table = LookTable(DEFAULT_DECISION_CACHE_SIZE)
-        # A class plan pays for its planning and self-check only when
-        # several lanes share it: a one-lane engine (every Simulator)
-        # builds no table and takes the Look-table path throughout.
-        self._plan_table: Optional[ClassPlanTable] = (
-            ClassPlanTable(
-                algorithm,
-                self._n,
-                pool=self.pool,
-                decisions=self._decisions,
-                multiplicity_detection=self._multiplicity_detection,
-            )
-            if len(initials) > 1
-            else None
-        )
+        self._plan_table = plan_table(algorithm, self._n, self._multiplicity_detection)
         #: counts-row bytes -> the table's plan in that frame, or False.
         self._plans: Dict[bytes, object] = {}
         #: counts-row bytes -> plain counts tuple (shared across lanes).
@@ -533,8 +519,6 @@ class BatchEngine:
         off: it was self-checked, or the table had already stopped
         checking, and no later check can fail.
         """
-        if self._plan_table is None:
-            return False
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plan_table.plan(counts)
@@ -653,8 +637,7 @@ class BatchEngine:
         record = self._record_events
         exclusive = self._exclusive
         collision_raise = self._collision_raise
-        table = self._plan_table
-        plans = self._plans if table is not None and table.enabled else None
+        plans = self._plans if self._plan_table.enabled else None
         plan_for_key = self._plan_for_key
         direction_of = self._direction
         draw = None if self._chirality else lane.rng.random

@@ -88,6 +88,9 @@ class DecisionCache:
     is that ownership, which avoids keying on recyclable ``id()`` values.
     Schedulers that activate many robots on one configuration then pay
     one ``compute`` per distinct view instead of one per activation.
+    The process-wide class-plan tables
+    (:mod:`repro.simulator.classplan`) borrow no owner's cache: each
+    self-check asks through a fresh one.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_entries")

@@ -109,6 +109,22 @@ def _require_int(spec_kind: str, name: str, value: object) -> int:
     return value
 
 
+def _check_names(spec: Union["SimulateSpec", "BatchSweepSpec"]) -> None:
+    """Validate a simulation spec's registry names; store one scheduler name.
+
+    ``round_robin`` is stored as ``sequential``: both step the same
+    round-robin order, so they are one run with one run id.
+    """
+    names = [("algorithm", spec.algorithm, ALGORITHMS), ("scheduler", spec.scheduler, SCHEDULERS)]
+    if spec.stop is not None:
+        names.append(("stop condition", spec.stop, STOP_CONDITIONS))
+    for label, name, registry in names:
+        if name not in registry:
+            raise ValueError(f"unknown {label} {name!r}; expected one of {sorted(registry)}")
+    if spec.scheduler == "round_robin":
+        object.__setattr__(spec, "scheduler", "sequential")
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Base class of all run specifications (see module docstring)."""
@@ -142,7 +158,9 @@ class SimulateSpec(RunSpec):
             ``initial`` is ``None``) and of random schedulers.
         initial: explicit starting occupancy counts (length ``n``,
             summing to ``k``); ``None`` draws a random rigid start.
-        scheduler: registered scheduler name (see :data:`SCHEDULERS`).
+        scheduler: registered scheduler name (see :data:`SCHEDULERS`);
+            ``"round_robin"`` is stored as ``"sequential"``, the same
+            round-robin order.
         stop: optional early-stop condition name (see
             :data:`STOP_CONDITIONS`), checked after every step.
         engine: the full engine option bundle.
@@ -161,18 +179,7 @@ class SimulateSpec(RunSpec):
     engine: EngineOptions = field(default_factory=EngineOptions)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {sorted(ALGORITHMS)}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; expected one of {sorted(SCHEDULERS)}"
-            )
-        if self.stop is not None and self.stop not in STOP_CONDITIONS:
-            raise ValueError(
-                f"unknown stop condition {self.stop!r}; expected one of {sorted(STOP_CONDITIONS)}"
-            )
+        _check_names(self)
         for name in ("n", "k", "steps", "seed"):
             _require_int("simulate", name, getattr(self, name))
         if self.n < 3 or not 1 <= self.k <= self.n:
@@ -210,7 +217,8 @@ class BatchSweepSpec(RunSpec):
         steps: per-run step budget.
         seeds: one seed per run; each seeds that run's random rigid
             starting configuration and its scheduler (when random).
-        scheduler: registered scheduler name, shared by every run.
+        scheduler: registered scheduler name, shared by every run
+            (``"round_robin"`` is stored as ``"sequential"``).
         stop: optional early-stop condition name, shared by every run.
         engine: the engine option bundle, shared by every run.
     """
@@ -227,18 +235,7 @@ class BatchSweepSpec(RunSpec):
     engine: EngineOptions = field(default_factory=EngineOptions)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {sorted(ALGORITHMS)}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; expected one of {sorted(SCHEDULERS)}"
-            )
-        if self.stop is not None and self.stop not in STOP_CONDITIONS:
-            raise ValueError(
-                f"unknown stop condition {self.stop!r}; expected one of {sorted(STOP_CONDITIONS)}"
-            )
+        _check_names(self)
         for name in ("n", "k", "steps"):
             _require_int("batch_sweep", name, getattr(self, name))
         if self.n < 3 or not 1 <= self.k <= self.n:

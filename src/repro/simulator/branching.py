@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..core.configuration import Configuration
-from ..core.cyclic import PackedSequenceCodec, packed_codec
+from ..core.cyclic import packed_codec
 from ..core.errors import (
     AlgorithmPreconditionError,
     InvalidConfigurationError,
@@ -42,7 +42,7 @@ from ..core.errors import (
 from ..core.ring import CCW, CW, Ring
 from ..core.symmetry import dihedral_permutation_tables
 from ..model.algorithm import Algorithm, DecisionCache
-from .classplan import ClassPlanTable, ConfigurationPool, snapshot_options
+from .classplan import ConfigurationPool, plan_table, snapshot_options
 
 __all__ = [
     "IDLE",
@@ -139,21 +139,12 @@ class BranchingDriver:
         # Revisited occupancy vectors reuse memoised gap/supermin/symmetry state.
         self._pool = ConfigurationPool(1 << 15)
         self._decisions = DecisionCache(maxsize=1 << 15)
-        self._options_cache: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
         self._canon_options: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
-        self._compact_cache: Dict[Tuple[Counts, str], Tuple[CompactTransition, ...]] = {}
-        self._codecs: Dict[int, PackedSequenceCodec] = {}
         # One global plan per support class replaces up to 2k snapshot
-        # evaluations wherever the algorithm has one (see ClassPlanTable,
-        # which also self-checks it); other classes are evaluated per
-        # snapshot.
-        self._plan_table = ClassPlanTable(
-            algorithm,
-            n,
-            pool=self._pool,
-            decisions=self._decisions,
-            multiplicity_detection=multiplicity_detection,
-        )
+        # evaluations wherever the algorithm has one (the process-wide
+        # ClassPlanTable, which also self-checks it); other classes are
+        # evaluated per snapshot.
+        self._plan_table = plan_table(algorithm, n, multiplicity_detection)
         self.plan_classes = 0
         self.snapshot_classes = 0
 
@@ -163,13 +154,6 @@ class BranchingDriver:
     def configuration(self, counts: Counts) -> Configuration:
         """Pooled configuration for a validated occupancy vector."""
         return self._pool.configuration(counts)
-
-    def _codec(self, k: int) -> PackedSequenceCodec:
-        codec = self._codecs.get(k)
-        if codec is None:
-            codec = packed_codec(self.n, k)
-            self._codecs[k] = codec
-        return codec
 
     def node_options(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
         """Adversary-achievable outcomes per occupied node.
@@ -188,19 +172,14 @@ class BranchingDriver:
         through the precomputed permutation tables, which collapses the
         number of algorithm invocations by up to ``2 n``.
         """
-        cached = self._options_cache.get(counts)
-        if cached is not None:
-            return cached
-        codec = self._codec(sum(counts))
+        codec = packed_codec(self.n, sum(counts))
         _, flip, r = codec.canonical_with_transform(codec.pack(counts))
-        if flip == 0 and r == 0:
-            options = self._canon_options.get(counts)
-            if options is None:
-                options = self._compute_options(counts)
-                self._canon_options[counts] = options
-        else:
-            options = self._mapped_options(counts, flip, r)
-        self._options_cache[counts] = options
+        if flip or r:
+            return self._mapped_options(counts, flip, r)
+        options = self._canon_options.get(counts)
+        if options is None:
+            options = self._compute_options(counts)
+            self._canon_options[counts] = options
         return options
 
     def _mapped_options(
@@ -242,28 +221,19 @@ class BranchingDriver:
         return options
 
     def _compute_options(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
-        """Option computation for one occupancy vector (canonical or not)."""
-        derived = self._compute_options_from_plan(counts)
+        """Option computation for one occupancy vector (canonical or not).
+
+        Read off the support's class plan where there is one: an
+        equivariant planner gives both view presentations of a robot the
+        same *global* outcome.  Otherwise, so that a per-snapshot error
+        surfaces identically, evaluated per snapshot.
+        """
+        derived = self._plan_table.options(counts)
         if derived is not None:
             self.plan_classes += 1
             return derived
         self.snapshot_classes += 1
         return self._compute_options_snapshots(counts)
-
-    def _compute_options_from_plan(
-        self, counts: Counts
-    ) -> "Optional[Dict[int, Tuple[int, ...]]]":
-        """Options read off the support's class plan (:class:`ClassPlanTable`).
-
-        For an equivariant planner both view presentations of a robot
-        yield the same *global* outcome, so the option set per occupied
-        node is the plan's direction (or idle) — except on nodes whose
-        two views coincide, where "move" means the adversary picks the
-        direction.  Returns ``None`` (caller falls back to the exact
-        per-snapshot path) when the class has no plan, so a per-snapshot
-        error surfaces identically.
-        """
-        return self._plan_table.options(counts)
 
     def _compute_options_snapshots(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
         """Direct option computation (one algorithm call per presentation)."""
@@ -297,21 +267,17 @@ class BranchingDriver:
         tests actually distinguish.  (Traversed edges are part of the
         key because distinct move sets can produce the same occupancy —
         e.g. a simultaneous swap of two adjacent robots — while clearing
-        different edges.)  Results are memoised per ``(counts, mode)``.
+        different edges.)  Nothing is memoised here: the model checker
+        keeps each vector's records for the life of its cell
+        (:class:`~repro.modelcheck.frontier.CellCache`).
         """
-        key = (counts, mode)
-        cached = self._compact_cache.get(key)
-        if cached is None:
-            if mode == "ssync":
-                cached = self._ssync_compact(counts)
-            elif mode == "sequential":
-                cached = self._sequential_compact(counts)
-            else:
-                raise ValueError(
-                    f"unknown adversary mode {mode!r}; expected 'ssync' or 'sequential'"
-                )
-            self._compact_cache[key] = cached
-        return cached
+        if mode == "ssync":
+            return self._ssync_compact(counts)
+        if mode == "sequential":
+            return self._sequential_compact(counts)
+        raise ValueError(
+            f"unknown adversary mode {mode!r}; expected 'ssync' or 'sequential'"
+        )
 
     def _sequential_compact(self, counts: Counts) -> Tuple[CompactTransition, ...]:
         options = self.node_options(counts)

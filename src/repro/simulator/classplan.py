@@ -8,23 +8,25 @@ reflection class of the support and mapped into each caller's frame
 through the permutation tables of
 :func:`~repro.core.symmetry.dihedral_permutation_tables`.
 
-:class:`ClassPlanTable` serves both consumers of such plans: the
-branching adversary driver reads each occupied node's option set off it
-(:meth:`ClassPlanTable.options`), and the batched engine reads each
-robot's move off it (:meth:`ClassPlanTable.plan`).  One self-check rule
-covers both: the first :data:`SELF_CHECKS` classes that get a plan are
-replayed through the exact per-snapshot path under both view
-presentations on every occupied node, and a disagreement turns the
-table off for the rest of its life, with one warning.
+A plan depends only on ``(algorithm, n, multiplicity_detection)``, so
+the process keeps one :class:`ClassPlanTable` per such key
+(:func:`plan_table`) and every consumer shares it: the branching
+adversary driver reads option sets off it (:meth:`ClassPlanTable.options`),
+every batched engine, of one lane or many, reads moves off it
+(:meth:`ClassPlanTable.plan`).  The first :data:`SELF_CHECKS` classes a
+table plans are replayed through the exact per-snapshot path under both
+view presentations on every occupied node; a disagreement turns that
+table off for good, with one warning.
 
-The module also holds what both consumers share with the table: the
-exact per-snapshot Look (:func:`look_direction`) and the bounded
-:class:`ConfigurationPool` their configurations come from.
+The module also holds the exact per-snapshot Look
+(:func:`look_direction`) and the bounded :class:`ConfigurationPool`
+both consumers draw their configurations from.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -41,6 +43,7 @@ __all__ = [
     "ClassPlanTable",
     "ConfigurationPool",
     "look_direction",
+    "plan_table",
     "snapshot_options",
 ]
 
@@ -55,6 +58,18 @@ SELF_CHECKS = 8
 #: A class entry: the plan in the canonical frame and its movers whose
 #: two views coincide (their direction belongs to the presentation).
 _Entry = Tuple[Dict[int, int], FrozenSet[int]]
+
+#: A class not planned yet (``None`` is a class without a plan).
+_UNPLANNED = object()
+
+#: Most tables the process keeps (least recently used evicted) and most
+#: classes per table (a full table forgets them all; its self-check
+#: budget is not refilled).
+_PLAN_TABLE_LIMIT = 32
+_PLAN_CLASS_LIMIT = 1 << 16
+
+_PLAN_TABLES: Dict[Tuple[type, Optional[int], int, bool], "ClassPlanTable"] = {}
+_PLAN_TABLES_LOCK = threading.Lock()
 
 
 def look_direction(
@@ -155,16 +170,20 @@ def snapshot_options(
 class ClassPlanTable:
     """``global_plan`` per support class of one algorithm on one ring size.
 
+    Built by :func:`plan_table`, one per process and key.
+
     Args:
         algorithm: the algorithm; anything but a
             :class:`~repro.model.algorithm.GlobalRuleAlgorithm` gets no
             plan at all.
         n: ring size.
-        pool: the owner's configuration pool; plans and self-checks run
-            on its configurations.
-        decisions: the owner's decision cache for self-check Looks.
-        multiplicity_detection: the owner's snapshot model, used by the
-            self-check.
+        multiplicity_detection: the snapshot model of the self-check.
+
+    The table builds each configuration it plans or checks, and each
+    self-check asks through a fresh
+    :class:`~repro.model.algorithm.DecisionCache`.  Planning, the
+    self-check and the insert of a class hold the table's lock (engines
+    on several threads share it); planned classes are read without it.
 
     A class has no plan when ``global_plan`` returns ``None`` or asks
     for a non-adjacent hop; the caller then takes the per-snapshot path,
@@ -180,35 +199,27 @@ class ClassPlanTable:
         "algorithm",
         "n",
         "enabled",
-        "_pool",
-        "_decisions",
         "_multiplicity_detection",
         "_codec",
         "_rotations",
         "_reflections",
         "_classes",
         "_checks_left",
+        "_lock",
     )
 
     def __init__(
-        self,
-        algorithm: Algorithm,
-        n: int,
-        *,
-        pool: ConfigurationPool,
-        decisions: DecisionCache,
-        multiplicity_detection: bool = False,
+        self, algorithm: Algorithm, n: int, multiplicity_detection: bool = False
     ) -> None:
         self.algorithm = algorithm
         self.n = n
         self.enabled = isinstance(algorithm, GlobalRuleAlgorithm)
-        self._pool = pool
-        self._decisions = decisions
         self._multiplicity_detection = multiplicity_detection
         self._codec = packed_codec(n, 1)
         self._rotations, self._reflections = dihedral_permutation_tables(n)
         self._classes: Dict[int, Optional[_Entry]] = {}
         self._checks_left = SELF_CHECKS
+        self._lock = threading.Lock()
 
     def plan(self, counts: Counts) -> Optional[Dict[int, int]]:
         """The support's global plan in the frame of ``counts``, or ``None``.
@@ -264,7 +275,7 @@ class ClassPlanTable:
 
         ``sigma`` maps canonical node ``j`` to the caller's node
         ``sigma[j]``.  A class is planned and (within the budget)
-        self-checked on its first lookup.
+        self-checked on its first lookup, under the table's lock.
         """
         if not self.enabled:
             return None
@@ -273,22 +284,28 @@ class ClassPlanTable:
         codec = self._codec
         canonical, flip, r = codec.canonical_with_transform(codec.pack(support))
         sigma = self._rotations[r] if flip == 0 else self._reflections[(n - 1 - r) % n]
-        if canonical in self._classes:
-            entry = self._classes[canonical]
-        else:
-            entry = self._plan_class(tuple(support[sigma[j]] for j in range(n)))
-            if entry is not None and self._checks_left > 0:
-                self._checks_left -= 1
-                if not self._self_check(counts, entry, sigma):
+        entry = self._classes.get(canonical, _UNPLANNED)
+        if entry is _UNPLANNED:
+            with self._lock:
+                if not self.enabled:
                     return None
-            self._classes[canonical] = entry
+                entry = self._classes.get(canonical, _UNPLANNED)
+                if entry is _UNPLANNED:
+                    entry = self._plan_class(tuple(support[sigma[j]] for j in range(n)))
+                    if entry is not None and self._checks_left > 0:
+                        self._checks_left -= 1
+                        if not self._self_check(counts, entry, sigma):
+                            return None
+                    if len(self._classes) >= _PLAN_CLASS_LIMIT:
+                        self._classes.clear()
+                    self._classes[canonical] = entry
         if entry is None:
             return None
         return entry, sigma
 
     def _plan_class(self, support: Counts) -> Optional[_Entry]:
         """Plan one canonical support; ``None`` when it has no usable plan."""
-        configuration = self._pool.configuration(support)
+        configuration = Configuration.from_trusted_counts(support)
         moves = self.algorithm.global_plan(configuration)
         if moves is None:
             return None
@@ -307,8 +324,8 @@ class ClassPlanTable:
         derived = self._frame_options(counts, entry, sigma)
         checked = snapshot_options(
             self.algorithm,
-            self._decisions,
-            self._pool.configuration(counts),
+            DecisionCache(),
+            Configuration.from_trusted_counts(counts),
             self._multiplicity_detection,
         )
         if checked == derived:
@@ -322,3 +339,25 @@ class ClassPlanTable:
             counts,
         )
         return False
+
+
+def plan_table(
+    algorithm: Algorithm, n: int, multiplicity_detection: bool = False
+) -> ClassPlanTable:
+    """The process-wide :class:`ClassPlanTable` of one algorithm on one ring.
+
+    The algorithm's identity is its type when the instance has no
+    attributes (every registered algorithm); any other instance gets a
+    table of its own, which holds it, so its ``id`` is not reused while
+    the table lives.
+    """
+    instance = None if getattr(algorithm, "__dict__", None) == {} else id(algorithm)
+    key = (type(algorithm), instance, n, multiplicity_detection)
+    with _PLAN_TABLES_LOCK:
+        table = _PLAN_TABLES.pop(key, None)
+        if table is None:
+            while len(_PLAN_TABLES) >= _PLAN_TABLE_LIMIT:
+                _PLAN_TABLES.pop(next(iter(_PLAN_TABLES)))
+            table = ClassPlanTable(algorithm, n, multiplicity_detection)
+        _PLAN_TABLES[key] = table  # last: least recently used goes first
+    return table

@@ -47,7 +47,7 @@ def test_plan_options_equal_snapshot_options_on_every_vector(n):
     for k in range(1, 7):
         for counts in occupancy_vectors(n, k):
             expected = outcome(oracle._compute_options_snapshots, counts)
-            derived = outcome(driver._compute_options_from_plan, counts)
+            derived = outcome(driver._plan_table.options, counts)
             occupied = sum(1 for c in counts if c)
             if derived is None:
                 # No global plan: the endgame, a gathered ring, or a
@@ -74,18 +74,20 @@ def test_plan_options_equal_snapshot_options_on_every_vector(n):
 def test_towers_endgame_and_unsupported_supports():
     driver = BranchingDriver(GatheringAlgorithm(), 9, multiplicity_detection=True)
     # A tower on a rigid three-node support: answered by the plan.
-    assert driver._compute_options_from_plan((2, 1, 0, 1, 0, 0, 0, 0, 0)) is not None
+    assert driver._plan_table.options((2, 1, 0, 1, 0, 0, 0, 0, 0)) is not None
     # Two occupied nodes with a tower: the endgame reads the flag.
-    assert driver._compute_options_from_plan((3, 0, 0, 1, 0, 0, 0, 0, 0)) is None
+    assert driver._plan_table.options((3, 0, 0, 1, 0, 0, 0, 0, 0)) is None
     assert driver.node_options((3, 0, 0, 1, 0, 0, 0, 0, 0)) == {0: (0,), 3: (-1,)}
     # k = 6 on n = 8 is outside Theorem 8 and not C*-type.
     small = BranchingDriver(GatheringAlgorithm(), 8, multiplicity_detection=True)
-    assert small._compute_options_from_plan((1, 1, 0, 1, 1, 0, 1, 1)) is None
+    assert small._plan_table.options((1, 1, 0, 1, 1, 0, 1, 1)) is None
     with pytest.raises(UnsupportedParametersError, match="got n=8, k=6"):
         small.node_options((1, 1, 0, 1, 1, 0, 1, 1))
 
 
-def test_spent_self_check_leaves_one_planner_call_per_class(monkeypatch):
+def test_spent_self_check_leaves_one_planner_call_per_class(
+    monkeypatch, fresh_plan_tables
+):
     calls = []
     original = gathering_module.plan_gathering_support
 
@@ -127,7 +129,7 @@ class WrongGathering(GatheringAlgorithm):
         return None if plan is None else {}
 
 
-def test_wrong_global_plan_falls_back_with_one_warning(caplog):
+def test_wrong_global_plan_falls_back_with_one_warning(caplog, fresh_plan_tables):
     n, k = 10, 4
     driver = BranchingDriver(WrongGathering(), n, multiplicity_detection=True)
     oracle = BranchingDriver(GatheringAlgorithm(), n, multiplicity_detection=True)

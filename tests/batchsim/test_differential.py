@@ -44,7 +44,7 @@ from repro.scheduler import (
     SynchronousScheduler,
 )
 from repro.model import GlobalRuleAlgorithm
-from repro.simulator.classplan import ClassPlanTable
+from repro.simulator.classplan import SELF_CHECKS, ClassPlanTable
 from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
 from repro.simulator.runner import run_gathering
@@ -722,7 +722,7 @@ class TestPlanTableFallbacks:
         got = batch_outcome(AlignAlgorithm, start, scheduler_factory, EngineOptions(), 20)
         assert got == reference
 
-    def test_rigged_planner_lanes_warn_once(self, caplog):
+    def test_rigged_planner_lanes_warn_once(self, caplog, fresh_plan_tables):
         options = EngineOptions(collision_policy="record")
         configurations = sample_configurations(9, 3, 4)
         reference = [
@@ -798,7 +798,8 @@ class TestGatheringLanes:
     @pytest.mark.parametrize(
         "cells", [_e5_quick_cells, _e7_quick_cells], ids=["e5-quick", "e7-quick"]
     )
-    def test_lanes_match_run_gathering(self, cells, memo_bounds):
+    def test_lanes_match_run_gathering(self, cells, memo_bounds, fresh_plan_tables):
+        """Lanes of a cell share one table; each per-run engine starts empty."""
         options = EngineOptions(exclusive=False, multiplicity_detection=True)
         reference = _reference_gathering_states(cells, options)
         calls = {"per-run": 0, "lanes": 0}
@@ -815,6 +816,7 @@ class TestGatheringLanes:
             for starts, budget in cells():
                 phase = "per-run"
                 for configuration in starts:
+                    fresh_plan_tables()
                     _, simulator = run_gathering(
                         GatheringAlgorithm(), configuration, max_steps=budget, options=options
                     )
@@ -827,6 +829,7 @@ class TestGatheringLanes:
                         )
                     )
                 phase = "lanes"
+                fresh_plan_tables()
                 engine = BatchEngine(
                     GatheringAlgorithm(), starts, options=options, record_events=False
                 )
@@ -840,10 +843,12 @@ class TestGatheringLanes:
         assert 0 < calls["lanes"] < calls["per-run"]
 
 
-class TestOneLanePlanRule:
-    """A one-lane engine builds no class-plan table; two lanes share one."""
+class TestSharedPlanTable:
+    """Engines of one algorithm share one class-plan table, whatever their lanes."""
 
-    def test_one_lane_plans_nothing_two_lanes_plan(self, monkeypatch):
+    def test_one_and_two_lanes_share_one_table_and_budget(
+        self, monkeypatch, fresh_plan_tables
+    ):
         calls = {"global_plan": 0, "self_check": 0}
 
         class CountingAlign(AlignAlgorithm):
@@ -861,11 +866,18 @@ class TestOneLanePlanRule:
         starts = sample_configurations(12, 5, 2)
         one = BatchEngine(CountingAlign(), starts[:1])
         one.run(200)
-        assert calls == {"global_plan": 0, "self_check": 0}
+        assert calls["global_plan"] > 0 and calls["self_check"] > 0
         two = BatchEngine(CountingAlign(), starts)
         two.run(200)
-        assert calls["global_plan"] > 0 and calls["self_check"] > 0
+        assert two._plan_table is one._plan_table
+        assert calls["self_check"] <= SELF_CHECKS
         assert one.lane_trace(0).canonical_bytes() == two.lane_trace(0).canonical_bytes()
+        # Every class of the first start is planned already.
+        before = dict(calls)
+        again = BatchEngine(CountingAlign(), starts[:1])
+        again.run(200)
+        assert calls == before
+        assert again.lane_trace(0).canonical_bytes() == one.lane_trace(0).canonical_bytes()
 
 
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULER_FACTORIES))

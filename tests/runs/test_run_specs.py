@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.runs import (
+    BatchSweepSpec,
     ExperimentSpec,
     SimulateSpec,
     VerifySpec,
@@ -144,6 +145,25 @@ class TestDispatchAndKeys:
         c = SimulateSpec(algorithm="align", n=12, k=5, seed=3,
                          engine=EngineOptions(chirality=True))
         assert cache_key(a1) != cache_key(c)
+
+    @pytest.mark.parametrize(
+        "spec_class, fields",
+        [
+            (SimulateSpec, {"seed": 3, "stop": "c_star"}),
+            (BatchSweepSpec, {"seeds": (0, 3), "stop": "c_star"}),
+        ],
+    )
+    def test_round_robin_is_the_sequential_spec(self, spec_class, fields):
+        """Both names step one round-robin order, so they are one run."""
+        from repro.runs import execute
+
+        named = spec_class(algorithm="align", n=12, k=5, scheduler="round_robin", **fields)
+        sequential = spec_class(algorithm="align", n=12, k=5, scheduler="sequential", **fields)
+        assert named == sequential
+        assert named.scheduler == "sequential"
+        assert spec_from_jsonable(named.to_jsonable()) == sequential
+        assert cache_key(named) == cache_key(sequential)
+        assert execute(named).payload == execute(sequential).payload
 
     def test_registries_instantiate(self):
         for name in ALGORITHMS:

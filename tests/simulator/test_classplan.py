@@ -1,17 +1,29 @@
 """Unit tests for the class-plan table shared by the driver and the batched engine."""
 
 import logging
+import random
+import sys
+import threading
 
 import pytest
 
-from repro.algorithms import AlignAlgorithm, GatheringAlgorithm, SweepAlgorithm
+import repro.simulator.classplan as classplan_module
+from repro.algorithms import (
+    AlignAlgorithm,
+    GatheringAlgorithm,
+    RingClearingAlgorithm,
+    SweepAlgorithm,
+)
+from repro.analysis.enumeration import iter_configurations
+from repro.batchsim import BatchEngine
 from repro.core.configuration import Configuration
 from repro.core.cyclic import reflect, rotate
 from repro.core.ring import CCW, CW
 from repro.model import GlobalRuleAlgorithm
-from repro.model.algorithm import DecisionCache
+from repro.runs.spec import make_algorithm
 from repro.simulator.branching import BranchingDriver
-from repro.simulator.classplan import SELF_CHECKS, ClassPlanTable, ConfigurationPool
+from repro.simulator.classplan import SELF_CHECKS, ClassPlanTable, plan_table
+from repro.workloads.generators import random_rigid_configuration
 
 #: The one exclusive class (n = 4..12) where Align moves a robot whose
 #: two views coincide: node 5 sits on the configuration's axis.
@@ -19,9 +31,8 @@ AXIS_START = (1, 1, 1, 0, 0, 1, 0, 0)
 
 
 def table_for(algorithm, n, **kwargs):
-    return ClassPlanTable(
-        algorithm, n, pool=ConfigurationPool(), decisions=DecisionCache(), **kwargs
-    )
+    """A fresh table, outside the process-wide registry."""
+    return ClassPlanTable(algorithm, n, **kwargs)
 
 
 class CountingAlign(AlignAlgorithm):
@@ -149,10 +160,117 @@ class TestSelfCheck:
         assert "rigged" in message and "n=9" in message and f"counts={counts}" in message
 
     def test_budget_counts_planned_classes(self):
-        from repro.analysis.enumeration import iter_configurations
-
         table = table_for(AlignAlgorithm(), 12)
         classes = [cfg.counts for cfg in iter_configurations(12, 5, rigid_only=True)]
         for number, counts in enumerate(classes[: SELF_CHECKS + 2], start=1):
             table.plan(counts)
             assert table._checks_left == max(0, SELF_CHECKS - number)
+
+
+class AlignOrIdle(AlignAlgorithm):
+    """Align, or nobody ever moves: a parameterised global rule."""
+
+    def __init__(self, idle):
+        super().__init__()
+        self.idle = idle
+
+    def plan(self, configuration):
+        return {} if self.idle else super().plan(configuration)
+
+
+class TestRegistryIdentity:
+    COUNTS = Configuration.from_occupied(12, [0, 1, 3, 7, 8]).counts
+
+    def test_attribute_free_instances_share_one_table(self):
+        table = plan_table(make_algorithm("align"), 12)
+        assert plan_table(make_algorithm("align"), 12) is table
+        assert plan_table(AlignAlgorithm(), 13) is not table
+        assert plan_table(AlignAlgorithm(), 12, True) is not table
+        assert plan_table(RingClearingAlgorithm(), 12) is not table
+
+    def test_parameterised_instances_get_a_table_each(self):
+        moving, idle = AlignOrIdle(False), AlignOrIdle(True)
+        moving_table, idle_table = plan_table(moving, 12), plan_table(idle, 12)
+        assert moving_table is not idle_table
+        assert plan_table(moving, 12) is moving_table
+        assert (moving_table.algorithm, idle_table.algorithm) == (moving, idle)
+        assert moving_table.plan(self.COUNTS)
+        assert idle_table.plan(self.COUNTS) == {}
+
+
+class TestRegistryThreads:
+    def test_two_threads_plan_one_fresh_table(self, monkeypatch, fresh_plan_tables):
+        """Both threads walk the classes in one order, so they race for each."""
+        classes = [cfg.counts for cfg in iter_configurations(12, 5, rigid_only=True)]
+        expected = [table_for(AlignAlgorithm(), 12).plan(counts) for counts in classes]
+        planned, checks = [], []
+
+        class CountingAlign(AlignAlgorithm):
+            def global_plan(self, configuration):
+                planned.append(configuration.counts)
+                return super().global_plan(configuration)
+
+        self_check = ClassPlanTable._self_check
+
+        def counting_self_check(table, *args):
+            checks.append(args[0])
+            return self_check(table, *args)
+
+        monkeypatch.setattr(ClassPlanTable, "_self_check", counting_self_check)
+        table = plan_table(CountingAlign(), 12)
+        barrier = threading.Barrier(2)
+        results, errors = [], []
+
+        def plan_all():
+            try:
+                barrier.wait()
+                results.append([table.plan(counts) for counts in classes])
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=plan_all) for _ in range(2)]
+        # Switch threads as often as the interpreter allows, so planning
+        # and lookups interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert results == [expected, expected]
+        assert 0 < len(checks) <= SELF_CHECKS
+        # One planner call per class: no class is planned by both threads.
+        assert len(planned) == len(set(planned)) == len(classes)
+        assert table.enabled
+
+
+class TestRegistryBounds:
+    def test_bounds_of_one_evict_and_keep_traces(self, monkeypatch, fresh_plan_tables):
+        starts = [random_rigid_configuration(12, 5, random.Random(seed)) for seed in range(3)]
+        vectors = [cfg.counts for cfg in iter_configurations(12, 5, rigid_only=True)][:20]
+
+        def outcome():
+            engine = BatchEngine(AlignAlgorithm(), starts)
+            engine.run(300)
+            driver = BranchingDriver(RingClearingAlgorithm(), 12)
+            return (
+                [engine.lane_trace(i).canonical_bytes() for i in range(len(starts))],
+                [driver.successors_compact(counts) for counts in vectors],
+            )
+
+        expected = outcome()
+        fresh_plan_tables()
+        monkeypatch.setattr(classplan_module, "_PLAN_TABLE_LIMIT", 1)
+        monkeypatch.setattr(classplan_module, "_PLAN_CLASS_LIMIT", 1)
+        assert outcome() == expected
+        tables = classplan_module._PLAN_TABLES
+        (ring_clearing,) = tables.values()
+        assert isinstance(ring_clearing.algorithm, RingClearingAlgorithm)
+        assert len(ring_clearing._classes) == 1
+        align = plan_table(AlignAlgorithm(), 12)
+        assert list(tables.values()) == [align]
+        assert plan_table(RingClearingAlgorithm(), 12) is not ring_clearing
