@@ -18,7 +18,8 @@ throughout:
   :func:`repro.core.symmetry.dihedral_permutation_tables`;
 * successor generation is the compact transition relation of
   :meth:`repro.simulator.branching.BranchingDriver.successors_compact`
-  (plain tuples, memoised per occupancy vector) and the searching task's
+  (plain tuples, kept per occupancy vector for the life of the cell by
+  :class:`CellCache`) and the searching task's
   clear/recontaminate dynamics are the interval-mask
   :class:`repro.tasks.searching.RingSearchDynamics`;
 * BFS, SCC-based fair-livelock detection and witness reconstruction all
@@ -33,12 +34,14 @@ still possible (see :meth:`FrontierExplorer._candidate_regions`).
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.enumeration import iter_configurations
 from ..analysis.graphs import tarjan_scc
+from ..core.configuration import Configuration
 from ..core.cyclic import packed_codec
 from ..core.errors import (
     AlgorithmPreconditionError,
@@ -108,10 +111,6 @@ _CELL_CACHES: Dict[Tuple[str, int, int, str], CellCache] = {}
 _CELL_CACHE_LIMIT = 16
 _CELL_CACHES_LOCK = threading.Lock()
 
-#: (n, k) -> (initial occupancy vectors, provenance note), shared by
-#: every task; purely combinatorial.
-_INITIAL_CONFIGS: Dict[Tuple[int, int], Tuple[Tuple[Counts, ...], str]] = {}
-
 
 def cell_cache(task: str, n: int, k: int, adversary: str) -> CellCache:
     """The shared :class:`CellCache` of a registered cell (LRU-evicted)."""
@@ -130,26 +129,20 @@ def cell_cache(task: str, n: int, k: int, adversary: str) -> CellCache:
     return cache
 
 
+@functools.lru_cache(maxsize=64)
 def _initial_configurations(n: int, k: int) -> Tuple[Tuple[Counts, ...], str]:
-    """Initial occupancy vectors of a cell plus the provenance note."""
-    key = (n, k)
-    entry = _INITIAL_CONFIGS.get(key)
-    if entry is None:
-        rigid = [c.counts for c in iter_configurations(n, k, rigid_only=True)]
-        if rigid:
-            configurations = rigid
-            note = f"{len(rigid)} rigid initial configuration class(es)"
-        else:
-            configurations = [c.counts for c in iter_configurations(n, k)]
-            note = (
-                "no rigid configuration exists for this cell; starting from all "
-                f"{len(configurations)} configuration class(es)"
-            )
-        entry = (tuple(configurations), note)
-        if len(_INITIAL_CONFIGS) > 64:
-            _INITIAL_CONFIGS.pop(next(iter(_INITIAL_CONFIGS)))
-        _INITIAL_CONFIGS[key] = entry
-    return entry
+    """Initial occupancy vectors of a cell plus the provenance note.
+
+    Purely combinatorial, so shared by every task of the process.
+    """
+    rigid = [c.counts for c in iter_configurations(n, k, rigid_only=True)]
+    if rigid:
+        return tuple(rigid), f"{len(rigid)} rigid initial configuration class(es)"
+    configurations = tuple(c.counts for c in iter_configurations(n, k))
+    return configurations, (
+        "no rigid configuration exists for this cell; starting from all "
+        f"{len(configurations)} configuration class(es)"
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -382,7 +375,7 @@ class FrontierExplorer:
 
     def _is_goal(self, counts: Counts) -> bool:
         return self.spec.goal is not None and self.spec.goal(
-            self.driver.configuration(counts)
+            Configuration.from_trusted_counts(counts)
         )
 
     def _goal_is_stable(self, code: int) -> bool:

@@ -24,6 +24,14 @@ presentation-independent algorithm this is a singleton (or the pair
 belongs to the adversary); presentation-*dependent* algorithms (e.g. the
 sweep baseline) naturally expose larger option sets, which is exactly the
 adversarial behaviour the checker must explore.
+
+**Symmetry.**  Option sets are equivariant under rotations and
+reflections of the ring.  The driver relies on the one reduction that
+exploits this, the process-wide class plan table of
+:mod:`repro.simulator.classplan`, and keeps no dihedral memo of its
+own: vectors without a class plan are evaluated per snapshot, where the
+driver's :class:`~repro.model.algorithm.DecisionCache` answers repeated
+views.
 """
 
 from __future__ import annotations
@@ -33,16 +41,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..core.configuration import Configuration
-from ..core.cyclic import packed_codec
-from ..core.errors import (
-    AlgorithmPreconditionError,
-    InvalidConfigurationError,
-    UnsupportedParametersError,
-)
 from ..core.ring import CCW, CW, Ring
-from ..core.symmetry import dihedral_permutation_tables
 from ..model.algorithm import Algorithm, DecisionCache
-from .classplan import ConfigurationPool, plan_table, snapshot_options
+from .classplan import plan_table, snapshot_options
 
 __all__ = [
     "IDLE",
@@ -120,9 +121,10 @@ class BranchingDriver:
             gathering capability) when building snapshots.
 
     Attributes:
-        plan_classes: option computations answered by one global plan.
-        snapshot_classes: option computations answered per snapshot.
-            Both are diagnostics only; no verdict or payload reads them.
+        plan_classes: :meth:`node_options` calls answered by a class plan.
+        snapshot_classes: :meth:`node_options` calls answered per
+            snapshot.  Both count occupancy vectors, not classes, and are
+            diagnostics only; no verdict or payload reads them.
     """
 
     def __init__(
@@ -136,13 +138,10 @@ class BranchingDriver:
         self.n = n
         self.ring = Ring(n)
         self.multiplicity_detection = multiplicity_detection
-        # Revisited occupancy vectors reuse memoised gap/supermin/symmetry state.
-        self._pool = ConfigurationPool(1 << 15)
         self._decisions = DecisionCache(maxsize=1 << 15)
-        self._canon_options: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
         # One global plan per support class replaces up to 2k snapshot
         # evaluations wherever the algorithm has one (the process-wide
-        # ClassPlanTable, which also self-checks it); other classes are
+        # ClassPlanTable, which also self-checks it); other vectors are
         # evaluated per snapshot.
         self._plan_table = plan_table(algorithm, n, multiplicity_detection)
         self.plan_classes = 0
@@ -151,10 +150,6 @@ class BranchingDriver:
     # ------------------------------------------------------------------ #
     # per-robot options
     # ------------------------------------------------------------------ #
-    def configuration(self, counts: Counts) -> Configuration:
-        """Pooled configuration for a validated occupancy vector."""
-        return self._pool.configuration(counts)
-
     def node_options(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
         """Adversary-achievable outcomes per occupied node.
 
@@ -163,84 +158,22 @@ class BranchingDriver:
         node can be driven to by choosing the view presentation order.
         Co-located robots share a snapshot and hence an option set.
 
-        Algorithms are automorphism-equivariant (they are pure functions
-        of the view pair), so the option sets of dihedral-equivalent
-        occupancy vectors are images of each other: rotations relabel the
-        nodes, reflections additionally swap clockwise and
-        counter-clockwise.  Decisions are therefore computed once per
-        *canonical* occupancy class and mapped into the concrete frame
-        through the precomputed permutation tables, which collapses the
-        number of algorithm invocations by up to ``2 n``.
+        Read off the support's class plan where there is one (the
+        process-wide :class:`~repro.simulator.classplan.ClassPlanTable`
+        plans once per dihedral class and maps the plan into the frame
+        of ``counts``).  Otherwise every snapshot of ``counts`` is
+        evaluated under both presentations, so a per-snapshot error
+        surfaces exactly as a per-robot run raises it.
         """
-        codec = packed_codec(self.n, sum(counts))
-        _, flip, r = codec.canonical_with_transform(codec.pack(counts))
-        if flip or r:
-            return self._mapped_options(counts, flip, r)
-        options = self._canon_options.get(counts)
-        if options is None:
-            options = self._compute_options(counts)
-            self._canon_options[counts] = options
-        return options
-
-    def _mapped_options(
-        self, counts: Counts, flip: int, r: int
-    ) -> Dict[int, Tuple[int, ...]]:
-        """Options of ``counts`` derived from its canonical class."""
-        n = self.n
-        rotations, reflections = dihedral_permutation_tables(n)
-        sigma = rotations[r] if flip == 0 else reflections[(n - 1 - r) % n]
-        canon_counts = tuple(counts[sigma[j]] for j in range(n))
-        canon_options = self._canon_options.get(canon_counts)
-        if canon_options is None:
-            try:
-                canon_options = self._compute_options(canon_counts)
-            except (
-                AlgorithmPreconditionError,
-                UnsupportedParametersError,
-                InvalidConfigurationError,
-            ):
-                # Preserve the exact error of the concrete vector:
-                # recompute in its own frame and let the failure surface
-                # from there.
-                return self._compute_options(counts)
-            self._canon_options[canon_counts] = canon_options
-        # sigma maps canonical index j to concrete node sigma(j); its
-        # inverse is the rotation by n - r, or the same reflection again.
-        inverse = rotations[(n - r) % n] if flip == 0 else sigma
-        options: Dict[int, Tuple[int, ...]] = {}
-        if flip == 0:
-            for v in range(n):
-                if counts[v]:
-                    options[v] = canon_options[inverse[v]]
-        else:
-            for v in range(n):
-                if counts[v]:
-                    options[v] = tuple(
-                        sorted(-o for o in canon_options[inverse[v]])
-                    )
-        return options
-
-    def _compute_options(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
-        """Option computation for one occupancy vector (canonical or not).
-
-        Read off the support's class plan where there is one: an
-        equivariant planner gives both view presentations of a robot the
-        same *global* outcome.  Otherwise, so that a per-snapshot error
-        surfaces identically, evaluated per snapshot.
-        """
-        derived = self._plan_table.options(counts)
-        if derived is not None:
+        options = self._plan_table.options(counts)
+        if options is not None:
             self.plan_classes += 1
-            return derived
+            return options
         self.snapshot_classes += 1
-        return self._compute_options_snapshots(counts)
-
-    def _compute_options_snapshots(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
-        """Direct option computation (one algorithm call per presentation)."""
         return snapshot_options(
             self.algorithm,
             self._decisions,
-            self.configuration(counts),
+            Configuration.from_trusted_counts(counts),
             self.multiplicity_detection,
         )
 

@@ -20,7 +20,7 @@ table off for good, with one warning.
 
 The module also holds the exact per-snapshot Look
 (:func:`look_direction`) and the bounded :class:`ConfigurationPool`
-both consumers draw their configurations from.
+the batched engine draws its configurations from.
 """
 
 from __future__ import annotations
@@ -108,9 +108,7 @@ class ConfigurationPool:
     revisited state reuse the same :class:`Configuration` object — and
     with it every memoised derived quantity (gap cycle, supermin view,
     symmetry, canonical key) computed the first time around.  Used by
-    the batched engine and by the branching adversary driver
-    (:mod:`repro.simulator.branching`), which revisits configurations
-    far more aggressively than any single run.
+    the batched engine (:mod:`repro.batchsim.engine`).
     """
 
     __slots__ = ("maxsize", "_entries")
@@ -170,7 +168,8 @@ def snapshot_options(
 class ClassPlanTable:
     """``global_plan`` per support class of one algorithm on one ring size.
 
-    Built by :func:`plan_table`, one per process and key.
+    Built by :func:`plan_table`, one per process and key for an
+    algorithm that can plan.
 
     Args:
         algorithm: the algorithm; anything but a
@@ -349,8 +348,12 @@ def plan_table(
     The algorithm's identity is its type when the instance has no
     attributes (every registered algorithm); any other instance gets a
     table of its own, which holds it, so its ``id`` is not reused while
-    the table lives.
+    the table lives.  An algorithm that can never plan (not a
+    :class:`~repro.model.algorithm.GlobalRuleAlgorithm`) gets a fresh,
+    disabled table outside the registry, so it takes no registry slot.
     """
+    if not isinstance(algorithm, GlobalRuleAlgorithm):
+        return ClassPlanTable(algorithm, n, multiplicity_detection)
     instance = None if getattr(algorithm, "__dict__", None) == {} else id(algorithm)
     key = (type(algorithm), instance, n, multiplicity_detection)
     with _PLAN_TABLES_LOCK:

@@ -18,6 +18,7 @@ clear — the raw data used to verify perpetual clearing.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.configuration import Configuration
@@ -189,9 +190,7 @@ class RingSearchDynamics:
         )
 
 
-_DYNAMICS_INSTANCES: Dict[int, RingSearchDynamics] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def ring_search_dynamics(n: int) -> RingSearchDynamics:
     """The process-wide shared :class:`RingSearchDynamics` for ``n``.
 
@@ -199,13 +198,7 @@ def ring_search_dynamics(n: int) -> RingSearchDynamics:
     instance lets the interval-decomposition and advance memos warm once
     per process instead of once per explorer/solver instance.
     """
-    dynamics = _DYNAMICS_INSTANCES.get(n)
-    if dynamics is None:
-        if len(_DYNAMICS_INSTANCES) > 64:
-            _DYNAMICS_INSTANCES.pop(next(iter(_DYNAMICS_INSTANCES)))
-        dynamics = RingSearchDynamics(n)
-        _DYNAMICS_INSTANCES[n] = dynamics
-    return dynamics
+    return RingSearchDynamics(n)
 
 
 class SearchState:

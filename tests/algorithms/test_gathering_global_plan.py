@@ -21,7 +21,9 @@ from repro.algorithms.gathering import GatheringAlgorithm
 from repro.analysis.enumeration import iter_configurations
 from repro.core.configuration import Configuration
 from repro.core.errors import RingSimError, UnsupportedParametersError
+from repro.model.algorithm import DecisionCache
 from repro.simulator.branching import BranchingDriver
+from repro.simulator.classplan import snapshot_options
 
 
 def occupancy_vectors(n, k):
@@ -29,6 +31,11 @@ def occupancy_vectors(n, k):
     for positions in itertools.combinations_with_replacement(range(n), k):
         counts = Counter(positions)
         yield tuple(counts[v] for v in range(n))
+
+
+def snapshot_of(counts):
+    """Gathering's exact per-snapshot options of ``counts``."""
+    return snapshot_options(GatheringAlgorithm(), DecisionCache(), Configuration(counts), True)
 
 
 def outcome(compute, counts):
@@ -42,11 +49,10 @@ def outcome(compute, counts):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_plan_options_equal_snapshot_options_on_every_vector(n):
     driver = BranchingDriver(GatheringAlgorithm(), n, multiplicity_detection=True)
-    oracle = BranchingDriver(GatheringAlgorithm(), n, multiplicity_detection=True)
     regimes = Counter()
     for k in range(1, 7):
         for counts in occupancy_vectors(n, k):
-            expected = outcome(oracle._compute_options_snapshots, counts)
+            expected = outcome(snapshot_of, counts)
             derived = outcome(driver._plan_table.options, counts)
             occupied = sum(1 for c in counts if c)
             if derived is None:
@@ -114,9 +120,11 @@ def test_driver_counts_classes_per_path():
     driver.node_options((1, 1, 0, 1, 0, 0, 0, 0, 0))
     driver.node_options((2, 0, 0, 1, 0, 0, 0, 0, 0))
     assert (driver.plan_classes, driver.snapshot_classes) == (1, 1)
-    # A dihedral image of a computed class is mapped, not recomputed.
+    # Each call counts once, in the frame it was asked in: a repeat and
+    # a dihedral image of a computed vector count again on their path.
+    driver.node_options((1, 1, 0, 1, 0, 0, 0, 0, 0))
     driver.node_options((0, 2, 0, 0, 1, 0, 0, 0, 0))
-    assert (driver.plan_classes, driver.snapshot_classes) == (1, 1)
+    assert (driver.plan_classes, driver.snapshot_classes) == (2, 2)
 
 
 class WrongGathering(GatheringAlgorithm):
@@ -132,12 +140,11 @@ class WrongGathering(GatheringAlgorithm):
 def test_wrong_global_plan_falls_back_with_one_warning(caplog, fresh_plan_tables):
     n, k = 10, 4
     driver = BranchingDriver(WrongGathering(), n, multiplicity_detection=True)
-    oracle = BranchingDriver(GatheringAlgorithm(), n, multiplicity_detection=True)
     classes = [cfg.counts for cfg in iter_configurations(n, k, rigid_only=True)]
     assert len(classes) > 3
     with caplog.at_level(logging.WARNING, logger="repro.simulator.classplan"):
         for counts in classes:
-            assert driver.node_options(counts) == oracle._compute_options_snapshots(counts)
+            assert driver.node_options(counts) == snapshot_of(counts)
     warnings = [r for r in caplog.records if r.name == "repro.simulator.classplan"]
     assert len(warnings) == 1
     message = warnings[0].getMessage()

@@ -19,6 +19,7 @@ from repro.modelcheck import (
     run_unit,
     run_verify_campaign,
 )
+from repro.modelcheck.frontier import _initial_configurations
 
 
 class TestVerdicts:
@@ -159,6 +160,13 @@ class TestStateSpace:
         result = check_cell("searching", 11, 6)
         assert result.elapsed_s > 0
         assert result.states_per_second > 0
+
+    def test_initial_configurations_are_shared_per_cell(self):
+        configurations, note = _initial_configurations(9, 4)
+        assert _initial_configurations(9, 4)[0] is configurations
+        assert _initial_configurations(9, 5)[0] is not configurations
+        assert note == f"{len(configurations)} rigid initial configuration class(es)"
+        assert _initial_configurations.cache_info().maxsize == 64
 
 
 class TestVerifyCampaign:

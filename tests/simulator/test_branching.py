@@ -1,10 +1,19 @@
 """Tests for the branching adversary driver."""
 
+import itertools
+
 import pytest
 
-from repro.algorithms import AlignAlgorithm, GatheringAlgorithm, RingClearingAlgorithm
+from repro.algorithms import (
+    AlignAlgorithm,
+    GatheringAlgorithm,
+    NminusThreeAlgorithm,
+    RingClearingAlgorithm,
+)
 from repro.algorithms.baselines import IdleAlgorithm, SweepAlgorithm
 from repro.core.configuration import Configuration
+from repro.core.errors import RingSimError
+from repro.model.algorithm import DecisionCache
 from repro.simulator.branching import (
     COMPACT_COLLISION,
     COMPACT_FULL,
@@ -13,6 +22,15 @@ from repro.simulator.branching import (
     BranchingDriver,
     NodeActivation,
 )
+from repro.simulator.classplan import snapshot_options
+
+
+def outcome(compute, counts):
+    """``compute(counts)``, or the type and message of the error it raises."""
+    try:
+        return compute(counts)
+    except RingSimError as exc:
+        return (type(exc), str(exc))
 
 
 def profile_of(record):
@@ -54,34 +72,40 @@ class TestNodeOptions:
         "algorithm,multiplicity",
         [
             (AlignAlgorithm(), False),
-            (GatheringAlgorithm(), True),
-            (SweepAlgorithm(), False),
             (RingClearingAlgorithm(), False),
+            (NminusThreeAlgorithm(), False),
+            (SweepAlgorithm(), False),
+            (GatheringAlgorithm(), True),
         ],
+        ids=lambda value: getattr(value, "name", str(value)),
     )
-    def test_options_match_direct_snapshot_computation(self, algorithm, multiplicity):
-        """The canonical-class mapping and the global-plan fast path must
-        reproduce the exact per-snapshot option sets on every occupancy
-        vector — including reflections (direction negation), gathering
-        multiplicities and the presentation-dependent sweep baseline."""
-        import itertools
-
-        n, k = 7, 3
-        fast = BranchingDriver(algorithm, n, multiplicity_detection=multiplicity)
-        oracle = BranchingDriver(algorithm, n, multiplicity_detection=multiplicity)
-        for support in itertools.combinations(range(n), k):
-            counts = tuple(1 if v in support else 0 for v in range(n))
-            try:
-                expected = oracle._compute_options_snapshots(counts)
-            except Exception as exc:  # noqa: BLE001 - mirror error below
-                with pytest.raises(type(exc)):
-                    fast.node_options(counts)
-                continue
-            assert fast.node_options(counts) == expected, counts
-        if multiplicity:
-            # A vector with a tower exercises the on_multiplicity flag.
-            counts = (2, 0, 1, 0, 0, 0, 0)
-            assert fast.node_options(counts) == oracle._compute_options_snapshots(counts)
+    def test_options_match_direct_snapshot_computation(
+        self, algorithm, multiplicity, fresh_plan_tables
+    ):
+        """The driver's options, read off the class plan in the caller's
+        own frame wherever there is one, must equal the exact per-snapshot
+        option sets (or raise the same error) on every occupancy vector of
+        n = 6..10 — every rotation and reflection of every support, the
+        presentation-dependent sweep baseline, and for gathering one tower
+        per support as well."""
+        for n in range(6, 11):
+            driver = BranchingDriver(algorithm, n, multiplicity_detection=multiplicity)
+            for counts in itertools.product((0, 1), repeat=n):
+                if not any(counts):
+                    continue
+                vectors = [counts]
+                if multiplicity:
+                    tower = list(counts)
+                    tower[counts.index(1)] += 1
+                    vectors.append(tuple(tower))
+                for vector in vectors:
+                    expected = outcome(
+                        lambda v: snapshot_options(
+                            algorithm, DecisionCache(), Configuration(v), multiplicity
+                        ),
+                        vector,
+                    )
+                    assert outcome(driver.node_options, vector) == expected, vector
 
     def test_plan_fast_path_falls_back_on_non_adjacent_target(self):
         """A planner prescribing a 2-hop move must surface the legacy

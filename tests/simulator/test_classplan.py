@@ -14,15 +14,22 @@ from repro.algorithms import (
     RingClearingAlgorithm,
     SweepAlgorithm,
 )
+from repro.algorithms.baselines import GreedyGatherBaseline
 from repro.analysis.enumeration import iter_configurations
 from repro.batchsim import BatchEngine
 from repro.core.configuration import Configuration
 from repro.core.cyclic import reflect, rotate
 from repro.core.ring import CCW, CW
 from repro.model import GlobalRuleAlgorithm
+from repro.model.algorithm import DecisionCache
 from repro.runs.spec import make_algorithm
 from repro.simulator.branching import BranchingDriver
-from repro.simulator.classplan import SELF_CHECKS, ClassPlanTable, plan_table
+from repro.simulator.classplan import (
+    SELF_CHECKS,
+    ClassPlanTable,
+    plan_table,
+    snapshot_options,
+)
 from repro.workloads.generators import random_rigid_configuration
 
 #: The one exclusive class (n = 4..12) where Align moves a robot whose
@@ -135,7 +142,9 @@ class TestNoPlan:
                 assert table.enabled, counts
                 driver = BranchingDriver(AlignAlgorithm(), 8)
                 assert driver.node_options(counts)[axis] == (CCW, CW)
-                assert driver.node_options(counts) == driver._compute_options_snapshots(counts)
+                assert driver.node_options(counts) == snapshot_options(
+                    AlignAlgorithm(), DecisionCache(), Configuration(counts), False
+                )
 
 
 class TestSelfCheck:
@@ -196,6 +205,17 @@ class TestRegistryIdentity:
         assert (moving_table.algorithm, idle_table.algorithm) == (moving, idle)
         assert moving_table.plan(self.COUNTS)
         assert idle_table.plan(self.COUNTS) == {}
+
+
+    @pytest.mark.parametrize("algorithm_type", [SweepAlgorithm, GreedyGatherBaseline])
+    def test_algorithms_that_cannot_plan_stay_out(self, algorithm_type, fresh_plan_tables):
+        starts = [random_rigid_configuration(12, 5, random.Random(seed)) for seed in range(2)]
+        BatchEngine(algorithm_type(), starts)
+        BatchEngine(algorithm_type(), starts[:1])
+        driver = BranchingDriver(algorithm_type(), 12)
+        assert classplan_module._PLAN_TABLES == {}
+        assert not driver._plan_table.enabled
+        assert plan_table(algorithm_type(), 12) is not plan_table(algorithm_type(), 12)
 
 
 class TestRegistryThreads:

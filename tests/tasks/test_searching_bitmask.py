@@ -25,7 +25,12 @@ from repro.simulator.engine import Simulator
 from repro.simulator.options import EngineOptions
 from repro.simulator.trace import MoveRecord
 from repro.tasks.base import Monitor
-from repro.tasks.searching import RingSearchDynamics, SearchingMonitor, SearchState
+from repro.tasks.searching import (
+    RingSearchDynamics,
+    SearchingMonitor,
+    SearchState,
+    ring_search_dynamics,
+)
 from repro.workloads.generators import rigid_configurations
 
 
@@ -235,3 +240,10 @@ def test_advance_is_a_fixed_point_per_support(n):
         for mask in range(1 << n):
             once = dynamics.advance(support, mask)
             assert dynamics.advance(support, once) == once
+
+
+def test_ring_search_dynamics_is_shared_per_ring_size():
+    assert ring_search_dynamics(9) is ring_search_dynamics(9)
+    assert ring_search_dynamics(10) is not ring_search_dynamics(9)
+    assert ring_search_dynamics(10).n == 10
+    assert ring_search_dynamics.cache_info().maxsize == 64
