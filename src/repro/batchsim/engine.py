@@ -17,9 +17,9 @@ lane's dict key); everything expensive is shared across lanes:
   :class:`LookTable` and a :class:`~repro.model.algorithm.DecisionCache`,
   which with the configuration pool are shared across the whole batch;
 * every round-robin lane, monitored or not, runs in one hot loop, and
-  a lane with no monitors and no event log fast-forwards whole periods
-  of a periodic orbit in which no per-snapshot Look depended on the
-  presentation order;
+  a lane with no event log whose monitors all support it fast-forwards
+  whole periods of a periodic orbit in which no per-snapshot Look
+  depended on the presentation order;
 * stop conditions are predicates over the configuration and are
   memoised per distinct occupancy row, so a convergence check costs one
   dictionary hit per step instead of a property chain.
@@ -224,7 +224,8 @@ class BatchLane:
         self.events: List[tuple] = []
         self.monitors = None
         #: round-boundary state memory for periodic-orbit fast-forward:
-        #: normalised positions -> (step, total_moves, base node, ties).
+        #: normalised positions (plus the monitors' keys on a monitored
+        #: lane) -> (step, total_moves, base node, ties).
         self.orbit: Dict[Tuple[int, ...], Tuple[int, int, int, int]] = {}
 
 
@@ -247,9 +248,12 @@ class BatchEngine:
             consulted per step through a :class:`BatchLaneView`.
         options: shared :class:`EngineOptions` bundle (defaults to
             ``EngineOptions()``).
-        monitors_factory: optional ``lane_index -> iterable of monitors``;
-            every monitor sees every step of its lane, so monitored
-            lanes never fast-forward periodic orbits.
+        monitors_factory: optional ``lane_index -> iterable of monitors``.
+            A monitor sees every step of its lane, unless every monitor
+            of the lane supports orbit skips (``orbit_key`` and
+            ``orbit_skip``, see :class:`~repro.tasks.base.Monitor`):
+            then whole periods of a periodic orbit are replayed into the
+            monitors instead of stepped.
         record_events: record per-step events enabling
             :meth:`lane_trace`.  Disable for throughput when only the
             aggregate counters (``total_moves``, ``step_count``,
@@ -560,29 +564,35 @@ class BatchEngine:
 
         Called when robot 0 is next in round-robin order: every CYCLE
         step leaves ``pending`` empty, so the rotation-normalised
-        positions are the lane's complete state.  On a revisit with the
-        same tie count, the period since the remembered visit repeats,
-        rotated, for as long as the budget lasts, so ``full`` periods are
-        applied at once and positions and row are rotated in place.  A
+        positions, plus each monitor's ``orbit_key`` in robot 0's frame,
+        are the lane's complete state.  On a revisit with the same tie
+        count, the period since the remembered visit repeats, rotated,
+        for as long as the budget lasts, so ``full`` periods are applied
+        at once: positions and row are rotated in place, and each
+        monitor replays the period's records through ``orbit_skip``.  A
         revisit after a tie is remembered afresh instead.
 
         Returns ``None`` (simulate on), or ``(steps skipped, moves
         skipped, key, counts tuple)`` after the skip.
         """
         positions = lane.positions
+        monitors = lane.monitors
         n = self._n
         base = positions[0]
-        norm = tuple((p - base) % n for p in positions)
-        prev = lane.orbit.get(norm)
+        state = tuple((p - base) % n for p in positions)
+        if monitors is not None:
+            state = (state, tuple(monitor.orbit_key(base) for monitor in monitors))
+        prev = lane.orbit.get(state)
         if prev is None or prev[3] != ties:
-            lane.orbit[norm] = (step, total_moves, base, ties)
+            lane.orbit[state] = (step, total_moves, base, ties)
             return None
         prev_step, prev_moves, prev_base, _ = prev
         period = step - prev_step
         full = remaining // period if period > 0 else 0
         if full <= 0:
             return None
-        rotation = ((base - prev_base) * full) % n
+        shift = (base - prev_base) % n
+        rotation = (shift * full) % n
         if rotation:
             for i in range(len(positions)):
                 positions[i] = (positions[i] + rotation) % n
@@ -592,7 +602,17 @@ class BatchEngine:
                 row[i] = rotated[i]
             key = row.tobytes()
             counts_tuple = self._tuples.setdefault(key, rotated)
-        return full * period, full * (total_moves - prev_moves), key, counts_tuple
+        moves = total_moves - prev_moves
+        if monitors is not None:
+            # The monitors read the lane through its view: bring it to
+            # the end of the skip first.
+            lane.step_count = step + full * period
+            lane.key = key
+            lane.counts_tuple = counts_tuple
+            view = self._views[lane.index]
+            for monitor in monitors:
+                monitor.orbit_skip(view, prev_step, period, full, shift, moves)
+        return full * period, full * moves, key, counts_tuple
 
     def _run_lane_rr(
         self, lane: BatchLane, max_steps: int, memo: "_StopMemo"
@@ -611,15 +631,16 @@ class BatchEngine:
         ``step_count`` current; the pooled configuration they receive is
         looked up only after a move.
 
-        Unmonitored lanes that record no events remember their
-        round-boundary states, so a lane that enters a periodic orbit
-        (every perpetual task does) has its remaining full periods
-        fast-forwarded arithmetically (:meth:`_orbit_skip`).  A lane
-        that draws presentations also counts its *ties* — Look-table
-        Looks whose two presentation orders give different directions;
-        plan steps never tie — and skips only tie-free periods, which no
-        draw can change; it still draws once per skipped step, so its
-        RNG state stays equal to the reference stepper's.
+        Lanes that record no events, and whose monitors all support
+        orbit skips, remember their round-boundary states, so a lane
+        that enters a periodic orbit (every perpetual task does) has its
+        remaining full periods fast-forwarded arithmetically
+        (:meth:`_orbit_skip`).  A lane that draws presentations also
+        counts its *ties* — Look-table Looks whose two presentation
+        orders give different directions; plan steps never tie — and
+        skips only tie-free periods, which no draw can change; it still
+        draws once per skipped step, so its RNG state stays equal to the
+        reference stepper's.
         """
         positions = lane.positions
         k = len(positions)
@@ -652,9 +673,9 @@ class BatchEngine:
         # ties only when it draws (under chirality no Look has a second
         # order).
         fast_forward = (
-            monitors is None
-            and not record
+            not record
             and (not stop_active or memo.declared_invariant)
+            and (monitors is None or all(hasattr(m, "orbit_skip") for m in monitors))
         )
         count_ties = fast_forward and draw is not None
         ties = 0
@@ -681,6 +702,7 @@ class BatchEngine:
                             for _ in range(skipped):
                                 draw()
                         plan = None
+                        configuration = None
                         continue
                 rr += 1
                 position = positions[robot]

@@ -17,6 +17,13 @@ that takes one unit per task.  Three properties are guaranteed:
 * **Resumability** — with a result store attached, units already in
   the campaign's unit cache are not re-executed.
 
+:func:`run_campaigns` runs several campaigns at once: each serves its
+store and cache hits first, then every pending unit of every campaign
+shares one pool (longest first across campaigns, so no campaign waits
+at its own barrier), and each campaign's report is handed back as soon
+as its last unit settles.  :func:`run_campaign` is the one-campaign
+case.
+
 On top of those, three resilience controls, all fields of the
 :class:`~repro.campaign.context.ExecutionContext` (none of them changes
 what a successful record contains):
@@ -35,7 +42,10 @@ what a successful record contains):
   mechanisms above.
 
 Workers must be module-level callables (picklable by reference) taking
-the unit dictionary and returning a JSON-serialisable payload.
+the unit dictionary and returning a JSON-serialisable payload.  A worker
+that imports its engines where it runs may name them in an
+``engine_modules`` attribute: a pool imports them in the parent before
+it forks, so its workers inherit them instead of each importing them.
 """
 
 from __future__ import annotations
@@ -45,8 +55,9 @@ import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from time import perf_counter, sleep
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .spec import Campaign, UnitSpec
@@ -59,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 # fault layer are imported inside the functions that use them: a serial
 # campaign without a deadline or a fault plan never loads them.
 
-__all__ = ["CampaignReport", "run_campaign", "execute_unit", "execute_batch"]
+__all__ = ["CampaignReport", "run_campaign", "run_campaigns", "execute_unit", "execute_batch"]
 
 #: Worker signature: unit dict in, JSON-serialisable payload out.
 Worker = Callable[[Dict[str, object]], Dict[str, object]]
@@ -217,21 +228,87 @@ def make_pool(jobs: int) -> ProcessPoolExecutor:
     )
 
 
-class _Collector:
-    """Routes finished records to the report, unit caches and callback."""
+class _CampaignRun:
+    """One campaign being executed: its report, pending units and worker.
+
+    Construction serves the store's and the cache's hits; :meth:`add`
+    routes every finished record to the report, the unit caches, the
+    metrics and the progress callback, and once the last unit has
+    settled the report is sorted, its summary written and
+    ``on_settled`` called with it.
+    """
 
     def __init__(
-        self, report: CampaignReport, ctx: ExecutionContext, worker_name: str, units
+        self,
+        campaign: Campaign,
+        worker: Worker,
+        ctx: ExecutionContext,
+        on_settled: Optional[Callable[[CampaignReport], None]] = None,
     ) -> None:
-        self._report = report
+        report = CampaignReport(campaign=campaign)
+        worker_name = _worker_name(worker)
+        #: modules the worker runs, imported before a pool forks.
+        self.engine_modules: Tuple[str, ...] = tuple(getattr(worker, "engine_modules", ()))
+        if ctx.fault_plan is not None:
+            from ..faults.plan import FaultyWorker
+
+            worker = FaultyWorker(worker, ctx.fault_plan)
+        if "<lambda>" in worker_name or "<locals>" in worker_name:
+            # Dynamically defined workers share a qualname (every lambda at one
+            # scope is "<lambda>"): a store refuses them, and the cache is
+            # disabled rather than serve one worker's payloads as another's.
+            if ctx.store is not None:
+                raise ValueError(
+                    f"a result store needs a module-level worker, not {worker_name!r}"
+                )
+            if ctx.cache is not None:
+                warnings.warn(
+                    f"unit de-duplication cache disabled: worker {worker_name!r} is "
+                    "dynamically defined and has no stable identity; use a "
+                    "module-level function to enable caching",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                ctx = replace(ctx, cache=None)
+        self.report = report
+        self.worker = worker
         self._ctx = ctx
         self._worker_name = worker_name
+        self._on_settled = on_settled
+        store, cache, metrics = ctx.store, ctx.cache, ctx.metrics
+
+        # Resume is de-duplication: the store's units first, then the cache.
+        # A served record is rebuilt around *this* campaign's unit fields, so
+        # the summary stays byte-identical; a cache hit is also stored.
+        units = store.units(campaign.name) if store is not None else None
         self._units = units
-        self._done = len(report.records)
+        sources = [(units, report.resumed, "resumed"), (cache, report.cached, "cached")]
+        self.pending: List[UnitSpec] = []
+        for unit in campaign.units:
+            unit_dict = unit.as_dict()
+            for source, served, label in sources:
+                if source is None:
+                    continue
+                document = source.get(source.unit_key(worker_name, unit_dict))
+                if isinstance(document, dict) and document.get("status") == "ok":
+                    record = dict(unit_dict)
+                    record.update(status="ok", payload=document.get("payload"), error=None)
+                    record["duration_s"] = 0.0
+                    report.records.append(record)
+                    served.append(unit.unit_id)
+                    if metrics is not None:
+                        metrics.inc("campaign_units_total", status=label)
+                    if source is cache:
+                        _put_unit(units, worker_name, record, durable=True)
+                    break
+            else:
+                self.pending.append(unit)
 
     def add(self, record: Dict[str, object]) -> None:
+        """Route one finished record; settle the campaign after its last unit."""
         ctx = self._ctx
-        self._report.records.append(record)
+        report = self.report
+        report.records.append(record)
         if record.get("status") == "ok":
             _put_unit(self._units, self._worker_name, record, durable=True)
             _put_unit(ctx.cache, self._worker_name, record)
@@ -239,9 +316,22 @@ class _Collector:
             ctx.metrics.inc(
                 "campaign_units_total", status=str(record.get("status", "?"))
             )
-        self._done += 1
+        done, total = len(report.records), report.campaign.num_units
         if ctx.progress is not None:
-            ctx.progress(self._done, self._report.campaign.num_units, record)
+            ctx.progress(done, total, record)
+        if done == total:
+            self.settle()
+
+    def settle(self) -> None:
+        """Sort the records, write the summary and hand the report on."""
+        report = self.report
+        report.records.sort(key=lambda record: record.get("index", 0))
+        if self._ctx.store is not None:
+            report.summary_path = self._ctx.store.write_summary(
+                report.campaign, report.records
+            )
+        if self._on_settled is not None:
+            self._on_settled(report)
 
 
 def _put_unit(cache, worker_name: str, record: Dict[str, object], durable=False) -> None:
@@ -260,10 +350,9 @@ _WATCHDOG_POLL_S = 0.05
 
 
 def _retry_in_isolation(
-    worker: Worker,
+    run: _CampaignRun,
     unit: UnitSpec,
     ctx: ExecutionContext,
-    collector: _Collector,
     *,
     first_attempt_timed_out: bool,
 ) -> None:
@@ -281,19 +370,19 @@ def _retry_in_isolation(
 
     timeout = ctx.timeout
     pool = make_pool(1)
-    future = pool.submit(execute_unit, worker, unit.as_dict(), ctx.retry)
+    future = pool.submit(execute_unit, run.worker, unit.as_dict(), ctx.retry)
     try:
-        collector.add(future.result(timeout=timeout))
+        run.add(future.result(timeout=timeout))
     except FuturesTimeoutError:
         terminate_pool(pool)
-        collector.add(_timeout_record(unit.as_dict(), timeout))
+        run.add(_timeout_record(unit.as_dict(), timeout))
     except BrokenProcessPool:
         if first_attempt_timed_out:
             # Terminated mid-kill rather than by its own doing —
             # still a deadline casualty, not a crash.
-            collector.add(_timeout_record(unit.as_dict(), timeout))
+            run.add(_timeout_record(unit.as_dict(), timeout))
         else:
-            collector.add(
+            run.add(
                 _crashed_record(
                     unit.as_dict(),
                     "worker process died while executing this unit",
@@ -306,19 +395,23 @@ def _retry_in_isolation(
         pool.shutdown(wait=future.done())
 
 
-def _run_pool(
-    worker: Worker,
-    pending: List[UnitSpec],
-    ctx: ExecutionContext,
-    collector: _Collector,
-) -> None:
+def _unit_cost(task: Tuple[_CampaignRun, UnitSpec]) -> int:
+    """Static cost estimate of one unit: its step budget."""
+    unit = task[1]
+    return unit.samples * unit.steps_factor * unit.n * max(unit.k, 1)
+
+
+def _run_pool(tasks: List[Tuple[_CampaignRun, UnitSpec]], ctx: ExecutionContext) -> None:
     """Process-pool execution, one unit per task, with crash isolation.
 
-    Units are submitted longest-first and windowed to the pool width, so
-    every in-flight future corresponds to a unit that is genuinely
-    *running*: its submission time is its start time.  A worker death
-    breaks the pool; it is rebuilt, innocent in-flight units are
-    requeued, and each broken unit is retried once in isolation.
+    ``tasks`` pairs each pending unit with its campaign; units of every
+    campaign share the pool.  The modules the workers run are imported
+    first, so forked workers inherit them.  Units are submitted
+    longest-first and windowed to the pool width, so every in-flight
+    future corresponds to a unit that is genuinely *running*: its
+    submission time is its start time.  A worker death breaks the pool;
+    it is rebuilt, innocent in-flight units are requeued, and each
+    broken unit is retried once in isolation.
 
     With a deadline (``ctx.timeout``) a watchdog also polls the
     in-flight units.  On an overrun the whole pool is terminated (there
@@ -333,45 +426,43 @@ def _run_pool(
 
     jobs, timeout, retry = ctx.jobs, ctx.timeout, ctx.retry
     poll = None if timeout is None else _WATCHDOG_POLL_S
+    for module in sorted({name for run, _ in tasks for name in run.engine_modules}):
+        __import__(module)  # unlike importlib's, shows in ``-X importtime``
     # Longest-processing-time-first: simulation cost grows with the
     # step budget (samples * steps_factor * n * k), so scheduling the
     # heaviest cells first keeps the makespan near the optimum instead
     # of leaving the largest unit to run alone at the tail.
-    queue = deque(
-        sorted(
-            pending,
-            key=lambda u: u.samples * u.steps_factor * u.n * max(u.k, 1),
-            reverse=True,
-        )
-    )
+    queue = deque(sorted(tasks, key=_unit_cost, reverse=True))
     pool = make_pool(jobs)
     inflight: Dict[object, tuple] = {}
     try:
         while queue or inflight:
             pool_broken = False
             while queue and len(inflight) < jobs:
-                unit = queue.popleft()
+                run, unit = task = queue.popleft()
                 try:
-                    future = pool.submit(execute_unit, worker, unit.as_dict(), retry)
+                    future = pool.submit(execute_unit, run.worker, unit.as_dict(), retry)
                 except BrokenProcessPool:
                     # A crash in an already-submitted unit broke the pool
                     # mid-refill.  Requeue this (never-started) unit and
                     # let the harvest below sort casualties from
                     # bystanders before the pool is rebuilt.
-                    queue.appendleft(unit)
+                    queue.appendleft(task)
                     pool_broken = True
                     break
-                inflight[future] = (unit, perf_counter())
+                inflight[future] = (task, perf_counter())
             done, _ = wait(list(inflight), timeout=poll, return_when=FIRST_COMPLETED)
-            crashed: List[UnitSpec] = []
+            crashed: List[Tuple[_CampaignRun, UnitSpec]] = []
             for future in done:
-                unit, _started = inflight.pop(future)
+                task, _started = inflight.pop(future)
                 try:
-                    collector.add(future.result())
+                    record = future.result()
                 except BrokenProcessPool:
-                    crashed.append(unit)
+                    crashed.append(task)
+                else:
+                    task[0].add(record)
             now = perf_counter()
-            timed_out: List[UnitSpec] = []
+            timed_out: List[Tuple[_CampaignRun, UnitSpec]] = []
             overdue = timeout is not None and any(
                 now - started > timeout for _, started in inflight.values()
             )
@@ -381,29 +472,27 @@ def _run_pool(
                 # the innocent bystanders, and rebuild.
                 terminate_pool(pool)
             if overdue or crashed or pool_broken:
-                for future, (unit, started) in inflight.items():
+                for future, (task, started) in inflight.items():
                     if overdue and now - started > timeout:
-                        timed_out.append(unit)
+                        timed_out.append(task)
                     elif future.done():
                         try:
-                            collector.add(future.result())
+                            record = future.result()
                         except (BrokenProcessPool, CancelledError):
-                            queue.appendleft(unit)
+                            queue.appendleft(task)
+                        else:
+                            task[0].add(record)
                     else:
                         # Stranded on a dead pool: its result (if any)
                         # is discarded, the unit simply runs again.
-                        queue.appendleft(unit)
+                        queue.appendleft(task)
                 inflight.clear()
                 pool.shutdown(wait=False)
                 pool = make_pool(jobs)
-            for unit in timed_out:
-                _retry_in_isolation(
-                    worker, unit, ctx, collector, first_attempt_timed_out=True
-                )
-            for unit in crashed:
-                _retry_in_isolation(
-                    worker, unit, ctx, collector, first_attempt_timed_out=False
-                )
+            for run, unit in timed_out:
+                _retry_in_isolation(run, unit, ctx, first_attempt_timed_out=True)
+            for run, unit in crashed:
+                _retry_in_isolation(run, unit, ctx, first_attempt_timed_out=False)
     finally:
         # As in _retry_in_isolation: join only when nothing is running.
         pool.shutdown(wait=not inflight)
@@ -429,65 +518,43 @@ def run_campaign(
         The report with records sorted by grid index.  When a store is
         attached the aggregate ``summary.json`` has been written.
     """
-    report = CampaignReport(campaign=campaign)
-    worker_name = _worker_name(worker)
-    if ctx.fault_plan is not None:
-        from ..faults.plan import FaultyWorker
+    return run_campaigns([(campaign, worker)], ctx)[0]
 
-        worker = FaultyWorker(worker, ctx.fault_plan)
-    if "<lambda>" in worker_name or "<locals>" in worker_name:
-        # Dynamically defined workers share a qualname (every lambda at one
-        # scope is "<lambda>"): a store refuses them, and the cache is
-        # disabled rather than serve one worker's payloads as another's.
-        if ctx.store is not None:
-            raise ValueError(f"a result store needs a module-level worker, not {worker_name!r}")
-        if ctx.cache is not None:
-            warnings.warn(
-                f"unit de-duplication cache disabled: worker {worker_name!r} is "
-                "dynamically defined and has no stable identity; use a "
-                "module-level function to enable caching",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            ctx = replace(ctx, cache=None)
-    store, cache, metrics = ctx.store, ctx.cache, ctx.metrics
 
-    # Resume is de-duplication: the store's units first, then the cache.
-    # A served record is rebuilt around *this* campaign's unit fields, so
-    # the summary stays byte-identical; a cache hit is also stored.
-    units = store.units(campaign.name) if store is not None else None
-    sources = [(units, report.resumed, "resumed"), (cache, report.cached, "cached")]
-    pending: List[UnitSpec] = []
-    for unit in campaign.units:
-        unit_dict = unit.as_dict()
-        for source, served, label in sources:
-            if source is None:
-                continue
-            document = source.get(source.unit_key(worker_name, unit_dict))
-            if isinstance(document, dict) and document.get("status") == "ok":
-                record = dict(unit_dict)
-                record.update(status="ok", payload=document.get("payload"), error=None)
-                record["duration_s"] = 0.0
-                report.records.append(record)
-                served.append(unit.unit_id)
-                if metrics is not None:
-                    metrics.inc("campaign_units_total", status=label)
-                if source is cache:
-                    _put_unit(units, worker_name, record, durable=True)
-                break
-        else:
-            pending.append(unit)
+def run_campaigns(
+    campaigns: Sequence[Tuple[Campaign, Worker]],
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
+    on_report: Optional[Callable[[int, CampaignReport], None]] = None,
+) -> List[CampaignReport]:
+    """Execute several ``(campaign, worker)`` pairs, their units on one pool.
 
-    collector = _Collector(report, ctx, worker_name, units)
-    if pending and (ctx.timeout is not None or (ctx.jobs > 1 and len(pending) > 1)):
+    Each campaign is executed exactly as :func:`run_campaign` would,
+    with the same records, reports and summaries; only the schedule is
+    shared.  Every campaign's store and cache hits are served before any
+    unit runs.  The pending units of all campaigns then run serially in
+    campaign order, or — with a deadline, or ``jobs > 1`` and more than
+    one pending unit — through one pool, longest first across
+    campaigns, each unit keeping its crash isolation, deadline and
+    retries.
+
+    ``on_report(index, report)`` is called once per campaign (``index``
+    into ``campaigns``) as soon as its last unit has settled and its
+    summary is written, so a caller can finish one campaign's result
+    while others still run.
+    """
+    runs = [
+        _CampaignRun(campaign, worker, ctx, on_report and partial(on_report, index))
+        for index, (campaign, worker) in enumerate(campaigns)
+    ]
+    tasks = [(run, unit) for run in runs for unit in run.pending]
+    for run in runs:
+        if not run.pending:
+            run.settle()
+    if tasks and (ctx.timeout is not None or (ctx.jobs > 1 and len(tasks) > 1)):
         # Deadlines require killability, so even jobs=1 runs through a
         # (single-worker) pool the watchdog can terminate.
-        _run_pool(worker, pending, ctx, collector)
+        _run_pool(tasks, ctx)
     else:
-        for unit in pending:
-            collector.add(execute_unit(worker, unit.as_dict(), ctx.retry))
-
-    report.records.sort(key=lambda record: record.get("index", 0))
-    if store is not None:
-        report.summary_path = store.write_summary(campaign, report.records)
-    return report
+        for run, unit in tasks:
+            run.add(execute_unit(run.worker, unit.as_dict(), ctx.retry))
+    return [run.report for run in runs]

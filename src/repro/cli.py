@@ -38,6 +38,7 @@ from .faults.errors import DeadlineExceeded
 from .modelcheck.results import DEFAULT_MAX_STATES
 from .modelcheck.tasks import TASKS as VERIFY_TASKS
 from .runs import SCHEDULERS, BatchSweepSpec, ExperimentSpec, SimulateSpec, VerifySpec, execute
+from .runs.execute import execute_experiments
 from .simulator.options import EngineOptions
 
 __all__ = ["main", "build_parser", "parse_int_grid"]
@@ -341,12 +342,18 @@ def _run_experiment(name: str, full: bool, out, ctx: ExecutionContext) -> int:
 
 
 def _run_all(out, ctx: ExecutionContext) -> int:
-    status = 0
-    for name in sorted(EXPERIMENTS):
-        if _run_experiment(name, False, out, ctx):
-            status = 1
+    """Every quick experiment, their units on one pool, reports in name order."""
+    failed = []
+
+    def emit(result) -> None:
+        print(result.payload["rendered"], file=out)
         print("", file=out)
-    return status
+        failed.append(not result.payload["passed"])
+
+    execute_experiments(
+        [ExperimentSpec(name=name, variant="quick") for name in sorted(EXPERIMENTS)], ctx, emit
+    )
+    return 1 if any(failed) else 0
 
 
 def _run_census(n: int, k: int, out) -> int:

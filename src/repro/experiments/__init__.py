@@ -8,6 +8,7 @@ adversarial model checker.
 from __future__ import annotations
 
 from importlib import import_module
+from types import ModuleType
 from typing import Callable, Dict
 
 from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
@@ -26,14 +27,25 @@ _MODULES = {
 }
 
 
-def _deferred_run(module_name: str) -> Callable[..., ExperimentResult]:
-    """The ``run`` function of ``module_name``, imported on its first call."""
+def experiment_module(name: str) -> ModuleType:
+    """The module of experiment ``name``, imported on first use.
+
+    Every experiment module defines ``run(variant, ctx)``, its campaign
+    worker ``run_unit`` and ``report_result(report)``, which turns the
+    campaign's report into the :class:`ExperimentResult`; ``run`` is the
+    last two around one campaign.
+    """
+    return import_module(f"{__name__}.{_MODULES[name]}")
+
+
+def _deferred_run(name: str) -> Callable[..., ExperimentResult]:
+    """The ``run`` function of experiment ``name``, imported on its first call."""
 
     def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-        return import_module(module_name).run(variant, ctx)
+        return experiment_module(name).run(variant, ctx)
 
     # ``EXPERIMENTS[name].__module__`` keeps naming the experiment module.
-    run.__module__ = module_name
+    run.__module__ = f"{__name__}.{_MODULES[name]}"
     return run
 
 
@@ -42,7 +54,7 @@ def _deferred_run(module_name: str) -> Callable[..., ExperimentResult]:
 #: only when it is called, so parsing a command line or serving a cached
 #: result loads none of them.
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    name: _deferred_run(f"{__name__}.{module}") for name, module in _MODULES.items()
+    name: _deferred_run(name) for name in _MODULES
 }
 
-__all__ = ["EXPERIMENTS", "ExperimentResult", "render_table"]
+__all__ = ["EXPERIMENTS", "ExperimentResult", "experiment_module", "render_table"]

@@ -10,11 +10,16 @@ the figures, and reports the symmetry breakdown the proofs rely on
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..analysis.enumeration import PAPER_FIGURE_COUNTS, census
 from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result"]
 
 
 def run_unit(unit):
@@ -41,12 +46,16 @@ def run_unit(unit):
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E1 and return its result table."""
+    return report_result(run_experiment_campaign("e1", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E1's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E1",
         title="Configuration census per (k, n) — reproduces Figures 4-9",
         header=("k", "n", "paper figure", "paper count", "measured", "rigid", "symmetric", "periodic", "match"),
     )
-    report = run_experiment_campaign("e1", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "paper counts: Figure 4 (4,7)=4, Figure 5 (4,8)=8, Figure 6 (5,8)=5, "

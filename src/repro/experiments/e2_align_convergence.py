@@ -18,6 +18,7 @@ count and the min/mean/max number of moves to convergence.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from ..algorithms.align import SPECIAL_SYMMETRIC_VIEW, AlignAlgorithm
 from ..analysis.metrics import summarize
@@ -26,7 +27,10 @@ from ..simulator.engine import Simulator
 from ..workloads.generators import random_rigid_configuration, rigid_configurations
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit", "EXHAUSTIVE_LIMIT"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result", "EXHAUSTIVE_LIMIT"]
 
 #: Ring sizes up to which every rigid configuration class is tried.
 EXHAUSTIVE_LIMIT = 13
@@ -77,12 +81,16 @@ def run_unit(unit):
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E2 and return its result table."""
+    return report_result(run_experiment_campaign("e2", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E2's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E2",
         title="Align convergence to C* (Theorem 1)",
         header=("k", "n", "starts", "reached C*", "invariant ok", "moves min", "moves mean", "moves max"),
     )
-    report = run_experiment_campaign("e2", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note("expected shape: 100% of starts reach C*; moves grow like O(n * k)")
     return result

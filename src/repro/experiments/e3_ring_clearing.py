@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.metrics import clearing_metrics, summarize
@@ -27,7 +28,10 @@ from ..tasks import ExplorationMonitor, SearchingMonitor
 from ..workloads.generators import iter_rigid_configurations, random_rigid_configuration
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result"]
 
 
 def run_unit(unit):
@@ -88,6 +92,11 @@ def run_unit(unit):
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E3 and return its result table."""
+    return report_result(run_experiment_campaign("e3", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E3's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E3",
         title="Ring Clearing: perpetual exclusive searching + exploration (Theorem 6)",
@@ -102,7 +111,6 @@ def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> Expe
             "min edge clearings",
         ),
     )
-    report = run_experiment_campaign("e3", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "expected shape: every start satisfies both tasks; the cost of the first full clearing "

@@ -8,6 +8,8 @@ phase-2 claim that the three final block-size descriptions cycle.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..algorithms.classification import three_empty_structure
 from ..algorithms.nminusthree import (
     NminusThreeAlgorithm,
@@ -20,7 +22,10 @@ from ..tasks import ExplorationMonitor, Monitor, SearchingMonitor
 from ..workloads.generators import rigid_configurations
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result"]
 
 
 class _FinalReached(Monitor):
@@ -47,6 +52,13 @@ class _FinalReached(Monitor):
     def on_step(self, engine, moves, configuration) -> None:
         """Check the configuration after the step."""
         self._check(configuration)
+
+    def orbit_key(self, base) -> bool:
+        """Only ``reached`` changes what this monitor records next."""
+        return self.reached
+
+    def orbit_skip(self, engine, start, period, full, shift, moves) -> None:
+        """Nothing to replay: a rotated configuration has the same block sizes."""
 
 
 def run_unit(unit):
@@ -95,6 +107,11 @@ def run_unit(unit):
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E4 and return its result table."""
+    return report_result(run_experiment_campaign("e4", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E4's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E4",
         title="NminusThree: perpetual searching + exploration for k = n - 3 (Theorem 7, Lemma 9)",
@@ -108,7 +125,6 @@ def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> Expe
             "all-clear events",
         ),
     )
-    report = run_experiment_campaign("e4", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note("expected shape: all starts pass; the dedicated algorithm covers k = n - 3, which Ring Clearing does not")
     return result

@@ -12,6 +12,7 @@ cell's starts as the lanes of one :class:`~repro.batchsim.BatchEngine`.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from ..algorithms.baselines import GreedyGatherBaseline
 from ..algorithms.gathering import GatheringAlgorithm, gathering_supported
@@ -22,7 +23,10 @@ from ..simulator.options import EngineOptions
 from ..workloads.generators import random_rigid_configuration, rigid_configurations
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit", "EXHAUSTIVE_LIMIT"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result", "EXHAUSTIVE_LIMIT"]
 
 #: Ring sizes up to which every rigid configuration class is tried.
 EXHAUSTIVE_LIMIT = 12
@@ -111,6 +115,11 @@ def run_unit(unit):
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E5 and return its result table."""
+    return report_result(run_experiment_campaign("e5", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E5's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E5",
         title="Gathering with local multiplicity detection (Theorem 8) vs greedy baseline",
@@ -125,7 +134,6 @@ def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> Expe
             "moves max",
         ),
     )
-    report = run_experiment_campaign("e5", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "expected shape: the paper's algorithm gathers from every rigid start; "

@@ -14,6 +14,8 @@ directions:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..algorithms.nminusthree import NminusThreeAlgorithm, nminusthree_supported
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.feasibility import Feasibility, searching_feasibility
@@ -24,7 +26,10 @@ from ..tasks import SearchingMonitor
 from ..workloads.generators import iter_rigid_configurations
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit", "simulation_cross_check", "FEASIBLE_SAMPLE"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result", "simulation_cross_check", "FEASIBLE_SAMPLE"]
 
 #: Feasible cells cross-checked by simulation in the quick variant.
 FEASIBLE_SAMPLE = ((6, 11), (7, 12), (7, 10), (9, 12))
@@ -74,6 +79,11 @@ def run_unit(unit):
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E6 and return its result table."""
+    return report_result(run_experiment_campaign("e6", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E6's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E6",
         title="Exclusive perpetual graph searching: characterization and cross-checks",
@@ -81,7 +91,6 @@ def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> Expe
     )
     # 1. Game-solver cross-checks on the smallest infeasible cells
     #    (the grid part, run through the campaign layer).
-    report = run_experiment_campaign("e6", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     # 2. Simulation cross-checks on feasible cells.
     for k, n in FEASIBLE_SAMPLE:

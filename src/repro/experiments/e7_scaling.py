@@ -12,6 +12,7 @@ repository's EXPERIMENTS.md tabulates.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from ..algorithms.align import AlignAlgorithm
 from ..algorithms.gathering import GatheringAlgorithm, gathering_supported
@@ -25,7 +26,10 @@ from ..tasks import SearchingMonitor
 from ..workloads.generators import random_rigid_configuration
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result"]
 
 
 def _align_moves(n: int, k: int, samples: int, seed: int) -> dict:
@@ -125,6 +129,11 @@ def run_unit(unit):
 
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E7 and return its result table."""
+    return report_result(run_experiment_campaign("e7", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E7's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E7",
         title="Scaling: Align moves, gathering moves, full-clearing cost vs (k, n)",
@@ -138,7 +147,6 @@ def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> Expe
             "full clear moves / n",
         ),
     )
-    report = run_experiment_campaign("e7", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "expected shape: align moves / (n*k) stays bounded by a small constant; "

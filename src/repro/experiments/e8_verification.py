@@ -20,7 +20,7 @@ universally quantified claims into a machine-checked regression table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from ..algorithms.nminusthree import nminusthree_supported
 from ..algorithms.ring_clearing import ring_clearing_supported
@@ -33,9 +33,13 @@ from ..analysis.feasibility import (
 from ..analysis.game import GameVerdict, searching_game_verdict
 from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..modelcheck import check_cell
+from ..modelcheck.checker import ENGINE_MODULES
 from .report import ExperimentResult
 
-__all__ = ["run", "run_unit", "GAME_CELLS", "applicable_checks"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import CampaignReport
+
+__all__ = ["run", "run_unit", "report_result", "GAME_CELLS", "applicable_checks"]
 
 #: Cells cross-checked against the E6 adversary-game solver (its quick
 #: grid): small enough for the exhaustive candidate search.
@@ -104,8 +108,16 @@ def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
     return {"rows": rows, "passed": passed, "counterexample": witness}
 
 
+run_unit.engine_modules = ENGINE_MODULES  # type: ignore[attr-defined]
+
+
 def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
     """Run E8 and return its result table."""
+    return report_result(run_experiment_campaign("e8", variant, run_unit, ctx))
+
+
+def report_result(report: CampaignReport) -> ExperimentResult:
+    """E8's result table from its campaign report."""
     result = ExperimentResult(
         experiment="E8",
         title="Exhaustive adversarial model checking vs the paper's verdict tables",
@@ -114,7 +126,6 @@ def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> Expe
             "states", "agrees",
         ),
     )
-    report = run_experiment_campaign("e8", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     counterexamples = [
         record["payload"].get("counterexample")

@@ -64,8 +64,14 @@ from .results import (
 )
 from .tasks import TASKS, TaskSpec, make_task_spec
 
+#: The engines a check runs.  :class:`ModelChecker` imports them where
+#: they run; a campaign worker that checks cells names them as its
+#: ``engine_modules``, so a pool imports them once, before it forks.
+ENGINE_MODULES = ("repro.simulator.branching", "repro.modelcheck.frontier")
+
 __all__ = [
     "DEFAULT_MAX_STATES",
+    "ENGINE_MODULES",
     "Verdict",
     "Witness",
     "WitnessStep",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
-from .checker import DEFAULT_MAX_STATES, ModelChecker
+from .checker import DEFAULT_MAX_STATES, ENGINE_MODULES, ModelChecker
 from .tasks import TASKS
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -88,6 +88,9 @@ def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
         "passed": result.verdict.value not in ("unknown", "error"),
         "result": result.to_jsonable(include_timing=False),
     }
+
+
+run_unit.engine_modules = ENGINE_MODULES  # type: ignore[attr-defined]
 
 
 def run_verify_campaign(

@@ -25,10 +25,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from hashlib import sha256
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
-from ..experiments import EXPERIMENTS
+from ..experiments import EXPERIMENTS, experiment_module
 from ..faults.deadline import call_with_deadline
 from .cache import ResultCache, cache_key
 from .spec import (
@@ -44,8 +44,9 @@ from .spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.configuration import Configuration
+    from ..experiments.report import ExperimentResult
 
-__all__ = ["RunResult", "execute"]
+__all__ = ["RunResult", "execute", "execute_experiments"]
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,11 @@ def _execute_verify(
 def _execute_experiment(
     spec: ExperimentSpec, ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
-    result = EXPERIMENTS[spec.name](spec.variant, ctx)
+    return _experiment_outcome(EXPERIMENTS[spec.name](spec.variant, ctx))
+
+
+def _experiment_outcome(result: ExperimentResult) -> Tuple[Dict[str, object], bool, bool]:
+    """``(payload, transient, history_dependent)`` of one experiment result."""
     payload = {
         "experiment": result.experiment,
         "title": result.title,
@@ -325,6 +330,51 @@ class _WriteOnlyCache:
         return self._cache.put(key, document)
 
 
+def _cached_result(spec: RunSpec, run_id: str, ctx: ExecutionContext) -> Optional[RunResult]:
+    """The whole-run cache's result for ``spec``, if ``ctx`` lets it answer."""
+    result_cache = ctx.cache
+    if result_cache is not None and ctx.store is None and not ctx.refresh:
+        document = result_cache.get(run_id)
+        if document is not None and "payload" in document:
+            return RunResult(
+                run_id=run_id,
+                spec=spec,
+                payload=document["payload"],  # type: ignore[arg-type]
+                cached=True,
+            )
+    return None
+
+
+def _run_context(ctx: ExecutionContext) -> ExecutionContext:
+    """The context executors run under: a refresh reads no cache entry."""
+    if ctx.refresh and ctx.cache is not None:
+        return replace(ctx, cache=_WriteOnlyCache(ctx.cache))
+    return ctx
+
+
+def _finish(
+    spec: RunSpec,
+    run_id: str,
+    ctx: ExecutionContext,
+    outcome: Tuple[Dict[str, object], bool, bool],
+) -> RunResult:
+    """Store an executed run's payload in the whole-run cache, if it may be."""
+    payload, transient, history_dependent = outcome
+    result_cache = ctx.cache
+    # Whole-run entries are written only for runs whose payload is the
+    # spec's canonical result: no transient worker failures (those must
+    # be re-attempted, not replayed), no history-dependent serving notes,
+    # and no store attached (:func:`_cached_result` skips the lookup
+    # symmetrically).
+    if result_cache is not None and ctx.store is None and not transient and not history_dependent:
+        result_cache.put(
+            run_id, {"spec": spec.to_jsonable(), "payload": payload}
+        )
+    return RunResult(
+        run_id=run_id, spec=spec, payload=payload, cached=False, deterministic=not transient
+    )
+
+
 def execute(
     spec: RunSpec, ctx: Optional[ExecutionContext] = None, **knobs: object
 ) -> RunResult:
@@ -347,28 +397,65 @@ def execute(
     if executor is None:
         raise TypeError(f"cannot execute spec of type {type(spec).__name__}")
     ctx = replace(ctx or DEFAULT_CONTEXT, **knobs)
-    result_cache = ctx.cache
     run_id = cache_key(spec)
-    if result_cache is not None and ctx.store is None and not ctx.refresh:
-        document = result_cache.get(run_id)
-        if document is not None and "payload" in document:
-            return RunResult(
-                run_id=run_id,
-                spec=spec,
-                payload=document["payload"],  # type: ignore[arg-type]
-                cached=True,
-            )
-    if ctx.refresh and result_cache is not None:
-        ctx = replace(ctx, cache=_WriteOnlyCache(result_cache))
-    payload, transient, history_dependent = executor(spec, ctx)
-    # Whole-run entries are written only for runs whose payload is the
-    # spec's canonical result: no transient worker failures (those must
-    # be re-attempted, not replayed), no history-dependent serving notes,
-    # and no store attached (the lookup above is skipped symmetrically).
-    if result_cache is not None and ctx.store is None and not transient and not history_dependent:
-        result_cache.put(
-            run_id, {"spec": spec.to_jsonable(), "payload": payload}
+    cached = _cached_result(spec, run_id, ctx)
+    if cached is not None:
+        return cached
+    return _finish(spec, run_id, ctx, executor(spec, _run_context(ctx)))
+
+
+def execute_experiments(
+    specs: Sequence[ExperimentSpec],
+    ctx: Optional[ExecutionContext] = None,
+    emit: Optional[Callable[[RunResult], None]] = None,
+) -> List[RunResult]:
+    """Execute several experiment specs, all their units on one pool.
+
+    Each result equals :func:`execute` of its spec under ``ctx``.  The
+    whole-run cache answers first; every other experiment's campaign
+    then goes to one :func:`~repro.campaign.executor.run_campaigns`
+    call, so with ``ctx.jobs > 1`` the units of all of them share one
+    pool and no experiment waits for another's slowest unit.  A fully
+    cached call imports no experiment and starts no pool.
+
+    ``emit`` receives the results in ``specs`` order, each as soon as it
+    and every result before it are ready.
+    """
+    ctx = ctx or DEFAULT_CONTEXT
+    results: List[Optional[RunResult]] = [None] * len(specs)
+    emitted = 0
+
+    def ready(index: int, result: RunResult) -> None:
+        nonlocal emitted
+        results[index] = result
+        while emitted < len(results) and results[emitted] is not None:
+            if emit is not None:
+                emit(results[emitted])  # type: ignore[arg-type]
+            emitted += 1
+
+    misses = []
+    for index, spec in enumerate(specs):
+        run_id = cache_key(spec)
+        cached = _cached_result(spec, run_id, ctx)
+        if cached is not None:
+            ready(index, cached)
+        else:
+            misses.append((index, spec, run_id, experiment_module(spec.name)))
+    if misses:
+        from ..campaign.executor import run_campaigns
+        from ..campaign.spec import build_campaign
+
+        def settled(position: int, report) -> None:
+            index, spec, run_id, module = misses[position]
+            outcome = _experiment_outcome(module.report_result(report))
+            ready(index, _finish(spec, run_id, ctx, outcome))
+
+        run_campaigns(
+            [
+                (build_campaign(spec.name, spec.variant), module.run_unit)
+                for _, spec, _, module in misses
+            ],
+            _run_context(ctx),
+            settled,
         )
-    return RunResult(
-        run_id=run_id, spec=spec, payload=payload, cached=False, deterministic=not transient
-    )
+    return results  # type: ignore[return-value]

@@ -22,7 +22,24 @@ __all__ = ["Monitor", "CompositeMonitor"]
 
 
 class Monitor:
-    """Base class for task monitors (default callbacks do nothing)."""
+    """Base class for task monitors (default callbacks do nothing).
+
+    A monitor may also let a batched round-robin lane skip whole periods
+    of a periodic orbit (see :meth:`~repro.batchsim.BatchEngine.run`)
+    by defining two more methods; the base class defines neither, so a
+    monitor that does not is shown every step:
+
+    * ``orbit_key(base) -> hashable`` — the monitor state that can still
+      change its future records, in the frame of robot 0 standing on
+      node ``base``; two equal keys mean the monitor goes on recording
+      the same, rotated;
+    * ``orbit_skip(engine, start, period, full, shift, moves)`` — append
+      ``full`` copies of the records of steps ``start`` to
+      ``start + period - 1``: copy ``j`` (from 1) of step ``s`` is step
+      ``s + j * period`` with every node rotated by ``j * shift``.  Each
+      period executes ``moves`` moves, and ``engine`` already shows the
+      lane at the end of the skip.
+    """
 
     def on_start(self, engine: "Simulator") -> None:
         """Called once before the first step."""

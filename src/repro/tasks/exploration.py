@@ -10,6 +10,7 @@ period makes every robot visit every node keeps doing so forever).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..core.configuration import Configuration
@@ -62,6 +63,38 @@ class ExplorationMonitor(Monitor):
         for move in moves:
             self.visit_counts[move.robot_id][move.target] += 1
             self.visit_steps[move.robot_id][move.target].append(step)
+
+    # ------------------------------------------------------------------ #
+    # periodic-orbit skips (see repro.tasks.base.Monitor)
+    # ------------------------------------------------------------------ #
+    def orbit_key(self, base: int) -> None:
+        """Visits never change which visits come next: the key is constant."""
+        return None
+
+    def orbit_skip(
+        self,
+        engine: "Simulator",
+        start: int,
+        period: int,
+        full: int,
+        shift: int,
+        moves: int,
+    ) -> None:
+        """Replay each robot's visits of ``full`` more periods."""
+        n = self.ring_size
+        visits = [
+            (step, node, robot)
+            for robot, steps_of in self.visit_steps.items()
+            for node, steps in steps_of.items()
+            for step in steps[bisect_left(steps, start):]
+        ]
+        for copy in range(1, full + 1):
+            offset = copy * period
+            rotation = copy * shift
+            for step, node, robot in visits:
+                node = (node + rotation) % n
+                self.visit_counts[robot][node] += 1
+                self.visit_steps[robot][node].append(step + offset)
 
     # ------------------------------------------------------------------ #
     # verification helpers

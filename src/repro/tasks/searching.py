@@ -19,6 +19,7 @@ clear — the raw data used to verify perpetual clearing.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.configuration import Configuration
@@ -405,15 +406,62 @@ class SearchingMonitor(Monitor):
 
     def _record(self, step: int) -> None:
         mask = self._mask
-        runs = self._runs
-        if runs and runs[-1][2] == mask and runs[-1][1] == step - 1:
-            runs[-1][1] = step
-        else:
-            runs.append([step, step, mask])
+        self._append_run(step, step, mask)
         if mask == self._dynamics.all_edges:
             if not self.all_clear_steps:
                 self.moves_to_first_all_clear = self._moves
             self.all_clear_steps.append(step)
+
+    def _append_run(self, first: int, last: int, mask: int) -> None:
+        """Record ``mask`` for steps ``first..last``, extending the last run if it can."""
+        runs = self._runs
+        if runs and runs[-1][2] == mask and runs[-1][1] == first - 1:
+            runs[-1][1] = last
+        else:
+            runs.append([first, last, mask])
+
+    def _rotated(self, mask: int, shift: int) -> int:
+        """``mask`` with every edge ``i`` moved to edge ``(i + shift) % n``."""
+        n = self._dynamics.n
+        shift %= n
+        return ((mask << shift) | (mask >> (n - shift))) & self._dynamics.all_edges
+
+    # ------------------------------------------------------------------ #
+    # periodic-orbit skips (see repro.tasks.base.Monitor)
+    # ------------------------------------------------------------------ #
+    def orbit_key(self, base: int) -> int:
+        """The clear mask seen from node ``base`` (edge ``base`` becomes edge 0)."""
+        return self._rotated(self._mask, -base)
+
+    def orbit_skip(
+        self,
+        engine: "Simulator",
+        start: int,
+        period: int,
+        full: int,
+        shift: int,
+        moves: int,
+    ) -> None:
+        """Replay the runs and all-clear steps of ``full`` more periods."""
+        runs = self._runs
+        index = len(runs)
+        while index > 0 and runs[index - 1][1] >= start:
+            index -= 1
+        period_runs = [(max(first, start), last, mask) for first, last, mask in runs[index:]]
+        clear_steps = self.all_clear_steps
+        period_clears = clear_steps[bisect_left(clear_steps, start):]
+        for copy in range(1, full + 1):
+            offset = copy * period
+            for first, last, mask in period_runs:
+                self._append_run(
+                    first + offset, last + offset, self._rotated(mask, copy * shift)
+                )
+            clear_steps.extend(step + offset for step in period_clears)
+        # A ring that was never all clear stays so: its first all-clear
+        # would have fallen inside the replayed period.
+        self._mask = self._rotated(self._mask, full * shift)
+        self._moves += full * moves
+        self._configuration = engine.configuration
 
     # ------------------------------------------------------------------ #
     # verification helpers (derived from the recorded runs)

@@ -34,6 +34,11 @@ SLOW_SPEC = {
     "seed": 1,
 }
 
+#: :data:`SLOW_SPEC` with ten times the step budget: it runs for several
+#: seconds even on a fast machine, far past the deadline test's 1 s
+#: (:data:`SLOW_SPEC` itself finishes in about 0.8 s on a 2-core host).
+HUNG_SPEC = dict(SLOW_SPEC, steps=1000000)
+
 
 def _serve(service):
     srv = create_server(port=0, service=service)
@@ -153,7 +158,7 @@ class TestHealthStates:
 class TestRunDeadline:
     def test_hung_run_is_killed_and_reported_retryable(self, tmp_path):
         service = RunService(ExecutionContext(cache=str(tmp_path / "cache"), timeout=1.0))
-        view, created = service.submit(SLOW_SPEC)
+        view, created = service.submit(HUNG_SPEC)
         assert created
         start = time.monotonic()
         assert service.wait_idle(timeout=60.0), "deadline must reap the run"
@@ -163,7 +168,7 @@ class TestRunDeadline:
         assert status["error"]["type"] == "DeadlineExceeded"
         # A deadline error is transient: resubmission schedules a fresh
         # attempt instead of replaying the stale failure.
-        _, created_again = service.submit(SLOW_SPEC)
+        _, created_again = service.submit(HUNG_SPEC)
         assert created_again
         service.drain()
         service.wait_idle(timeout=60.0)

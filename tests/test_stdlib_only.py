@@ -97,3 +97,14 @@ def test_cached_verify_loads_no_engine_and_prints_the_cold_bytes(tmp_path):
     assert hit_code == 0
     assert hit_stdout == cold_stdout
     assert hit_loaded == []
+
+
+def test_cached_repro_all_loads_no_engine_and_prints_the_cold_bytes(tmp_path):
+    args = ["all", "--jobs", "2", "--cache", str(tmp_path / "cache")]
+    cold_code, cold_stdout, cold_loaded = _run_cli(args, tmp_path)
+    assert cold_code == 0
+    assert "repro.campaign.executor" in cold_loaded
+    hit_code, hit_stdout, hit_loaded = _run_cli(args, tmp_path)
+    assert hit_code == 0
+    assert hit_stdout == cold_stdout
+    assert hit_loaded == []
