@@ -11,9 +11,9 @@ that takes one unit per task.  Three properties are guaranteed:
 * **Crash tolerance** — a worker *exception* is caught in the worker and
   returned as an ``"error"`` record; a worker *process death* (signal,
   ``os._exit``) breaks the pool, which the executor rebuilds before
-  requeueing the bystanders and retrying each broken unit once in
-  isolation, so a single poisoned unit is recorded as ``"crashed"``
-  without losing the rest of the campaign.
+  requeueing the bystanders and retrying each unit that may have been
+  running in isolation, so a single poisoned unit is recorded as
+  ``"crashed"`` without losing the rest of the campaign.
 * **Resumability** — with a result store attached, units already in
   the campaign's unit cache are not re-executed.
 
@@ -356,12 +356,15 @@ def _retry_in_isolation(
     *,
     first_attempt_timed_out: bool,
 ) -> None:
-    """One isolated retry of a crashed (or killed) unit.
+    """Isolated retries of a crashed (or killed) unit.
 
-    The unit gets a dedicated single-worker pool so a second crash or
-    overrun poisons nothing else.  If the worker dies again the unit is
-    recorded as ``"crashed"``; under a deadline, a fresh one applies and
-    a second overrun is recorded as ``"timeout"``.
+    The unit gets a dedicated single-worker pool so a crash or overrun
+    poisons nothing else.  A unit whose pool broke may never have
+    started (a worker takes a submitted unit only when it is free), so
+    its first isolated attempt may be its first run: a worker death
+    there gets one more isolated attempt, and the unit is recorded as
+    ``"crashed"`` only when that one dies too.  Under a deadline, a
+    fresh one applies and an overrun is recorded as ``"timeout"``.
     """
     from concurrent.futures import TimeoutError as FuturesTimeoutError
     from concurrent.futures.process import BrokenProcessPool
@@ -369,30 +372,34 @@ def _retry_in_isolation(
     from ..faults.deadline import terminate_pool
 
     timeout = ctx.timeout
-    pool = make_pool(1)
-    future = pool.submit(execute_unit, run.worker, unit.as_dict(), ctx.retry)
-    try:
-        run.add(future.result(timeout=timeout))
-    except FuturesTimeoutError:
-        terminate_pool(pool)
-        run.add(_timeout_record(unit.as_dict(), timeout))
-    except BrokenProcessPool:
-        if first_attempt_timed_out:
-            # Terminated mid-kill rather than by its own doing —
-            # still a deadline casualty, not a crash.
+    for attempt in (1, 2):
+        pool = make_pool(1)
+        future = pool.submit(execute_unit, run.worker, unit.as_dict(), ctx.retry)
+        try:
+            run.add(future.result(timeout=timeout))
+            return
+        except FuturesTimeoutError:
+            terminate_pool(pool)
             run.add(_timeout_record(unit.as_dict(), timeout))
-        else:
-            run.add(
-                _crashed_record(
-                    unit.as_dict(),
-                    "worker process died while executing this unit",
+            return
+        except BrokenProcessPool:
+            if first_attempt_timed_out:
+                # Terminated mid-kill rather than by its own doing —
+                # still a deadline casualty, not a crash.
+                run.add(_timeout_record(unit.as_dict(), timeout))
+                return
+            if attempt == 2:
+                run.add(
+                    _crashed_record(
+                        unit.as_dict(),
+                        "worker process died while executing this unit",
+                    )
                 )
-            )
-    finally:
-        # Join a finished pool so no manager thread outlives it (one
-        # still running at interpreter exit can fail there); never block
-        # on a unit still running after an interrupt.
-        pool.shutdown(wait=future.done())
+        finally:
+            # Join a finished pool so no manager thread outlives it (one
+            # still running at interpreter exit can fail there); never
+            # block on a unit still running after an interrupt.
+            pool.shutdown(wait=future.done())
 
 
 def _unit_cost(task: Tuple[_CampaignRun, UnitSpec]) -> int:
@@ -407,15 +414,17 @@ def _run_pool(tasks: List[Tuple[_CampaignRun, UnitSpec]], ctx: ExecutionContext)
     ``tasks`` pairs each pending unit with its campaign; units of every
     campaign share the pool.  The modules the workers run are imported
     first, so forked workers inherit them.  Units are submitted
-    longest-first and windowed to the pool width, so every in-flight
-    future corresponds to a unit that is genuinely *running*: its
-    submission time is its start time.  A worker death breaks the pool;
-    it is rebuilt, innocent in-flight units are requeued, and each
-    broken unit is retried once in isolation.
+    longest-first, each worker with one more unit queued behind the one
+    it runs, so no worker waits for the parent between two units.  A
+    worker death breaks the pool; it is rebuilt, innocent in-flight
+    units are requeued, and each broken unit is retried once in
+    isolation.
 
-    With a deadline (``ctx.timeout``) a watchdog also polls the
-    in-flight units.  On an overrun the whole pool is terminated (there
-    is no way to kill a single busy worker through
+    With a deadline (``ctx.timeout``) the window is the pool width
+    instead, so every in-flight future corresponds to a unit that is
+    genuinely *running*: its submission time is its start time.  A
+    watchdog polls the in-flight units.  On an overrun the whole pool is
+    terminated (there is no way to kill a single busy worker through
     :class:`~concurrent.futures.ProcessPoolExecutor`) and the overdue
     unit is retried in isolation under a fresh deadline.
     """
@@ -426,6 +435,7 @@ def _run_pool(tasks: List[Tuple[_CampaignRun, UnitSpec]], ctx: ExecutionContext)
 
     jobs, timeout, retry = ctx.jobs, ctx.timeout, ctx.retry
     poll = None if timeout is None else _WATCHDOG_POLL_S
+    window = 2 * jobs if timeout is None else jobs
     for module in sorted({name for run, _ in tasks for name in run.engine_modules}):
         __import__(module)  # unlike importlib's, shows in ``-X importtime``
     # Longest-processing-time-first: simulation cost grows with the
@@ -438,7 +448,7 @@ def _run_pool(tasks: List[Tuple[_CampaignRun, UnitSpec]], ctx: ExecutionContext)
     try:
         while queue or inflight:
             pool_broken = False
-            while queue and len(inflight) < jobs:
+            while queue and len(inflight) < window:
                 run, unit = task = queue.popleft()
                 try:
                     future = pool.submit(execute_unit, run.worker, unit.as_dict(), retry)
@@ -453,7 +463,7 @@ def _run_pool(tasks: List[Tuple[_CampaignRun, UnitSpec]], ctx: ExecutionContext)
                 inflight[future] = (task, perf_counter())
             done, _ = wait(list(inflight), timeout=poll, return_when=FIRST_COMPLETED)
             crashed: List[Tuple[_CampaignRun, UnitSpec]] = []
-            for future in done:
+            for future in [future for future in inflight if future in done]:
                 task, _started = inflight.pop(future)
                 try:
                     record = future.result()
@@ -461,6 +471,11 @@ def _run_pool(tasks: List[Tuple[_CampaignRun, UnitSpec]], ctx: ExecutionContext)
                     crashed.append(task)
                 else:
                     task[0].add(record)
+            # Workers take units in submission order, so only the first
+            # ``jobs`` broken units can have been running: the others
+            # never started, and simply run again.
+            queue.extendleft(reversed(crashed[jobs:]))
+            del crashed[jobs:]
             now = perf_counter()
             timed_out: List[Tuple[_CampaignRun, UnitSpec]] = []
             overdue = timeout is not None and any(

@@ -296,6 +296,24 @@ class TestFailureReporting:
         ok = [r for r in report.records if r["status"] == "ok"]
         assert len(ok) == report.campaign.num_units - 1
 
+    def test_a_first_run_that_dies_in_isolation_gets_one_more_attempt(self, tmp_path):
+        # A unit whose pool broke may never have started, so its isolated
+        # retry can be its first run; a fire-once crash there must not
+        # make it "crashed".
+        from repro.faults import FaultPlan
+
+        campaign = build_campaign("e1", "quick")
+        unit = campaign.units[0]
+        plan = FaultPlan(
+            sites={f"unit:{campaign.name}:{unit.unit_id}": "crash"},
+            state_dir=str(tmp_path / "state"),
+        )
+        ctx = ExecutionContext(fault_plan=plan)
+        run = executor_module._CampaignRun(campaign, e1_run_unit, ctx)
+        executor_module._retry_in_isolation(run, unit, ctx, first_attempt_timed_out=False)
+        assert plan.fired_sites() == [f"unit:{campaign.name}:{unit.unit_id}"]
+        assert [record["status"] for record in run.report.records] == ["ok"]
+
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(build_campaign("e1", "quick"), product_worker, ExecutionContext(jobs=0))
