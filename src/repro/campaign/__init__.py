@@ -14,16 +14,18 @@ deadlines, retries, fault plan, metrics, progress) travels as one frozen
 :class:`~repro.campaign.context.ExecutionContext`.  Typical use from an
 experiment module::
 
-    from ..campaign import DEFAULT_CONTEXT, run_experiment_campaign
-
     def run_unit(unit):          # module-level => picklable
         ...
         return {"row": [...], "passed": True}
 
-    def run(variant="quick", ctx=DEFAULT_CONTEXT):
-        report = run_experiment_campaign("e3", variant, run_unit, ctx)
-        for record in report.records:
-            ...
+    def report_result(report):   # CampaignReport -> ExperimentResult
+        ...
+
+which :data:`repro.experiments.EXPERIMENTS` pairs with the
+experiment's campaign::
+
+    report = run_campaign(build_campaign("e3", variant), run_unit, ctx)
+    result = report_result(report)
 
 and from the command line::
 
@@ -32,14 +34,9 @@ and from the command line::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .._lazy import lazy_exports
 from .context import DEFAULT_CONTEXT, ExecutionContext, ProgressCallback
 from .store import ResultStore
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .executor import CampaignReport, Worker
 
 #: Public names mapped to the submodule that defines them, imported on
 #: first access (PEP 562): every command needs the execution context,
@@ -63,25 +60,7 @@ __all__ = sorted(
         "ExecutionContext",
         "ProgressCallback",
         "ResultStore",
-        "run_experiment_campaign",
     ]
 )
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-
-def run_experiment_campaign(
-    experiment: str,
-    variant: str,
-    worker: Worker,
-    ctx: ExecutionContext = DEFAULT_CONTEXT,
-) -> CampaignReport:
-    """Build the campaign for an experiment suite and execute it under ``ctx``.
-
-    See :func:`~repro.campaign.executor.run_campaign` for how the
-    context is honoured.
-    """
-    from .executor import run_campaign
-    from .spec import build_campaign
-
-    return run_campaign(build_campaign(experiment, variant), worker, ctx)

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 from importlib import import_module
 from types import ModuleType
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
 from .report import ExperimentResult, render_table
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..campaign.executor import Worker
+    from ..campaign.spec import Campaign
 
 #: Experiment identifiers mapped to the modules that run them.
 _MODULES = {
@@ -30,22 +34,29 @@ _MODULES = {
 def experiment_module(name: str) -> ModuleType:
     """The module of experiment ``name``, imported on first use.
 
-    Every experiment module defines ``run(variant, ctx)``, its campaign
-    worker ``run_unit`` and ``report_result(report)``, which turns the
-    campaign's report into the :class:`ExperimentResult`; ``run`` is the
-    last two around one campaign.
+    Every experiment module defines its campaign worker ``run_unit`` and
+    ``report_result(report)``, which turns the campaign's report into
+    the :class:`ExperimentResult`.
     """
     return import_module(f"{__name__}.{_MODULES[name]}")
 
 
+def _campaign_job(name: str, variant: str) -> Tuple[Campaign, Worker]:
+    """Experiment ``name``'s ``variant`` campaign and the worker of its units."""
+    from ..campaign.spec import build_campaign
+
+    return build_campaign(name, variant), experiment_module(name).run_unit
+
+
 def _deferred_run(name: str) -> Callable[..., ExperimentResult]:
-    """The ``run`` function of experiment ``name``, imported on its first call."""
+    """The runner of experiment ``name``: its campaign, run and reported."""
 
     def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-        return experiment_module(name).run(variant, ctx)
+        from ..campaign.executor import run_campaign
 
-    # ``EXPERIMENTS[name].__module__`` keeps naming the experiment module.
-    run.__module__ = f"{__name__}.{_MODULES[name]}"
+        report = run_campaign(*_campaign_job(name, variant), ctx)
+        return experiment_module(name).report_result(report)
+
     return run
 
 

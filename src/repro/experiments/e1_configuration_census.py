@@ -13,13 +13,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..analysis.enumeration import PAPER_FIGURE_COUNTS, census
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from .report import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result"]
+__all__ = ["run_unit", "report_result"]
 
 
 def run_unit(unit):
@@ -42,11 +41,6 @@ def run_unit(unit):
         ],
         "passed": match,
     }
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E1 and return its result table."""
-    return report_result(run_experiment_campaign("e1", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

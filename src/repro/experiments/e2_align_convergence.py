@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from ..algorithms.align import SPECIAL_SYMMETRIC_VIEW, AlignAlgorithm
 from ..analysis.metrics import summarize
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.engine import Simulator
 from ..workloads.generators import random_rigid_configuration, rigid_configurations
 from .report import ExperimentResult
@@ -30,7 +29,7 @@ from .report import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result", "EXHAUSTIVE_LIMIT"]
+__all__ = ["run_unit", "report_result", "EXHAUSTIVE_LIMIT"]
 
 #: Ring sizes up to which every rigid configuration class is tried.
 EXHAUSTIVE_LIMIT = 13
@@ -77,11 +76,6 @@ def run_unit(unit):
         ],
         "passed": passed,
     }
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E2 and return its result table."""
-    return report_result(run_experiment_campaign("e2", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.metrics import clearing_metrics, summarize
 from ..batchsim import BatchEngine
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..tasks import ExplorationMonitor, SearchingMonitor
 from ..workloads.generators import iter_rigid_configurations, random_rigid_configuration
 from .report import ExperimentResult
@@ -31,7 +30,7 @@ from .report import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result"]
+__all__ = ["run_unit", "report_result"]
 
 
 def run_unit(unit):
@@ -88,11 +87,6 @@ def run_unit(unit):
         ],
         "passed": passed,
     }
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E3 and return its result table."""
-    return report_result(run_experiment_campaign("e3", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

@@ -17,7 +17,6 @@ from ..algorithms.nminusthree import (
     nminusthree_supported,
 )
 from ..batchsim import BatchEngine
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..tasks import ExplorationMonitor, Monitor, SearchingMonitor
 from ..workloads.generators import rigid_configurations
 from .report import ExperimentResult
@@ -25,7 +24,7 @@ from .report import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result"]
+__all__ = ["run_unit", "report_result"]
 
 
 class _FinalReached(Monitor):
@@ -103,11 +102,6 @@ def run_unit(unit):
         ],
         "passed": passed,
     }
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E4 and return its result table."""
-    return report_result(run_experiment_campaign("e4", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

@@ -18,7 +18,6 @@ from ..algorithms.baselines import GreedyGatherBaseline
 from ..algorithms.gathering import GatheringAlgorithm, gathering_supported
 from ..analysis.metrics import summarize
 from ..batchsim import BatchEngine
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.options import EngineOptions
 from ..workloads.generators import random_rigid_configuration, rigid_configurations
 from .report import ExperimentResult
@@ -26,7 +25,7 @@ from .report import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result", "EXHAUSTIVE_LIMIT"]
+__all__ = ["run_unit", "report_result", "EXHAUSTIVE_LIMIT"]
 
 #: Ring sizes up to which every rigid configuration class is tried.
 EXHAUSTIVE_LIMIT = 12
@@ -111,11 +110,6 @@ def run_unit(unit):
         ],
         "passed": gathered == len(starts),
     }
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E5 and return its result table."""
-    return report_result(run_experiment_campaign("e5", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

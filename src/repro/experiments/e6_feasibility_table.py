@@ -20,7 +20,6 @@ from ..algorithms.nminusthree import NminusThreeAlgorithm, nminusthree_supported
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.feasibility import Feasibility, searching_feasibility
 from ..analysis.game import GameVerdict, searching_game_verdict
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..batchsim.engine import BatchEngine
 from ..tasks import SearchingMonitor
 from ..workloads.generators import iter_rigid_configurations
@@ -29,7 +28,7 @@ from .report import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result", "simulation_cross_check", "FEASIBLE_SAMPLE"]
+__all__ = ["run_unit", "report_result", "simulation_cross_check", "FEASIBLE_SAMPLE"]
 
 #: Feasible cells cross-checked by simulation in the quick variant.
 FEASIBLE_SAMPLE = ((6, 11), (7, 12), (7, 10), (9, 12))
@@ -75,11 +74,6 @@ def run_unit(unit):
         ],
         "passed": agrees,
     }
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E6 and return its result table."""
-    return report_result(run_experiment_campaign("e6", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

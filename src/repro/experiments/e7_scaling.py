@@ -20,7 +20,6 @@ from ..algorithms.nminusthree import NminusThreeAlgorithm, nminusthree_supported
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.metrics import clearing_metrics, summarize
 from ..batchsim import BatchEngine
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..simulator.options import EngineOptions
 from ..tasks import SearchingMonitor
 from ..workloads.generators import random_rigid_configuration
@@ -29,7 +28,7 @@ from .report import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result"]
+__all__ = ["run_unit", "report_result"]
 
 
 def _align_moves(n: int, k: int, samples: int, seed: int) -> dict:
@@ -125,11 +124,6 @@ def run_unit(unit):
         ],
         "passed": True,
     }
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E7 and return its result table."""
-    return report_result(run_experiment_campaign("e7", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

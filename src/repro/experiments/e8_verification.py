@@ -31,7 +31,6 @@ from ..analysis.feasibility import (
     searching_feasibility,
 )
 from ..analysis.game import GameVerdict, searching_game_verdict
-from ..campaign import DEFAULT_CONTEXT, ExecutionContext, run_experiment_campaign
 from ..modelcheck import check_cell
 from ..modelcheck.checker import ENGINE_MODULES
 from .report import ExperimentResult
@@ -39,7 +38,7 @@ from .report import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..campaign.executor import CampaignReport
 
-__all__ = ["run", "run_unit", "report_result", "GAME_CELLS", "applicable_checks"]
+__all__ = ["run_unit", "report_result", "GAME_CELLS", "applicable_checks"]
 
 #: Cells cross-checked against the E6 adversary-game solver (its quick
 #: grid): small enough for the exhaustive candidate search.
@@ -109,11 +108,6 @@ def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
 
 
 run_unit.engine_modules = ENGINE_MODULES  # type: ignore[attr-defined]
-
-
-def run(variant: str = "quick", ctx: ExecutionContext = DEFAULT_CONTEXT) -> ExperimentResult:
-    """Run E8 and return its result table."""
-    return report_result(run_experiment_campaign("e8", variant, run_unit, ctx))
 
 
 def report_result(report: CampaignReport) -> ExperimentResult:

@@ -10,8 +10,10 @@ every failure:
 
 * :class:`~repro.modelcheck.checker.ModelChecker` /
   :func:`~repro.modelcheck.checker.check_cell` — single-cell API;
-* :func:`~repro.modelcheck.grid.run_verify_campaign` — grid API through
-  the campaign layer (``--jobs``, result stores, resume);
+* :func:`~repro.modelcheck.grid.build_verify_campaign` and
+  :func:`~repro.modelcheck.grid.run_unit` — a grid as a campaign and its
+  worker, run by :func:`~repro.campaign.executor.run_campaign`
+  (``--jobs``, result stores, resume);
 * :mod:`repro.modelcheck.tasks` — the per-task goal semantics.
 
 See the README's "Verification" section for the verdict semantics and
@@ -19,7 +21,7 @@ the soundness caveats.
 """
 
 from .checker import ModelChecker, ModelCheckResult, Verdict, Witness, WitnessStep, check_cell
-from .grid import build_verify_campaign, run_unit, run_verify_campaign
+from .grid import build_verify_campaign, run_unit
 from .tasks import TASKS, TaskSpec, make_task_spec
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "check_cell",
     "build_verify_campaign",
     "run_unit",
-    "run_verify_campaign",
     "TASKS",
     "TaskSpec",
     "make_task_spec",

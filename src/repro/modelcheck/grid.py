@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
-from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
 from .checker import DEFAULT_MAX_STATES, ENGINE_MODULES, ModelChecker
 from .tasks import TASKS
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..campaign.executor import CampaignReport
     from ..campaign.spec import Campaign
 
-__all__ = ["DEFAULT_MAX_STATES", "build_verify_campaign", "run_unit", "run_verify_campaign"]
+__all__ = ["DEFAULT_MAX_STATES", "build_verify_campaign", "run_unit"]
 
 
 def build_verify_campaign(
@@ -91,24 +89,3 @@ def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
 
 
 run_unit.engine_modules = ENGINE_MODULES  # type: ignore[attr-defined]
-
-
-def run_verify_campaign(
-    task: str,
-    cells: Sequence[Tuple[int, int]],
-    ctx: ExecutionContext = DEFAULT_CONTEXT,
-    *,
-    adversary: str = "ssync",
-    max_states: int = DEFAULT_MAX_STATES,
-) -> CampaignReport:
-    """Build and execute a verification grid (the ``repro verify`` core).
-
-    ``ctx.jobs`` parallelises across cells through the campaign pool.
-    Like every other :class:`~repro.campaign.context.ExecutionContext`
-    field it is not part of the grid's identity, and every payload stays
-    byte-identical to the serial run.
-    """
-    from ..campaign.executor import run_campaign
-
-    campaign = build_verify_campaign(task, cells, adversary=adversary, max_states=max_states)
-    return run_campaign(campaign, run_unit, ctx)

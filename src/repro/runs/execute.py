@@ -28,7 +28,7 @@ from hashlib import sha256
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..campaign.context import DEFAULT_CONTEXT, ExecutionContext
-from ..experiments import EXPERIMENTS, experiment_module
+from ..experiments import _campaign_job, experiment_module
 from ..faults.deadline import call_with_deadline
 from .cache import ResultCache, cache_key
 from .spec import (
@@ -162,15 +162,6 @@ def _run_lanes(
     ]
 
 
-def _execute_simulate(
-    spec: SimulateSpec, ctx: ExecutionContext
-) -> Tuple[Dict[str, object], bool, bool]:
-    payload = call_with_deadline(
-        _simulate_job, (spec,), timeout=ctx.timeout, what="simulate run"
-    )
-    return payload, False, False
-
-
 # --------------------------------------------------------------------- #
 # batch sweep
 # --------------------------------------------------------------------- #
@@ -200,13 +191,15 @@ def _batchsweep_job(spec: BatchSweepSpec) -> Dict[str, object]:
     }
 
 
-def _execute_batchsweep(
-    spec: BatchSweepSpec, ctx: ExecutionContext
+def _execute_simulation(
+    spec: Union[SimulateSpec, BatchSweepSpec], ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
-    payload = call_with_deadline(
-        _batchsweep_job, (spec,), timeout=ctx.timeout, what="batch sweep"
-    )
-    return payload, False, False
+    """A ``simulate`` or ``batch_sweep`` run, killed past ``ctx.timeout``."""
+    if isinstance(spec, SimulateSpec):
+        job, what = _simulate_job, "simulate run"
+    else:
+        job, what = _batchsweep_job, "batch sweep"
+    return call_with_deadline(job, (spec,), timeout=ctx.timeout, what=what), False, False
 
 
 # --------------------------------------------------------------------- #
@@ -215,15 +208,13 @@ def _execute_batchsweep(
 def _execute_verify(
     spec: VerifySpec, ctx: ExecutionContext
 ) -> Tuple[Dict[str, object], bool, bool]:
-    from ..modelcheck.grid import run_verify_campaign
+    from ..campaign.executor import run_campaign
+    from ..modelcheck.grid import build_verify_campaign, run_unit
 
-    report = run_verify_campaign(
-        spec.task,
-        list(spec.cells),
-        ctx,
-        adversary=spec.adversary,
-        max_states=spec.max_states,
+    campaign = build_verify_campaign(
+        spec.task, spec.cells, adversary=spec.adversary, max_states=spec.max_states
     )
+    report = run_campaign(campaign, run_unit, ctx)
     rows: List[List[object]] = []
     documents: List[Dict[str, object]] = []
     conclusive = True
@@ -269,12 +260,6 @@ def _execute_verify(
 # --------------------------------------------------------------------- #
 # experiment
 # --------------------------------------------------------------------- #
-def _execute_experiment(
-    spec: ExperimentSpec, ctx: ExecutionContext
-) -> Tuple[Dict[str, object], bool, bool]:
-    return _experiment_outcome(EXPERIMENTS[spec.name](spec.variant, ctx))
-
-
 def _experiment_outcome(result: ExperimentResult) -> Tuple[Dict[str, object], bool, bool]:
     """``(payload, transient, history_dependent)`` of one experiment result."""
     payload = {
@@ -302,10 +287,9 @@ def _experiment_outcome(result: ExperimentResult) -> Tuple[Dict[str, object], bo
 #: reflects how it was served (resume/cache notes), so it must not be
 #: stored as the spec's canonical result.
 _EXECUTORS: Dict[type, Callable[[RunSpec, ExecutionContext], Tuple[Dict[str, object], bool, bool]]] = {
-    SimulateSpec: _execute_simulate,
-    BatchSweepSpec: _execute_batchsweep,
+    SimulateSpec: _execute_simulation,
+    BatchSweepSpec: _execute_simulation,
     VerifySpec: _execute_verify,
-    ExperimentSpec: _execute_experiment,
 }
 
 
@@ -393,10 +377,12 @@ def execute(
         A :class:`RunResult`; ``cached`` is ``True`` iff the payload was
         served from the cache without executing anything.
     """
+    ctx = replace(ctx or DEFAULT_CONTEXT, **knobs)
+    if isinstance(spec, ExperimentSpec):
+        return execute_experiments([spec], ctx)[0]
     executor = _EXECUTORS.get(type(spec))
     if executor is None:
         raise TypeError(f"cannot execute spec of type {type(spec).__name__}")
-    ctx = replace(ctx or DEFAULT_CONTEXT, **knobs)
     run_id = cache_key(spec)
     cached = _cached_result(spec, run_id, ctx)
     if cached is not None:
@@ -411,10 +397,11 @@ def execute_experiments(
 ) -> List[RunResult]:
     """Execute several experiment specs, all their units on one pool.
 
-    Each result equals :func:`execute` of its spec under ``ctx``.  The
-    whole-run cache answers first; every other experiment's campaign
-    then goes to one :func:`~repro.campaign.executor.run_campaigns`
-    call, so with ``ctx.jobs > 1`` the units of all of them share one
+    :func:`execute` of an experiment spec is this call on that one
+    spec, so each result equals :func:`execute` of its spec under
+    ``ctx``.  The whole-run cache answers first; every other
+    experiment's campaign then goes to one
+    :func:`~repro.campaign.executor.run_campaigns` call, so with ``ctx.jobs > 1`` the units of all of them share one
     pool and no experiment waits for another's slowest unit.  A fully
     cached call imports no experiment and starts no pool.
 
@@ -440,21 +427,17 @@ def execute_experiments(
         if cached is not None:
             ready(index, cached)
         else:
-            misses.append((index, spec, run_id, experiment_module(spec.name)))
+            misses.append((index, spec, run_id))
     if misses:
         from ..campaign.executor import run_campaigns
-        from ..campaign.spec import build_campaign
 
         def settled(position: int, report) -> None:
-            index, spec, run_id, module = misses[position]
-            outcome = _experiment_outcome(module.report_result(report))
-            ready(index, _finish(spec, run_id, ctx, outcome))
+            index, spec, run_id = misses[position]
+            result = experiment_module(spec.name).report_result(report)
+            ready(index, _finish(spec, run_id, ctx, _experiment_outcome(result)))
 
         run_campaigns(
-            [
-                (build_campaign(spec.name, spec.variant), module.run_unit)
-                for _, spec, _, module in misses
-            ],
+            [_campaign_job(spec.name, spec.variant) for _, spec, _ in misses],
             _run_context(ctx),
             settled,
         )

@@ -155,7 +155,8 @@ class SimulateSpec(RunSpec):
         k: number of robots.
         steps: step budget.
         seed: seed of the random rigid starting configuration (when
-            ``initial`` is ``None``) and of random schedulers.
+            ``initial`` is ``None``) and of random schedulers; stored
+            as ``0`` when neither uses it.
         initial: explicit starting occupancy counts (length ``n``,
             summing to ``k``); ``None`` draws a random rigid start.
         scheduler: registered scheduler name (see :data:`SCHEDULERS`);
@@ -195,6 +196,8 @@ class SimulateSpec(RunSpec):
                     f"initial counts must have length n={self.n} and sum k={self.k}"
                 )
             object.__setattr__(self, "initial", counts)
+            if self.scheduler not in _SEEDED_SCHEDULERS:
+                object.__setattr__(self, "seed", 0)
         if not isinstance(self.engine, EngineOptions):
             raise TypeError("engine must be an EngineOptions instance")
 

@@ -39,7 +39,8 @@ class EngineOptions:
             detection.
         presentation_seed: seed of the adversary choosing the order in
             which the two directed views are presented to each robot
-            (an integer: a run is a pure function of its options).
+            (an integer: a run is a pure function of its options);
+            stored as ``0`` under ``chirality``, which fixes the order.
         collision_policy: ``"raise"`` (default) or ``"record"``.
         chirality: present the clockwise view first, granting a common
             sense of direction (stronger than min-CORDA; baselines only).
@@ -68,6 +69,8 @@ class EngineOptions:
             )
         if self.collision_policy not in ("raise", "record"):
             raise ValueError("collision_policy must be 'raise' or 'record'")
+        if self.chirality:
+            object.__setattr__(self, "presentation_seed", 0)
 
     def with_overrides(self, **overrides: object) -> "EngineOptions":
         """A copy with the given fields replaced (validated again)."""

@@ -14,7 +14,6 @@ from repro.campaign import (
     derive_seed,
     execute_batch,
     run_campaign,
-    run_experiment_campaign,
 )
 from repro.campaign import executor as executor_module
 from repro.campaign import store as store_module
@@ -111,11 +110,12 @@ class TestSpec:
 
 class TestDeterminism:
     def test_serial_and_parallel_aggregates_are_byte_identical(self, tmp_path):
-        serial = run_experiment_campaign(
-            "e1", "quick", e1_run_unit, ExecutionContext(jobs=1, store=str(tmp_path / "serial")),
+        campaign = build_campaign("e1", "quick")
+        serial = run_campaign(
+            campaign, e1_run_unit, ExecutionContext(jobs=1, store=str(tmp_path / "serial")),
         )
-        parallel = run_experiment_campaign(
-            "e1", "quick", e1_run_unit, ExecutionContext(jobs=3, store=str(tmp_path / "parallel")),
+        parallel = run_campaign(
+            campaign, e1_run_unit, ExecutionContext(jobs=3, store=str(tmp_path / "parallel")),
         )
         assert serial.summary_bytes() == parallel.summary_bytes()
         with open(serial.summary_path, "rb") as f1, open(parallel.summary_path, "rb") as f2:
@@ -132,18 +132,16 @@ class TestDeterminism:
 class TestResume:
     def test_resume_skips_completed_units(self, tmp_path, monkeypatch):
         store = ResultStore(str(tmp_path))
-        first = run_experiment_campaign(
-            "e7", "quick", resumable_worker, ExecutionContext(jobs=1, store=store),
-        )
+        campaign = build_campaign("e7", "quick")
+        first = run_campaign(campaign, resumable_worker, ExecutionContext(jobs=1, store=store))
         failed = {r["unit_id"] for r in first.failures}
         assert failed  # k == 5 units errored
         # Second run of the same worker, now tagging its payloads: only
         # the failed units are re-executed, completed ones come back
         # verbatim from disk.
         monkeypatch.setattr(sys.modules[__name__], "_RESUMED_RUN", True)
-        second = run_experiment_campaign(
-            "e7", "quick", resumable_worker,
-            ExecutionContext(jobs=1, store=ResultStore(str(tmp_path))),
+        second = run_campaign(
+            campaign, resumable_worker, ExecutionContext(jobs=1, store=ResultStore(str(tmp_path))),
         )
         assert set(second.resumed) == {
             r["unit_id"] for r in first.records if r["status"] == "ok"

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main, parse_int_grid
 from repro.experiments import EXPERIMENTS
-from repro.experiments import e1_configuration_census, e6_feasibility_table
+from repro.experiments import e6_feasibility_table
 from repro.experiments.report import ExperimentResult, render_table
 from repro.workloads.suites import Suite
 
@@ -39,7 +39,7 @@ class TestExperimentRegistry:
         assert sorted(EXPERIMENTS) == ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"]
 
     def test_e1_quick_passes(self):
-        result = e1_configuration_census.run("quick")
+        result = EXPERIMENTS["e1"]("quick")
         assert result.passed
         assert len(result.rows) == 6
         assert all(row[-1] == "yes" for row in result.rows)
@@ -55,9 +55,7 @@ class TestExperimentRegistry:
         assert suite.steps_factor == 30
 
     def test_e8_quick_passes_and_agrees_everywhere(self):
-        from repro.experiments import e8_verification
-
-        result = e8_verification.run("quick")
+        result = EXPERIMENTS["e8"]("quick")
         assert result.passed
         assert all(row[-1] == "yes" for row in result.rows)
         # Feasible and infeasible cells are both represented...

@@ -77,6 +77,21 @@ def test_stdout_and_summaries_match_jobs_1_and_the_per_experiment_path(tmp_path)
     assert pooled.count("result: PASS") == len(NAMES)
 
 
+def test_an_experiment_spec_runs_through_execute_experiments(monkeypatch):
+    # An experiment module is only its worker and its report: `execute`
+    # takes the one-pool path and never the `EXPERIMENTS` runners.
+    for name in NAMES:
+        assert not hasattr(experiment_module(name), "run"), name
+
+    def broken(*args, **kwargs):
+        raise AssertionError("execute called an EXPERIMENTS runner")
+
+    monkeypatch.setitem(EXPERIMENTS, "e1", broken)
+    result = execute(ExperimentSpec(name="e1"))
+    assert result.ok
+    assert result.payload["experiment"] == "E1"
+
+
 def test_fully_cached_reruns_start_no_pool(tmp_path, monkeypatch):
     cache, store = str(tmp_path / "cache"), str(tmp_path / "store")
     cold = _repro("all", "--jobs", "2", "--cache", cache)

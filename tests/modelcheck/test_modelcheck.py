@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.analysis.feasibility import Feasibility, gathering_feasibility
-from repro.campaign import ExecutionContext
+from repro.campaign import ExecutionContext, run_campaign
 from repro.cli import main, parse_int_grid
 from repro.core.cyclic import canonical_dihedral
 from repro.core.errors import UnsupportedParametersError
@@ -17,7 +17,6 @@ from repro.modelcheck import (
     check_cell,
     make_task_spec,
     run_unit,
-    run_verify_campaign,
 )
 from repro.modelcheck.frontier import _initial_configurations
 
@@ -173,7 +172,7 @@ class TestVerifyCampaign:
     CELLS = ((2, 6), (3, 6), (3, 7))
 
     def test_grid_runs_and_reports(self):
-        report = run_verify_campaign("gathering", self.CELLS)
+        report = run_campaign(build_verify_campaign("gathering", self.CELLS), run_unit)
         assert len(report.records) == len(self.CELLS)
         verdicts = {
             (record["k"], record["n"]): record["payload"]["result"]["verdict"]
@@ -182,27 +181,33 @@ class TestVerifyCampaign:
         assert verdicts == {(2, 6): "livelock", (3, 6): "solved", (3, 7): "solved"}
 
     def test_serial_and_parallel_summaries_byte_identical(self):
-        serial = run_verify_campaign("gathering", self.CELLS, ExecutionContext(jobs=1))
-        parallel = run_verify_campaign("gathering", self.CELLS, ExecutionContext(jobs=4))
+        campaign = build_verify_campaign("gathering", self.CELLS)
+        serial = run_campaign(campaign, run_unit, ExecutionContext(jobs=1))
+        parallel = run_campaign(campaign, run_unit, ExecutionContext(jobs=4))
         assert serial.summary_bytes() == parallel.summary_bytes()
 
     def test_store_resume(self, tmp_path):
         store = str(tmp_path / "verify")
-        first = run_verify_campaign("gathering", self.CELLS, ExecutionContext(store=store))
+        campaign = build_verify_campaign("gathering", self.CELLS)
+        first = run_campaign(campaign, run_unit, ExecutionContext(store=store))
         assert not first.resumed
-        second = run_verify_campaign("gathering", self.CELLS, ExecutionContext(store=store))
+        second = run_campaign(campaign, run_unit, ExecutionContext(store=store))
         assert len(second.resumed) == len(self.CELLS)
         assert first.summary_bytes() == second.summary_bytes()
 
     def test_raised_max_states_is_a_new_campaign(self, tmp_path):
         """A stale UNKNOWN must not be resumed when the cap is raised."""
         store = str(tmp_path / "verify")
-        capped = run_verify_campaign(
-            "gathering", ((3, 8),), ExecutionContext(store=store), max_states=2,
+        capped = run_campaign(
+            build_verify_campaign("gathering", ((3, 8),), max_states=2),
+            run_unit,
+            ExecutionContext(store=store),
         )
         assert capped.records[0]["payload"]["result"]["verdict"] == "unknown"
-        raised = run_verify_campaign(
-            "gathering", ((3, 8),), ExecutionContext(store=store), max_states=10_000,
+        raised = run_campaign(
+            build_verify_campaign("gathering", ((3, 8),), max_states=10_000),
+            run_unit,
+            ExecutionContext(store=store),
         )
         assert not raised.resumed
         assert raised.records[0]["payload"]["result"]["verdict"] == "solved"

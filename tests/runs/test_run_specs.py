@@ -18,6 +18,9 @@ from repro.runs import (
 from repro.runs.spec import ALGORITHMS, SCHEDULERS
 from repro.simulator.options import EngineOptions
 
+#: A rigid start of 5 robots on a 12-node ring.
+RIGID_START = (1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0)
+
 
 class TestSimulateSpec:
     def test_roundtrip_through_jsonable(self):
@@ -164,6 +167,39 @@ class TestDispatchAndKeys:
         assert spec_from_jsonable(named.to_jsonable()) == sequential
         assert cache_key(named) == cache_key(sequential)
         assert execute(named).payload == execute(sequential).payload
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (
+                lambda seed: SimulateSpec(
+                    algorithm="align", n=12, k=5, seed=seed, initial=RIGID_START, stop="c_star"
+                ),
+                7,
+            ),
+            (
+                lambda seed: SimulateSpec(
+                    algorithm="align", n=12, k=5, seed=3, stop="c_star",
+                    engine=EngineOptions(chirality=True, presentation_seed=seed),
+                ),
+                9,
+            ),
+        ],
+        ids=["seed-with-initial-and-unseeded-scheduler", "presentation-seed-under-chirality"],
+    )
+    def test_a_seed_that_cannot_act_is_stored_as_0(self, make, value):
+        """Seeding nothing the run draws from, both seeds are one run."""
+        from repro.runs import execute
+
+        default, other = make(0), make(value)
+        assert other == default
+        assert cache_key(other) == cache_key(default)
+        assert spec_from_jsonable(other.to_jsonable()) == default
+        assert execute(other).payload == execute(default).payload
+
+    def test_a_seeded_scheduler_keeps_its_seed_beside_initial(self):
+        spec = SimulateSpec(n=12, k=5, seed=7, initial=RIGID_START, scheduler="asynchronous")
+        assert spec.seed == 7
 
     def test_registries_instantiate(self):
         for name in ALGORITHMS:

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import importlib
 import pstats
 import sys
 from time import perf_counter
 
 from repro.analysis.game import searching_game_verdict
 from repro.campaign import build_campaign
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, experiment_module
 from repro.modelcheck import check_cell
 from repro.modelcheck.results import DEFAULT_MAX_STATES
 from repro.modelcheck.tasks import TASKS
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
             unit = quick_unit(args.experiment, args.k, args.n)
         except ValueError as error:
             parser.error(str(error))
-        run_unit = importlib.import_module(EXPERIMENTS[args.experiment].__module__).run_unit
+        run_unit = experiment_module(args.experiment).run_unit
         payload = unit.as_dict()
 
         def workload():
